@@ -94,7 +94,9 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   // adoption path below still calls get_or_build, so correctness never
   // depends on this wave (it is purely a scheduling optimization).
   std::vector<std::pair<std::string, std::string>> snapshot_jobs;  // key, algo
+  double snapshot_wall_seconds = 0.0;
   if (options.observation == ObservationMode::kShared) {
+    const auto snapshot_start = Clock::now();
     for (const std::string& name : plan.algorithms) {
       const std::string key =
           forward::make_algorithm(name)->shared_snapshot_key();
@@ -124,6 +126,8 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     }
     pool.wait_idle();
     errors.rethrow_if_set();
+    if (!snapshot_jobs.empty())
+      snapshot_wall_seconds = seconds_since(snapshot_start);
   }
 
   // Phase 2: the run matrix. Each task is self-contained — it derives its
@@ -248,6 +252,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     }
   }
   result.wall_seconds = seconds_since(sweep_start);
+  result.snapshot_wall_seconds = snapshot_wall_seconds;
   return result;
 }
 

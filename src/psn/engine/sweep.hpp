@@ -52,6 +52,10 @@ struct SweepResult {
   std::size_t threads = 1;  ///< actual pool worker count used.
   std::size_t total_runs = 0;
   double wall_seconds = 0.0;  ///< end-to-end sweep wall time (telemetry).
+  /// Wall of the phase-1.5 snapshot wave, part of wall_seconds: near zero
+  /// when every snapshot was already built, 0 when no algorithm publishes
+  /// one or observation is kPerRun (telemetry).
+  double snapshot_wall_seconds = 0.0;
 
   [[nodiscard]] const CellSummary& cell(std::size_t scenario,
                                         std::size_t algorithm) const {

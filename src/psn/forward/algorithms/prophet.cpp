@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 namespace psn::forward {
 
 // ---------------------------------------------------------------- table ---
+
+namespace {
+
+/// Peer c's cell in a peer-sorted row, or nullptr.
+const ProphetTable::Cell* find_cell(const std::vector<ProphetTable::Cell>& row,
+                                    NodeId c) {
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), c,
+      [](const ProphetTable::Cell& cell, NodeId key) { return cell.c < key; });
+  return it != row.end() && it->c == c ? &*it : nullptr;
+}
+
+}  // namespace
 
 void ProphetTable::init(NodeId n, const ProphetParams& params) {
   params_ = params;
@@ -25,83 +39,95 @@ double ProphetTable::decay(Step units) const {
 }
 
 double ProphetTable::read(NodeId x, NodeId c, Step s) const {
-  const auto& row = rows_[x];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), c,
-      [](const Cell& cell, NodeId key) { return cell.c < key; });
-  if (it == row.end() || it->c != c) return 0.0;
+  const Cell* cell = find_cell(rows_[x], c);
+  if (cell == nullptr) return 0.0;
   // Aging epochs align to aging-unit boundaries, so the decay since the
   // write depends only on the two steps — not on when reads happened.
-  return it->v * decay(s / params_.aging_unit - it->w / params_.aging_unit);
+  return cell->v *
+         decay(s / params_.aging_unit - cell->w / params_.aging_unit);
 }
 
-void ProphetTable::upsert(NodeId x, NodeId c, Step s, double v,
-                          std::vector<Write>* log) {
-  auto& row = rows_[x];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), c,
-      [](const Cell& cell, NodeId key) { return cell.c < key; });
-  if (it != row.end() && it->c == c) {
-    it->w = s;
-    it->v = v;
-  } else {
-    row.insert(it, Cell{c, s, v});
-  }
-  if (log != nullptr) log->push_back(Write{x, c, s, v});
-}
+void ProphetTable::observe(NodeId a, NodeId b, Step s, History* history) {
+  const std::vector<Cell>& ra = rows_[a];
+  const std::vector<Cell>& rb = rows_[b];
+  const Step unit = params_.aging_unit;
+  const Step now = s / unit;
+  // Every stored write is at or before s, so this grows the memo far
+  // enough for every cell below; the walk then indexes it directly.
+  (void)decay(now);
+  const double* const gamma_pow = decay_.data();
+  const auto aged = [gamma_pow, now, unit](const Cell* cell) {
+    return cell == nullptr ? 0.0 : cell->v * gamma_pow[now - cell->w / unit];
+  };
+  const auto write = [s, history](std::vector<Cell>& row, NodeId x, NodeId c,
+                                  double v) {
+    row.push_back(Cell{c, s, v});
+    if (history != nullptr) (*history)[x].push_back(Cell{c, s, v});
+  };
 
-void ProphetTable::observe(NodeId a, NodeId b, Step s,
-                           std::vector<Write>* log) {
-  // Direct encounter updates, both directions, always stored.
-  {
-    const double old = read(a, b, s);
-    upsert(a, b, s, old + (1.0 - old) * params_.p_init, log);
-  }
-  {
-    const double old = read(b, a, s);
-    upsert(b, a, s, old + (1.0 - old) * params_.p_init, log);
-  }
+  // Direct encounter updates, both directions, always stored. A fresh
+  // write reads back undecayed, so these are also the P(a,b) and P(b,a)
+  // the transitive candidates multiply by.
+  const double old_ab = aged(find_cell(ra, b));
+  const double p_ab = old_ab + (1.0 - old_ab) * params_.p_init;
+  const double old_ba = aged(find_cell(rb, a));
+  const double p_ba = old_ba + (1.0 - old_ba) * params_.p_init;
 
-  // Transitivity touches exactly the peers either endpoint already has a
-  // cell for (any other candidate is a product with zero). Materialize
-  // the union up front: upserts below may reallocate the rows.
-  union_keys_.clear();
-  {
-    const auto& ra = rows_[a];
-    const auto& rb = rows_[b];
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < ra.size() || j < rb.size()) {
-      NodeId c;
-      if (j == rb.size())
-        c = ra[i++].c;
-      else if (i == ra.size())
-        c = rb[j++].c;
-      else if (ra[i].c < rb[j].c)
-        c = ra[i++].c;
-      else if (rb[j].c < ra[i].c)
-        c = rb[j++].c;
-      else {
-        c = ra[i++].c;
-        ++j;
-      }
-      if (c != a && c != b) union_keys_.push_back(c);
+  // One walk over both rows in peer order. Transitivity touches exactly
+  // the peers either endpoint already has a cell for (any other candidate
+  // is a product with zero); b and a join the walk as the keys of the two
+  // direct cells.
+  next_a_.clear();
+  next_b_.clear();
+  constexpr NodeId kEnd = std::numeric_limits<NodeId>::max();
+  const NodeId direct[2] = {std::min(a, b), std::max(a, b)};
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t d = 0;
+  for (;;) {
+    const NodeId ca = i < ra.size() ? ra[i].c : kEnd;
+    const NodeId cb = j < rb.size() ? rb[j].c : kEnd;
+    const NodeId cd = d < 2 ? direct[d] : kEnd;
+    const NodeId c = std::min({ca, cb, cd});
+    if (c == kEnd) break;
+    const Cell* cell_a = nullptr;
+    const Cell* cell_b = nullptr;
+    if (ca == c) cell_a = &ra[i++];
+    if (cb == c) cell_b = &rb[j++];
+    if (cd == c) ++d;
+    if (c == b) {
+      write(next_a_, a, b, p_ab);
+      if (cell_b != nullptr) next_b_.push_back(*cell_b);
+      continue;
+    }
+    if (c == a) {
+      write(next_b_, b, a, p_ba);
+      if (cell_a != nullptr) next_a_.push_back(*cell_a);
+      continue;
+    }
+    // a-side then b-side — the b-side candidate reads the a-side value
+    // just left behind, the sequencing of the eager per-peer formulation.
+    const double old_a = aged(cell_a);
+    const double old_b = aged(cell_b);
+    double p_ac = old_a;
+    const double cand_a = p_ab * old_b * params_.beta;
+    if (cand_a >= params_.transitive_floor && cand_a > old_a) {
+      write(next_a_, a, c, cand_a);
+      p_ac = cand_a;
+    } else if (cell_a != nullptr) {
+      next_a_.push_back(*cell_a);
+    }
+    const double cand_b = p_ba * p_ac * params_.beta;
+    if (cand_b >= params_.transitive_floor && cand_b > old_b) {
+      write(next_b_, b, c, cand_b);
+    } else if (cell_b != nullptr) {
+      next_b_.push_back(*cell_b);
     }
   }
-
-  // Per peer, a-side then b-side — the b-side candidate deliberately
-  // reads the a-side value just written, preserving the sequencing of
-  // the eager row-by-row formulation.
-  const double p_ab = read(a, b, s);
-  const double p_ba = read(b, a, s);
-  for (const NodeId c : union_keys_) {
-    const double cand_a = p_ab * read(b, c, s) * params_.beta;
-    if (cand_a >= params_.transitive_floor && cand_a > read(a, c, s))
-      upsert(a, c, s, cand_a, log);
-    const double cand_b = p_ba * read(a, c, s) * params_.beta;
-    if (cand_b >= params_.transitive_floor && cand_b > read(b, c, s))
-      upsert(b, c, s, cand_b, log);
-  }
+  // Copy back rather than swap: a row reallocates only when it outgrows
+  // its own capacity, so capacities track row sizes, not the largest row.
+  rows_[a] = next_a_;
+  rows_[b] = next_b_;
 }
 
 // ------------------------------------------------------------- snapshot ---
@@ -113,37 +139,53 @@ ProphetSnapshot::ProphetSnapshot(const graph::SpaceTimeGraph& graph,
 
   // Replay the trace's new-contact events through the same table the
   // per-run algorithm uses, in the same order the simulator feeds
-  // observe_contact, recording every write.
-  ProphetTable table;
-  table.init(n, params);
-  std::vector<ProphetTable::Write> log;
-  for (const graph::Step s : graph.active_steps()) {
-    const auto edges = graph.edges(s);
-    const auto flags = graph.new_edge_flags(s);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (flags[i] == 0) continue;
-      table.observe(edges[i].a, edges[i].b, s, &log);
+  // observe_contact, appending every write to its node's buffer. The
+  // table is freed before the grouping below allocates.
+  ProphetTable::History history(n);
+  {
+    ProphetTable table;
+    table.init(n, params);
+    for (const graph::Step s : graph.active_steps()) {
+      const auto edges = graph.edges(s);
+      const auto flags = graph.new_edge_flags(s);
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        if (flags[i] == 0) continue;
+        table.observe(edges[i].a, edges[i].b, s, &history);
+      }
     }
   }
 
-  // CSR by (node, peer). Writes were appended in nondecreasing step
-  // order, so a stable sort on (x, c) alone keeps each group
-  // chronological.
-  std::stable_sort(log.begin(), log.end(),
-                   [](const ProphetTable::Write& l,
-                      const ProphetTable::Write& r) {
-                     return l.x != r.x ? l.x < r.x : l.c < r.c;
-                   });
-  node_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& w : log) ++node_offsets_[w.x + 1];
-  for (NodeId v = 0; v < n; ++v) node_offsets_[v + 1] += node_offsets_[v];
-  cell_c_.resize(log.size());
-  cell_step_.resize(log.size());
-  cell_val_.resize(log.size());
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    cell_c_[i] = log[i].c;
-    cell_step_[i] = log[i].s;
-    cell_val_[i] = log[i].v;
+  // Group each buffer by peer into exact-size arrays, node by node,
+  // freeing the buffer before the next node. Writes were appended in
+  // nondecreasing step order, so a stable sort on the peer alone keeps
+  // each group chronological.
+  nodes_.resize(n);
+  for (NodeId x = 0; x < n; ++x) {
+    std::vector<ProphetTable::Cell>& writes = history[x];
+    std::stable_sort(
+        writes.begin(), writes.end(),
+        [](const ProphetTable::Cell& l, const ProphetTable::Cell& r) {
+          return l.c < r.c;
+        });
+    std::size_t groups = 0;
+    for (std::size_t i = 0; i < writes.size(); ++i)
+      if (i == 0 || writes[i].c != writes[i - 1].c) ++groups;
+    NodeWrites& node = nodes_[x];
+    node.peers.resize(groups);
+    node.starts.resize(groups + 1);
+    node.steps.resize(writes.size());
+    node.values.resize(writes.size());
+    std::size_t g = 0;
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      if (i == 0 || writes[i].c != writes[i - 1].c) {
+        node.peers[g] = writes[i].c;
+        node.starts[g++] = static_cast<std::uint32_t>(i);
+      }
+      node.steps[i] = writes[i].w;
+      node.values[i] = writes[i].v;
+    }
+    node.starts[groups] = static_cast<std::uint32_t>(writes.size());
+    std::vector<ProphetTable::Cell>().swap(writes);
   }
 
   // Precompute the whole decay table (the iterated product the per-run
@@ -159,27 +201,31 @@ ProphetSnapshot::ProphetSnapshot(const graph::SpaceTimeGraph& graph,
 }
 
 double ProphetSnapshot::query(NodeId x, NodeId c, Step s) const {
-  const auto lo = static_cast<std::ptrdiff_t>(node_offsets_[x]);
-  const auto hi = static_cast<std::ptrdiff_t>(node_offsets_[x + 1]);
-  const auto cb = cell_c_.begin();
-  const auto first = std::lower_bound(cb + lo, cb + hi, c);
-  const auto last = std::upper_bound(first, cb + hi, c);
-  if (first == last) return 0.0;
-  const auto sb = cell_step_.begin();
-  const auto it = std::upper_bound(sb + (first - cb), sb + (last - cb), s);
-  if (it == sb + (first - cb)) return 0.0;
-  const auto wi = static_cast<std::size_t>(it - sb) - 1;
-  const Step units = s / aging_unit_ - cell_step_[wi] / aging_unit_;
+  const NodeWrites& node = nodes_[x];
+  const auto peer = std::lower_bound(node.peers.begin(), node.peers.end(), c);
+  if (peer == node.peers.end() || *peer != c) return 0.0;
+  const auto g = static_cast<std::size_t>(peer - node.peers.begin());
+  const auto first = node.steps.begin() + node.starts[g];
+  const auto last = node.steps.begin() + node.starts[g + 1];
+  const auto it = std::upper_bound(first, last, s);
+  if (it == first) return 0.0;
+  const auto wi = static_cast<std::size_t>(it - node.steps.begin()) - 1;
+  const Step units = s / aging_unit_ - node.steps[wi] / aging_unit_;
   // Simulation steps never leave the precomputed window; a query decayed
   // past it is vanishingly small either way.
   const double d = units < decay_.size() ? decay_[units] : 0.0;
-  return cell_val_[wi] * d;
+  return node.values[wi] * d;
 }
 
 std::uint64_t ProphetSnapshot::bytes() const {
-  return node_offsets_.size() * sizeof(std::uint64_t) +
-         cell_c_.size() * sizeof(NodeId) + cell_step_.size() * sizeof(Step) +
-         cell_val_.size() * sizeof(double) + decay_.size() * sizeof(double);
+  std::uint64_t total = nodes_.size() * sizeof(NodeWrites) +
+                        decay_.size() * sizeof(double);
+  for (const NodeWrites& node : nodes_)
+    total += node.peers.size() * sizeof(NodeId) +
+             node.starts.size() * sizeof(std::uint32_t) +
+             node.steps.size() * sizeof(Step) +
+             node.values.size() * sizeof(double);
+  return total;
 }
 
 // ------------------------------------------------------------ algorithm ---

@@ -6,23 +6,41 @@
 // A message is copied to a peer whose predictability for the destination
 // exceeds the holder's.
 //
-// Representation: sparse per-node rows of (peer, write-step, value) cells
-// with *lazy* aging — a read decays the stored value by gamma^(units(s) -
-// units(w)) from a memoized iterated-product table instead of eagerly
-// multiplying whole rows. Aging epochs always align to aging-unit
-// boundaries (the eager implementation only ever advanced its clock in
-// whole units), so the decay between a write and a read is
+// Representation: sparse per-node rows of (peer, write-step, value) cells,
+// sorted by peer, with *lazy* aging — a read decays the stored value by
+// gamma^(units(s) - units(w)) from a memoized iterated-product table
+// instead of eagerly multiplying whole rows. Aging epochs always align to
+// aging-unit boundaries (the eager implementation only ever advanced its
+// clock in whole units), so the decay between a write and a read is
 // path-independent and the lazy table is an exact reformulation — not an
 // approximation. The one new knob is `transitive_floor`: transitive
 // updates below it are not stored, which bounds row sizes (and with them
 // the shared snapshot) at scale.
 //
+// One encounter (a, b) is one merge-walk over the two sorted rows. The
+// direct updates come first; then, per peer c in ascending order, the
+// a-side candidate P(a,b)·P(b,c)·beta, then the b-side candidate
+// P(b,a)·P(a,c)·beta, where P(a,c) is the value the a-side step just left
+// (written or not). That is the sequencing of the eager per-peer
+// formulation, and a single walk reproduces it because the candidates for
+// c read only P(a,b) and P(b,a), fixed once the direct updates are done,
+// and the two cells of c itself, which nothing else in the walk touches.
+// (With beta and the predictabilities in [0, 1], at most one side can
+// write per peer, so the order shows only out of range; forward_test pins
+// it with beta = 4.) Both new rows are built in reused scratch rows and
+// copied back, which keeps each row's capacity close to its own size
+// (swapping the scratch in would let every row grow to the largest one).
+//
 // The same ProphetTable drives both the per-run algorithm and the
-// ProphetSnapshot builder; the snapshot records every write the table
-// makes and answers "value of P(x, c) as of step s" by looking up the
-// last write at or before s. Identical code making identical write
-// decisions is what makes adopted (snapshot-backed) runs bit-identical
-// to per-run replay.
+// ProphetSnapshot builder. The builder hands observe() one buffer per node
+// and the table appends each write to its node's buffer; after the replay
+// the table is freed and each buffer, in node order, is grouped by peer
+// into exact-size arrays (the peer once, then its chronological run of
+// (step, value) writes) and freed before the next node, so the build never
+// holds a whole-trace log or grows global arrays beside the buffers. A
+// query answers "value of P(x, c) as of step s" from the last write at or
+// before s. Identical code making identical write decisions is what makes
+// adopted (snapshot-backed) runs bit-identical to per-run replay.
 
 #pragma once
 
@@ -51,51 +69,46 @@ struct ProphetParams {
 /// what guarantees bit-identity).
 class ProphetTable {
  public:
-  /// One recorded mutation: P(x, c) became v at step s.
-  struct Write {
-    NodeId x;
+  /// P(x, c) = v, written at step w; rows hold one per (x, c) ever written.
+  struct Cell {
     NodeId c;
-    Step s;
+    Step w;
     double v;
   };
+  /// Per-node write buffers: observe() appends Cell{c, s, v} to
+  /// history[x] for every write P(x, c) := v it makes at step s.
+  using History = std::vector<std::vector<Cell>>;
 
   void init(NodeId n, const ProphetParams& params);
   /// Clears all rows (capacity retained) for another run.
   void clear();
 
-  /// Applies one new-contact event at step s, optionally recording every
-  /// write it makes (writes are appended in call order).
-  void observe(NodeId a, NodeId b, Step s, std::vector<Write>* log = nullptr);
+  /// Applies one new-contact event between distinct nodes a and b at step
+  /// s, appending every write to `history` when one is given. Steps must
+  /// not decrease across calls (as in any replay of a trace).
+  void observe(NodeId a, NodeId b, Step s, History* history = nullptr);
 
   /// P(x, c) as of step s (lazily decayed from the last write).
   [[nodiscard]] double read(NodeId x, NodeId c, Step s) const;
 
-  /// gamma^units as an iterated product, memoized. Exposed so the
-  /// snapshot can decay recorded writes with bit-identical arithmetic.
-  [[nodiscard]] double decay(Step units) const;
-
  private:
-  struct Cell {
-    NodeId c;
-    Step w;  ///< step of the last write.
-    double v;
-  };
-
-  void upsert(NodeId x, NodeId c, Step s, double v, std::vector<Write>* log);
+  /// gamma^units as an iterated product, memoized.
+  [[nodiscard]] double decay(Step units) const;
 
   std::vector<std::vector<Cell>> rows_;
   /// decay_[k] = gamma^k, grown on demand (iterated product — appending
   /// is deterministic whatever the read order, so lazy growth is safe in
   /// the single-threaded per-run table).
   mutable std::vector<double> decay_;
-  std::vector<NodeId> union_keys_;  ///< per-observe scratch.
+  std::vector<Cell> next_a_;  ///< observe() scratch: a's rebuilt row.
+  std::vector<Cell> next_b_;  ///< observe() scratch: b's rebuilt row.
   ProphetParams params_;
 };
 
 /// Immutable step-indexed PRoPHET predictabilities for one scenario: the
-/// full write history of a ProphetTable replay of the trace, CSR-indexed
-/// by (node, peer), queryable as of any step. Thread-safe after
-/// construction (the decay table is precomputed over the whole window).
+/// full write history of a ProphetTable replay of the trace, grouped per
+/// node by peer, queryable as of any step. Thread-safe after construction
+/// (the decay table is precomputed over the whole window).
 class ProphetSnapshot final : public ObservationSnapshot {
  public:
   ProphetSnapshot(const graph::SpaceTimeGraph& graph,
@@ -108,12 +121,17 @@ class ProphetSnapshot final : public ObservationSnapshot {
   [[nodiscard]] std::uint64_t bytes() const override;
 
  private:
-  /// Node x's writes occupy [node_offsets_[x], node_offsets_[x + 1]),
-  /// grouped by peer c, chronological within a group.
-  std::vector<std::uint64_t> node_offsets_;
-  std::vector<NodeId> cell_c_;
-  std::vector<Step> cell_step_;
-  std::vector<double> cell_val_;
+  /// One node's writes, each array allocated at its exact size. Peer
+  /// peers[g]'s writes occupy [starts[g], starts[g + 1]) of steps/values,
+  /// chronological.
+  struct NodeWrites {
+    std::vector<NodeId> peers;  ///< distinct, ascending.
+    std::vector<std::uint32_t> starts;
+    std::vector<Step> steps;
+    std::vector<double> values;
+  };
+
+  std::vector<NodeWrites> nodes_;
   std::vector<double> decay_;  ///< gamma^k for every reachable k.
   Step aging_unit_ = 1;
 };

@@ -260,6 +260,7 @@ void SweepService::execute_forwarding_group(std::vector<Pending>& group) {
   const auto run_start = Clock::now();
   const engine::SweepResult result = engine::run_sweep(plan, options);
   telemetry.run_wall_seconds = seconds_since(run_start);
+  telemetry.snapshot_wall_seconds = result.snapshot_wall_seconds;
 
   for (Pending& pending : group) {
     Json::Array cells;
@@ -386,6 +387,7 @@ void SweepService::respond(Pending& pending, Json payload, bool ok,
   stamped["coalesced"] = telemetry.batch_size > 1;
   stamped["build_wall_seconds"] = telemetry.build_wall_seconds;
   stamped["run_wall_seconds"] = telemetry.run_wall_seconds;
+  stamped["snapshot_wall_seconds"] = telemetry.snapshot_wall_seconds;
   stamped["latency_seconds"] = latency;
   response["telemetry"] = std::move(stamped);
 

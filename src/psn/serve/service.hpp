@@ -22,11 +22,12 @@
 // warm.
 //
 // Every response carries a telemetry object (cache_hit, queue depth at
-// admission, batch size, build vs run wall, end-to-end latency), and the
-// service keeps a bounded latency ring (fixed 1024 samples) from which
-// stats() derives p50/p99 — bounded memory no matter how long the
-// process lives. A periodic stats line (one JSON object, stats_every
-// responses) goes to the configured stream.
+// admission, batch size, build vs run wall, the observation-snapshot share
+// of the run wall, end-to-end latency), and the service keeps a bounded
+// latency ring (fixed 1024 samples) from which stats() derives p50/p99 —
+// bounded memory no matter how long the process lives. A periodic stats
+// line (one JSON object, stats_every responses) goes to the configured
+// stream.
 
 #pragma once
 
@@ -83,6 +84,8 @@ struct GroupTelemetry {
   bool cache_hit = false;
   double build_wall_seconds = 0.0;
   double run_wall_seconds = 0.0;
+  /// The observation-snapshot share of run_wall_seconds (forwarding only).
+  double snapshot_wall_seconds = 0.0;
   std::size_t batch_size = 1;
 };
 

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "psn/forward/algorithm_registry.hpp"
@@ -393,6 +399,182 @@ TEST(Prophet, TransitivityPropagates) {
   prophet.observe_contact(0, 1, 0, true);  // meeting 1 teaches 0 about 2
   EXPECT_GT(prophet.predictability(0, 2), 0.0);
   EXPECT_LT(prophet.predictability(0, 2), prophet.predictability(0, 1));
+}
+
+// --- PRoPHET against an independent reference. ---
+// The snapshot builder and the per-run algorithm share ProphetTable, so
+// the adopted-vs-per-run gates cannot see a bug in its merge walk. This
+// reference is the per-peer formulation the walk replaced: every
+// predictability is read and written through a binary-searched sorted
+// row, one peer at a time.
+
+class ReferenceProphet {
+ public:
+  ReferenceProphet(NodeId n, const ProphetParams& params)
+      : params_(params), rows_(n) {}
+
+  [[nodiscard]] double read(NodeId x, NodeId c, Step s) const {
+    const auto& row = rows_[x];
+    const auto it = std::lower_bound(row.begin(), row.end(), c, before);
+    if (it == row.end() || it->c != c) return 0.0;
+    double decay = 1.0;  // gamma^units as an iterated product.
+    for (Step k = s / params_.aging_unit - it->w / params_.aging_unit; k > 0;
+         --k)
+      decay *= params_.gamma;
+    return it->v * decay;
+  }
+
+  void observe(NodeId a, NodeId b, Step s) {
+    const double old_ab = read(a, b, s);
+    upsert(a, b, s, old_ab + (1.0 - old_ab) * params_.p_init);
+    const double old_ba = read(b, a, s);
+    upsert(b, a, s, old_ba + (1.0 - old_ba) * params_.p_init);
+    std::vector<NodeId> peers;
+    for (const NodeId x : {a, b})
+      for (const Cell& cell : rows_[x])
+        if (cell.c != a && cell.c != b) peers.push_back(cell.c);
+    std::sort(peers.begin(), peers.end());
+    peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
+    const double p_ab = read(a, b, s);
+    const double p_ba = read(b, a, s);
+    for (const NodeId c : peers) {
+      const double cand_a = p_ab * read(b, c, s) * params_.beta;
+      if (cand_a >= params_.transitive_floor && cand_a > read(a, c, s))
+        upsert(a, c, s, cand_a);
+      const double cand_b = p_ba * read(a, c, s) * params_.beta;
+      if (cand_b >= params_.transitive_floor && cand_b > read(b, c, s))
+        upsert(b, c, s, cand_b);
+    }
+  }
+
+ private:
+  struct Cell {
+    NodeId c;
+    Step w;
+    double v;
+  };
+
+  static bool before(const Cell& cell, NodeId key) { return cell.c < key; }
+
+  void upsert(NodeId x, NodeId c, Step s, double v) {
+    auto& row = rows_[x];
+    const auto it = std::lower_bound(row.begin(), row.end(), c, before);
+    if (it != row.end() && it->c == c)
+      *it = Cell{c, s, v};
+    else
+      row.insert(it, Cell{c, s, v});
+  }
+
+  ProphetParams params_;
+  std::vector<std::vector<Cell>> rows_;
+};
+
+/// A random trace over <= 12 nodes and <= 60 steps (10 s each): bursts
+/// where one node meets several others for the first time in one step,
+/// contacts lasting several steps (continuing, not new), and a silent gap.
+std::vector<Contact> random_prophet_contacts(std::mt19937_64& rng, NodeId n,
+                                             int steps) {
+  std::vector<Contact> contacts;
+  const int gap_start = 5 + static_cast<int>(rng() % 20);
+  const int gap_end = gap_start + 3 + static_cast<int>(rng() % 8);
+  for (int step = 0; step < steps; ++step) {
+    if (step >= gap_start && step < gap_end) continue;
+    const auto add = [&](NodeId x, NodeId y) {
+      if (x == y) return;
+      const double start = step * 10.0 + 1.0;
+      const double length = static_cast<double>(rng() % 3) * 10.0 + 2.0;
+      contacts.push_back(Contact::make(x, y, start, start + length));
+    };
+    if (rng() % 3 == 0) {
+      const auto hub = static_cast<NodeId>(rng() % n);
+      for (int k = 2 + static_cast<int>(rng() % 3); k > 0; --k)
+        add(hub, static_cast<NodeId>(rng() % n));
+    }
+    for (int k = static_cast<int>(rng() % 3); k > 0; --k)
+      add(static_cast<NodeId>(rng() % n), static_cast<NodeId>(rng() % n));
+  }
+  return contacts;
+}
+
+/// Replays the fixture's contacts through the reference, a snapshot and a
+/// per-run instance; all three must agree bit for bit on every P(x, c) at
+/// every step, contact-free steps included.
+void expect_prophet_matches_reference(const Fixture& f,
+                                      const ProphetParams& params,
+                                      const std::string& label) {
+  const NodeId n = f.graph.num_nodes();
+  ReferenceProphet reference(n, params);
+  const ProphetSnapshot snapshot(f.graph, params);
+  ProphetForwarding per_run(params);
+  per_run.prepare(f.graph, f.trace);
+  for (Step s = 0; s < f.graph.num_steps(); ++s) {
+    const auto edges = f.graph.edges(s);
+    const auto flags = f.graph.new_edge_flags(s);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      per_run.observe_contact(edges[i].a, edges[i].b, s, flags[i] != 0);
+      if (flags[i] != 0) reference.observe(edges[i].a, edges[i].b, s);
+    }
+    (void)per_run.should_forward(0, 1, 1, s, 1);  // advances its clock.
+    for (NodeId x = 0; x < n; ++x) {
+      for (NodeId c = 0; c < n; ++c) {
+        const auto want =
+            std::bit_cast<std::uint64_t>(reference.read(x, c, s));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(snapshot.query(x, c, s)), want)
+            << label << ": snapshot P(" << x << ", " << c << ") at step " << s;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(per_run.predictability(x, c)),
+                  want)
+            << label << ": per-run P(" << x << ", " << c << ") at step " << s;
+      }
+    }
+  }
+}
+
+TEST(Prophet, SnapshotAndPerRunMatchIndependentReference) {
+  ProphetParams no_floor;
+  no_floor.transitive_floor = 0.0;
+  ProphetParams unit_aging;
+  unit_aging.aging_unit = 1;
+  ProphetParams fast_decay;
+  fast_decay.gamma = 0.5;
+  // With beta <= 1 at most one side of a peer can pass its test (both
+  // would need P(a,b) * P(b,a) * beta^2 > 1), so the a-side-then-b-side
+  // order is unobservable there; beta = 4 lets both sides write, and pins
+  // that the b-side reads the value the a-side left.
+  ProphetParams both_sides;
+  both_sides.beta = 4.0;
+  const std::pair<const char*, ProphetParams> param_sets[] = {
+      {"default", ProphetParams{}},
+      {"transitive_floor=0", no_floor},
+      {"aging_unit=1", unit_aging},
+      {"gamma=0.5", fast_decay},
+      {"beta=4", both_sides},
+  };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto n = static_cast<NodeId>(4 + rng() % 9);
+    const int steps = 30 + static_cast<int>(rng() % 31);
+    const Fixture f(random_prophet_contacts(rng, n, steps), n, steps * 10.0);
+    // The trace exercises what the walk must get right: silent steps, and
+    // a node meeting several peers for the first time in one step.
+    ASSERT_LT(f.graph.num_active_steps(), f.graph.num_steps());
+    bool burst = false;
+    for (Step s = 0; s < f.graph.num_steps(); ++s) {
+      std::vector<int> fresh(n, 0);
+      const auto edges = f.graph.edges(s);
+      const auto flags = f.graph.new_edge_flags(s);
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        if (flags[i] == 0) continue;
+        ++fresh[edges[i].a];
+        ++fresh[edges[i].b];
+      }
+      burst = burst || std::any_of(fresh.begin(), fresh.end(),
+                                   [](int k) { return k > 1; });
+    }
+    ASSERT_TRUE(burst) << "seed " << seed;
+    for (const auto& [name, params] : param_sets)
+      expect_prophet_matches_reference(
+          f, params, std::string(name) + ", seed " + std::to_string(seed));
+  }
 }
 
 TEST(Randomized, DeterministicInSeedAndResets) {

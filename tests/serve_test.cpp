@@ -285,6 +285,36 @@ TEST(Service, SecondRequestHitsScenarioCache) {
   EXPECT_EQ(stats.cache_misses, 1u);
 }
 
+TEST(Service, SnapshotWallIsTheSnapshotShareOfRunWall) {
+  ServiceConfig config;
+  config.threads = 2;
+  config.batch_window_seconds = 0.0;
+  SweepService service(config);
+  const auto snapshot_wall = [](const Json& response) {
+    EXPECT_TRUE(response.at("ok").as_bool()) << response.dump();
+    const Json& telemetry = response.at("telemetry");
+    EXPECT_LE(telemetry.at("snapshot_wall_seconds").as_number(),
+              telemetry.at("run_wall_seconds").as_number());
+    return telemetry.at("snapshot_wall_seconds").as_number();
+  };
+
+  // Epidemic publishes no snapshot, so no snapshot wave runs.
+  const Json epidemic = service.execute(forwarding_request("e", {"Epidemic"}));
+  EXPECT_EQ(snapshot_wall(epidemic), 0.0);
+
+  // After an evict the context and its PRoPHET snapshot are rebuilt, and
+  // the rebuild shows up as the snapshot share of the run wall.
+  (void)snapshot_wall(service.execute(forwarding_request("p1", {"PRoPHET"})));
+  Request evict;
+  evict.id = "evict";
+  evict.family = Family::kAdmin;
+  evict.admin.command = AdminCommand::kEvict;
+  evict.admin.scenario = "random_waypoint";
+  EXPECT_EQ(snapshot_wall(service.execute(std::move(evict))), 0.0);
+  const Json rebuilt = service.execute(forwarding_request("p2", {"PRoPHET"}));
+  EXPECT_GT(snapshot_wall(rebuilt), 0.0);
+}
+
 TEST(Service, TinyBudgetForcesRebuildEveryRequest) {
   auto& cache = engine::ScenarioContextCache::instance();
   const auto old_budget = cache.budget_bytes();

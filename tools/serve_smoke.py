@@ -64,6 +64,7 @@ TELEMETRY_KEYS = (
     "coalesced",
     "build_wall_seconds",
     "run_wall_seconds",
+    "snapshot_wall_seconds",
     "latency_seconds",
 )
 
