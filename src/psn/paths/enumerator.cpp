@@ -1,7 +1,7 @@
 #include "psn/paths/enumerator.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <span>
 #include <stdexcept>
 
 namespace psn::paths {
@@ -13,7 +13,7 @@ namespace psn::paths {
 // everything the enumerator must decide later (which extensions are
 // loop-free, how many hops, who holds the path). Two stored paths with the
 // same membership set are therefore interchangeable and are pooled: each
-// node keeps one Entry per membership set, whose multiplicity counts
+// node keeps one pool entry per membership set, whose multiplicity counts
 // pooled paths (distinct visit orders and distinct time-variants — the
 // same relay repeated on a persistent contact yields formally distinct
 // paths differing only in timestamps; the paper's Fig. 3 algorithm
@@ -22,12 +22,20 @@ namespace psn::paths {
 //
 // A representative Path object (for Figs. 12/14/15, which need actual node
 // sequences) is kept only when config.record_paths is set; otherwise
-// entries are just a bitset plus counters, and the whole sweep does no
-// per-path allocation.
+// entries are just member words plus counters, and the whole sweep does
+// no per-path allocation.
+//
+// Layout: each node's stored and fresh pools are parallel arrays. All
+// membership sets of one enumerate() call have the same word count W =
+// ceil(nodes / 64), so a pool keeps them back to back in one u64 arena
+// (entry i at words[i W, (i + 1) W)); the membership index compares
+// candidate words against that arena. Arrays hold exactly the live
+// entries, so an index past the live prefix is an out-of-range access a
+// bounds-checked build reports.
 //
 // Determinism: every loop the enumerator runs iterates either the graph's
-// sorted adjacency, the sorted active-node list, or an entry pool in
-// insertion order; the membership hash indexes are probed, never iterated.
+// sorted adjacency, the sorted active-node list, or a pool in insertion
+// order; the membership hash indexes are probed, never iterated.
 // Insertion order is itself a pure function of (graph, message, config),
 // so results cannot depend on workspace history, hash-table layout, or
 // which thread's workspace served the message — the property the parallel
@@ -35,14 +43,20 @@ namespace psn::paths {
 
 namespace {
 constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+
+[[nodiscard]] constexpr std::uint64_t bit_of(NodeId v) noexcept {
+  return std::uint64_t{1} << (v & 63);
+}
 }  // namespace
 
 /// One enumerate() call: the per-step pipeline over a workspace. Declared
 /// a friend of EnumeratorWorkspace so the scratch structures stay private.
 struct EnumerationRun {
-  using Entry = EnumeratorWorkspace::Entry;
   using EntryIndex = EnumeratorWorkspace::EntryIndex;
+  using Pool = EnumeratorWorkspace::Pool;
   using NodeTable = EnumeratorWorkspace::NodeTable;
+  using StepDelivery = EnumeratorWorkspace::StepDelivery;
+  static constexpr std::uint32_t kNoPath = EnumeratorWorkspace::kNoPath;
 
   const graph::SpaceTimeGraph& g;
   const EnumeratorConfig& config;
@@ -53,61 +67,124 @@ struct EnumerationRun {
 
   std::uint64_t k = 0;              ///< config.k, widened once.
   bool recording = false;
+  std::size_t stride = 0;           ///< membership words per entry (W).
   std::uint32_t per_step_admissions = 0;
   std::size_t record_cap = 0;
   Step current_step = 0;
   std::uint64_t total_stored = 0;  ///< network-wide stored multiplicity.
   std::uint64_t cumulative = 0;    ///< deliveries emitted to the result.
 
+  // --- membership words ---
+
+  [[nodiscard]] const std::uint64_t* members(const Pool& pool,
+                                             std::size_t i) const {
+    return pool.words.data() + i * stride;
+  }
+
+  [[nodiscard]] static bool has(const std::uint64_t* set, NodeId v) noexcept {
+    return (set[v >> 6] & bit_of(v)) != 0;
+  }
+
+  [[nodiscard]] bool meets_dst_mask(const std::uint64_t* set) const {
+    for (std::size_t w = 0; w < stride; ++w)
+      if ((set[w] & ws.dst_mask_[w]) != 0) return true;
+    return false;
+  }
+
+  [[nodiscard]] std::size_t hash(const std::uint64_t* set) const noexcept {
+    return util::NodeSetHash{}(std::span<const std::uint64_t>(set, stride));
+  }
+
   // --- membership index: open addressing, probed but never iterated ---
 
-  static std::uint32_t index_find(const EntryIndex& index,
-                                  const std::vector<Entry>& pool,
-                                  const util::NodeSet& key) {
+  [[nodiscard]] std::uint32_t index_find(const Pool& pool,
+                                         const std::uint64_t* key) const {
+    const EntryIndex& index = pool.index;
     if (index.slots.empty()) return kEmptySlot;
     const std::size_t mask = index.slots.size() - 1;
-    for (std::size_t i = util::NodeSetHash{}(key) & mask;;
-         i = (i + 1) & mask) {
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
       const std::uint32_t slot = index.slots[i];
       if (slot == kEmptySlot) return kEmptySlot;
-      if (pool[slot].members == key) return slot;
+      if (std::equal(key, key + stride, members(pool, slot))) return slot;
     }
   }
 
-  static void index_place(EntryIndex& index, const std::vector<Entry>& pool,
-                          std::uint32_t idx) {
+  void index_place(Pool& pool, std::uint32_t idx) const {
+    EntryIndex& index = pool.index;
     const std::size_t mask = index.slots.size() - 1;
-    std::size_t i = util::NodeSetHash{}(pool[idx].members) & mask;
+    std::size_t i = hash(members(pool, idx)) & mask;
     while (index.slots[i] != kEmptySlot) i = (i + 1) & mask;
     index.slots[i] = idx;
   }
 
-  /// Rebuilds the index over pool entries [0, live).
-  static void index_rebuild(EntryIndex& index, const std::vector<Entry>& pool,
-                            std::size_t live) {
+  /// Rebuilds the index over every live entry of the pool.
+  void index_rebuild(Pool& pool) const {
+    EntryIndex& index = pool.index;
+    const std::size_t live = pool.size();
     std::size_t cap = index.slots.size() < 16 ? 16 : index.slots.size();
     while (cap * 3 < (live + 1) * 4) cap *= 2;
     if (index.slots.size() != cap) index.slots.resize(cap);
     std::fill(index.slots.begin(), index.slots.end(), kEmptySlot);
     index.size = live;
     for (std::size_t i = 0; i < live; ++i)
-      index_place(index, pool, static_cast<std::uint32_t>(i));
+      index_place(pool, static_cast<std::uint32_t>(i));
   }
 
-  /// Registers the just-appended entry pool[live - 1].
-  static void index_insert(EntryIndex& index, const std::vector<Entry>& pool,
-                           std::size_t live) {
+  /// Registers the pool's just-appended last entry.
+  void index_insert(Pool& pool) const {
+    EntryIndex& index = pool.index;
     if ((index.size + 1) * 4 > index.slots.size() * 3) {
-      index_rebuild(index, pool, live);
+      index_rebuild(pool);
       return;
     }
-    index_place(index, pool, static_cast<std::uint32_t>(live - 1));
+    index_place(pool, static_cast<std::uint32_t>(pool.size() - 1));
     ++index.size;
   }
 
-  static void index_clear(EntryIndex& index) {
-    std::fill(index.slots.begin(), index.slots.end(), kEmptySlot);
-    index.size = 0;
+  // --- pool helpers ---
+
+  /// Appends an entry with membership `key` (W words, not aliasing the
+  /// pool's own arena); the caller appends propagated/repr as needed.
+  void push(Pool& pool, const std::uint64_t* key, std::uint16_t hops,
+            std::uint64_t mult) const {
+    pool.words.insert(pool.words.end(), key, key + stride);
+    pool.hops.push_back(hops);
+    pool.mult.push_back(mult);
+    pool.mult_sum += mult;
+  }
+
+  /// Keeps the first `live` entries (a stored pool's compaction target),
+  /// releasing the representatives of the rest.
+  void truncate(Pool& pool, std::size_t live) const {
+    pool.words.resize(live * stride);
+    pool.mult.resize(live);
+    pool.hops.resize(live);
+    if (recording) pool.repr.resize(live);
+  }
+
+  /// Moves stored entry `from` down to slot `to` (< from) during an
+  /// order-preserving compaction.
+  void move_down(Pool& pool, std::size_t from, std::size_t to) const {
+    std::copy_n(members(pool, from), stride,
+                pool.words.data() + to * stride);
+    pool.mult[to] = pool.mult[from];
+    pool.hops[to] = pool.hops[from];
+    if (recording) pool.repr[to] = std::move(pool.repr[from]);
+  }
+
+  static void clear(Pool& pool) {
+    pool.words.clear();
+    pool.mult.clear();
+    pool.hops.clear();
+    pool.propagated.clear();
+    pool.repr.clear();
+    pool.mult_sum = 0;
+    std::fill(pool.index.slots.begin(), pool.index.slots.end(), kEmptySlot);
+    pool.index.size = 0;
+  }
+
+  [[nodiscard]] const Path* repr_of(const Pool& pool, std::size_t i) const {
+    return recording ? &pool.repr[i] : nullptr;
   }
 
   // --- table helpers ---
@@ -119,18 +196,6 @@ struct EnumerationRun {
     if (t.touched_stamp == ws.message_stamp_) return;
     t.touched_stamp = ws.message_stamp_;
     ws.touched_.push_back(v);
-  }
-
-  /// Next live slot of a pool, recycling the Entry (and its NodeSet/Path
-  /// capacity) left by a previous message or step.
-  static Entry& push_entry(std::vector<Entry>& pool, std::size_t& size) {
-    if (size == pool.size()) pool.emplace_back();
-    Entry& e = pool[size++];
-    e.mult = 0;
-    e.propagated = 0;
-    e.hops = 0;
-    e.repr = Path();  // release any stale representative chain.
-    return e;
   }
 
   [[nodiscard]] bool meets_dst(NodeId v) const noexcept {
@@ -158,43 +223,38 @@ struct EnumerationRun {
   // --- deliveries ---
 
   /// Records a delivery whose full path is `prefix` + destination. The
-  /// prefix path pointer may be null when not recording.
+  /// prefix path pointer is null when not recording.
   void record_delivery(std::uint16_t prefix_hops, const Path* prefix,
                        std::uint64_t mult) {
-    Delivery d;
-    d.step = current_step;
-    d.arrival = g.step_end(current_step);
-    d.hops = static_cast<std::uint16_t>(prefix_hops + 1);
-    d.count = mult;
-    if (recording && prefix != nullptr && prefix->valid() &&
-        ws.step_deliveries_.size() < record_cap)
-      d.path = prefix->extend(destination, current_step);
-    ws.step_deliveries_.push_back(std::move(d));
+    std::uint32_t path = kNoPath;
+    if (prefix != nullptr && ws.step_deliveries_.size() < record_cap) {
+      path = static_cast<std::uint32_t>(ws.step_paths_.size());
+      ws.step_paths_.push_back(prefix->extend(destination, current_step));
+    }
+    ws.step_deliveries_.push_back(
+        {mult, path, static_cast<std::uint16_t>(prefix_hops + 1)});
   }
 
-  /// Offers `mult` paths with membership `members` (held by a neighbor of
-  /// v; representative `repr`, may be null when not recording) to node v:
-  /// delivery if v meets the destination, storage in v's fresh pool
-  /// otherwise.
-  void offer(const util::NodeSet& members, std::uint16_t prefix_hops,
+  /// Offers `mult` paths with membership `set` (held by a neighbor of v;
+  /// representative `repr`, null when not recording) to node v: delivery
+  /// if v meets the destination, storage in v's fresh pool otherwise.
+  void offer(const std::uint64_t* set, std::uint16_t prefix_hops,
              const Path* repr, std::uint64_t mult, NodeId v) {
-    if (members.test(v)) return;  // loop avoidance
+    if (has(set, v)) return;  // loop avoidance
     if (v == destination) {
       record_delivery(prefix_hops, repr, mult);
       return;
     }
+    const auto hops = static_cast<std::uint16_t>(prefix_hops + 1);
     if (meets_dst(v)) {
       // v would hand the message straight to the destination (minimal
       // progress) and must not retain it (first preference), so this
       // arrival becomes a delivery through v.
-      if (recording && repr != nullptr && repr->valid() &&
-          ws.step_deliveries_.size() < record_cap) {
+      if (repr != nullptr && ws.step_deliveries_.size() < record_cap) {
         const Path through = repr->extend(v, current_step);
-        record_delivery(static_cast<std::uint16_t>(prefix_hops + 1), &through,
-                        mult);
+        record_delivery(hops, &through, mult);
       } else {
-        record_delivery(static_cast<std::uint16_t>(prefix_hops + 1), nullptr,
-                        mult);
+        record_delivery(hops, nullptr, mult);
       }
       return;
     }
@@ -204,23 +264,24 @@ struct EnumerationRun {
     // handed the message over now), so the extension must not be stored.
     // Same-step deliveries of such prefixes are produced by the branches
     // above.
-    if (members.intersects(ws.dst_mask_)) return;
+    if (meets_dst_mask(set)) return;
     NodeTable& t = ws.nodes_[v];
+    Pool& fresh = t.fresh;
     // Saturation pre-check before touching the index: once a node holds k
     // paths (stored + fresh), only equal-or-shorter candidates can matter
     // (increments of existing sets or displacements).
-    const auto hops = static_cast<std::uint16_t>(prefix_hops + 1);
-    const bool full = t.stored_mult + t.fresh_mult >= k;
+    const bool full = t.stored.mult_sum + fresh.mult_sum >= k;
     if (full && hops > t.worst_hops) {
       result.effort.truncated_candidates += mult;
       return;
     }
-    ws.probe_ = members;  // reuses the scratch set's storage when warm.
-    ws.probe_.set(v);
-    const std::uint32_t idx = index_find(t.fresh_index, t.fresh, ws.probe_);
+    std::uint64_t* probe = ws.probe_.data();
+    std::copy_n(set, stride, probe);
+    probe[v >> 6] |= bit_of(v);
+    const std::uint32_t idx = index_find(fresh, probe);
     if (idx != kEmptySlot) {
-      t.fresh[idx].mult += mult;
-      t.fresh_mult += mult;
+      fresh.mult[idx] += mult;
+      fresh.mult_sum += mult;
       enqueue(v);
       return;
     }
@@ -239,14 +300,10 @@ struct EnumerationRun {
     }
     --remaining;
     touch(v);
-    Entry& e = push_entry(t.fresh, t.fresh_size);
-    e.members = ws.probe_;
-    e.hops = hops;
-    e.mult = mult;
-    if (recording && repr != nullptr && repr->valid())
-      e.repr = repr->extend(v, current_step);
-    index_insert(t.fresh_index, t.fresh, t.fresh_size);
-    t.fresh_mult += mult;
+    push(fresh, probe, hops, mult);
+    fresh.propagated.push_back(0);
+    if (repr != nullptr) fresh.repr.push_back(repr->extend(v, current_step));
+    index_insert(fresh);
     if (hops > t.worst_hops) t.worst_hops = hops;
     if (t.freshened_stamp != ws.stamp_) {
       t.freshened_stamp = ws.stamp_;
@@ -261,100 +318,128 @@ struct EnumerationRun {
   /// storage, and enforces the k bound at node u.
   void settle_node(NodeId u, bool dst_active) {
     NodeTable& t = ws.nodes_[u];
+    Pool& stored = t.stored;
+    Pool& fresh = t.fresh;
     bool dirty = false;
 
     // Purge: stored paths passing through a node that met the destination
-    // this step can never yield a valid delivery again.
-    if (dst_active && t.stored_size > 0) {
+    // this step can never yield a valid delivery again. Survivors keep
+    // their order.
+    if (dst_active && stored.size() > 0) {
       std::size_t live = 0;
-      for (std::size_t r = 0; r < t.stored_size; ++r) {
-        Entry& e = t.stored[r];
-        if (e.members.intersects(ws.dst_mask_)) {
-          t.stored_mult -= e.mult;
-          total_stored -= e.mult;
-          e.repr = Path();
+      for (std::size_t r = 0; r < stored.size(); ++r) {
+        if (meets_dst_mask(members(stored, r))) {
+          stored.mult_sum -= stored.mult[r];
+          total_stored -= stored.mult[r];
           dirty = true;
         } else {
-          if (live != r) std::swap(t.stored[live], t.stored[r]);
+          if (live != r) move_down(stored, r, live);
           ++live;
         }
       }
       if (dirty) {
-        t.stored_size = live;
-        index_rebuild(t.stored_index, t.stored, live);
+        truncate(stored, live);
+        index_rebuild(stored);
       }
     }
 
     // Merge fresh arrivals, in insertion order, into the stored pool.
-    if (t.fresh_size > 0) {
+    if (fresh.size() > 0) {
       dirty = true;
-      for (std::size_t i = 0; i < t.fresh_size; ++i) {
-        Entry& f = t.fresh[i];
-        const std::uint32_t idx =
-            index_find(t.stored_index, t.stored, f.members);
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const std::uint64_t* set = members(fresh, i);
+        const std::uint64_t mult = fresh.mult[i];
+        const std::uint32_t idx = index_find(stored, set);
         if (idx != kEmptySlot) {
-          t.stored[idx].mult += f.mult;
-          f.repr = Path();
+          stored.mult[idx] += mult;
+          stored.mult_sum += mult;
         } else {
-          Entry& e = push_entry(t.stored, t.stored_size);
-          std::swap(e.members, f.members);  // recycle both slots' storage.
-          e.repr = std::move(f.repr);
-          f.repr = Path();
-          e.hops = f.hops;
-          e.mult = f.mult;
-          index_insert(t.stored_index, t.stored, t.stored_size);
+          push(stored, set, fresh.hops[i], mult);
+          if (recording) stored.repr.push_back(std::move(fresh.repr[i]));
+          index_insert(stored);
         }
-        t.stored_mult += f.mult;
-        total_stored += f.mult;
+        total_stored += mult;
       }
-      t.fresh_size = 0;
-      t.fresh_mult = 0;
-      index_clear(t.fresh_index);
+      clear(fresh);
     }
 
     // Trim to the k shortest: shed multiplicity from the longest entries;
     // among equal hop counts the most recently admitted shed first.
-    if (t.stored_mult > k) {
+    if (stored.mult_sum > k) {
       auto& order = ws.trim_order_;
       order.clear();
-      for (std::size_t i = 0; i < t.stored_size; ++i)
+      for (std::size_t i = 0; i < stored.size(); ++i)
         order.push_back(static_cast<std::uint32_t>(i));
+      const std::vector<std::uint16_t>& hops = stored.hops;
       std::sort(order.begin(), order.end(),
-                [&t](std::uint32_t lhs, std::uint32_t rhs) {
-                  if (t.stored[lhs].hops != t.stored[rhs].hops)
-                    return t.stored[lhs].hops > t.stored[rhs].hops;
+                [&hops](std::uint32_t lhs, std::uint32_t rhs) {
+                  if (hops[lhs] != hops[rhs]) return hops[lhs] > hops[rhs];
                   return lhs > rhs;
                 });
-      std::uint64_t excess = t.stored_mult - k;
+      std::uint64_t excess = stored.mult_sum - k;
       for (const std::uint32_t i : order) {
         if (excess == 0) break;
-        Entry& e = t.stored[i];
-        const std::uint64_t cut = std::min(excess, e.mult);
-        e.mult -= cut;
+        const std::uint64_t cut = std::min(excess, stored.mult[i]);
+        stored.mult[i] -= cut;
         excess -= cut;
         result.effort.truncated_candidates += cut;
         total_stored -= cut;
-        if (e.mult == 0) e.repr = Path();
       }
       std::size_t live = 0;
-      for (std::size_t r = 0; r < t.stored_size; ++r) {
-        if (t.stored[r].mult == 0) continue;
-        if (live != r) std::swap(t.stored[live], t.stored[r]);
+      for (std::size_t r = 0; r < stored.size(); ++r) {
+        if (stored.mult[r] == 0) continue;
+        if (live != r) move_down(stored, r, live);
         ++live;
       }
-      t.stored_size = live;
-      index_rebuild(t.stored_index, t.stored, live);
-      t.stored_mult = k;
+      truncate(stored, live);
+      index_rebuild(stored);
+      stored.mult_sum = k;
     }
 
     if (dirty) {
       t.worst_hops = 0;
-      for (std::size_t i = 0; i < t.stored_size; ++i)
-        t.worst_hops = std::max(t.worst_hops, t.stored[i].hops);
+      for (const std::uint16_t h : stored.hops)
+        t.worst_hops = std::max(t.worst_hops, h);
     }
   }
 
   // --- the step body (identical under both replay modes) ---
+
+  /// Moves this step's arrivals into the result: shorter paths first
+  /// (stable, so ties keep the deterministic discovery order), per-path
+  /// granularity up to the k-th delivery. A dense step can produce vastly
+  /// more arrivals in the same instant; those are pooled into one
+  /// aggregate record (they share the arrival time, so T_n for n <= k is
+  /// unaffected and totals stay exact).
+  void emit_step_deliveries(Step s) {
+    auto& step = ws.step_deliveries_;
+    std::stable_sort(step.begin(), step.end(),
+                     [](const StepDelivery& lhs, const StepDelivery& rhs) {
+                       return lhs.hops < rhs.hops;
+                     });
+    const Seconds arrival = g.step_end(s);
+    const auto emit = [&](std::uint16_t hops,
+                          std::uint64_t count) -> Delivery& {
+      Delivery& d = result.deliveries.emplace_back();
+      d.arrival = arrival;
+      d.step = s;
+      d.hops = hops;
+      d.count = count;
+      cumulative += count;
+      return d;
+    };
+    std::size_t i = 0;
+    for (; i < step.size() && cumulative < k; ++i) {
+      Delivery& d = emit(step[i].hops, step[i].count);
+      if (step[i].path != kNoPath)
+        d.path = std::move(ws.step_paths_[step[i].path]);
+    }
+    if (i < step.size()) {
+      std::uint64_t rest = 0;
+      for (std::size_t j = i; j < step.size(); ++j) rest += step[j].count;
+      emit(step[i].hops, rest);
+    }
+  }
 
   /// Replays step s; returns false when enumeration is finished (k
   /// deliveries reached, or no stored path anywhere can ever extend
@@ -364,16 +449,17 @@ struct EnumerationRun {
     ++ws.stamp_;
     ++result.effort.steps_replayed;
     ws.step_deliveries_.clear();
+    ws.step_paths_.clear();
     ws.worklist_.clear();
     ws.worklist_head_ = 0;
     ws.fresh_nodes_.clear();
 
     // Nodes in direct contact with the destination this step.
-    ws.dst_mask_.clear();
+    std::fill(ws.dst_mask_.begin(), ws.dst_mask_.end(), 0);
     const auto dst_neighbors = g.neighbors(s, destination);
     for (const NodeId v : dst_neighbors) {
       ws.nodes_[v].meets_dst_stamp = ws.stamp_;
-      ws.dst_mask_.set(v);
+      ws.dst_mask_[v >> 6] |= bit_of(v);
     }
     const bool dst_active = !dst_neighbors.empty();
 
@@ -388,7 +474,7 @@ struct EnumerationRun {
     active.erase(std::remove_if(active.begin(), active.end(),
                                 [this](NodeId v) {
                                   NodeTable& t = ws.nodes_[v];
-                                  if (t.stored_size > 0) return false;
+                                  if (t.stored.size() > 0) return false;
                                   t.active_stamp = 0;
                                   return true;
                                 }),
@@ -397,27 +483,23 @@ struct EnumerationRun {
     // Phase 1: stored paths propagate across this step's contact edges.
     for (const NodeId u : active) {
       NodeTable& t = ws.nodes_[u];
+      Pool& stored = t.stored;
       const auto neighbors = g.neighbors(s, u);
       if (neighbors.empty()) continue;
       if (meets_dst(u)) {
         // Minimal progress: u hands everything it holds to the destination
         // and (first preference) retains nothing; no lateral copies.
-        for (std::size_t i = 0; i < t.stored_size; ++i) {
-          Entry& e = t.stored[i];
-          record_delivery(e.hops, &e.repr, e.mult);
-          e.repr = Path();
-        }
-        total_stored -= t.stored_mult;
-        t.stored_size = 0;
-        t.stored_mult = 0;
+        for (std::size_t i = 0; i < stored.size(); ++i)
+          record_delivery(stored.hops[i], repr_of(stored, i), stored.mult[i]);
+        total_stored -= stored.mult_sum;
+        clear(stored);
         t.worst_hops = 0;
-        index_clear(t.stored_index);
         continue;
       }
-      for (std::size_t i = 0; i < t.stored_size; ++i) {
-        const Entry& e = t.stored[i];
+      for (std::size_t i = 0; i < stored.size(); ++i) {
+        const std::uint64_t* set = members(stored, i);
         for (const NodeId v : neighbors)
-          offer(e.members, e.hops, &e.repr, e.mult, v);
+          offer(set, stored.hops[i], repr_of(stored, i), stored.mult[i], v);
       }
     }
 
@@ -431,19 +513,20 @@ struct EnumerationRun {
     while (ws.worklist_head_ < ws.worklist_.size() && dequeue_budget-- > 0) {
       const NodeId u = ws.worklist_[ws.worklist_head_++];
       NodeTable& t = ws.nodes_[u];
+      Pool& fresh = t.fresh;
       t.queued_stamp = 0;
       const auto neighbors = g.neighbors(s, u);
       // offer() only mutates neighbors' fresh pools (v != u always), so
       // iterating u's own pool here is safe; if a longer loop-free route
       // later feeds multiplicity back into u, u is re-queued and the
       // `propagated` bookkeeping resumes exactly where it left off.
-      for (std::size_t i = 0; i < t.fresh_size; ++i) {
-        Entry& e = t.fresh[i];
-        if (e.mult == e.propagated) continue;
-        const std::uint64_t delta = e.mult - e.propagated;
-        e.propagated = e.mult;
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        if (fresh.mult[i] == fresh.propagated[i]) continue;
+        const std::uint64_t delta = fresh.mult[i] - fresh.propagated[i];
+        fresh.propagated[i] = fresh.mult[i];
+        const std::uint64_t* set = members(fresh, i);
         for (const NodeId v : neighbors)
-          offer(e.members, e.hops, &e.repr, delta, v);
+          offer(set, fresh.hops[i], repr_of(fresh, i), delta, v);
       }
     }
     // If the budget ran out, clear the queued flags of abandoned nodes so
@@ -460,7 +543,7 @@ struct EnumerationRun {
       NodeTable& t = ws.nodes_[u];
       if (t.active_stamp == ws.message_stamp_) continue;  // settled above.
       settle_node(u, dst_active);
-      if (t.stored_size > 0) {
+      if (t.stored.size() > 0) {
         t.active_stamp = ws.message_stamp_;
         ws.active_.push_back(u);
       }
@@ -470,32 +553,7 @@ struct EnumerationRun {
       result.effort.peak_stored_paths = total_stored;
 
     if (!ws.step_deliveries_.empty()) {
-      // Shorter paths first; stable, so ties keep the deterministic
-      // discovery order.
-      std::stable_sort(ws.step_deliveries_.begin(), ws.step_deliveries_.end(),
-                       [](const Delivery& lhs, const Delivery& rhs) {
-                         return lhs.hops < rhs.hops;
-                       });
-      // Record per-path granularity up to the k-th delivery; a dense step
-      // can produce vastly more arrivals in the same instant, which are
-      // pooled into one aggregate record (they share the arrival time, so
-      // T_n for n <= k is unaffected and totals stay exact).
-      std::size_t i = 0;
-      for (; i < ws.step_deliveries_.size() && cumulative < k; ++i) {
-        cumulative += ws.step_deliveries_[i].count;
-        result.deliveries.push_back(std::move(ws.step_deliveries_[i]));
-      }
-      if (i < ws.step_deliveries_.size()) {
-        Delivery rest;
-        rest.step = s;
-        rest.arrival = g.step_end(s);
-        rest.hops = ws.step_deliveries_[i].hops;
-        rest.count = 0;
-        for (; i < ws.step_deliveries_.size(); ++i)
-          rest.count += ws.step_deliveries_[i].count;
-        cumulative += rest.count;
-        result.deliveries.push_back(std::move(rest));
-      }
+      emit_step_deliveries(s);
       if (cumulative >= k) {
         result.reached_k = true;
         return false;
@@ -510,12 +568,16 @@ struct EnumerationRun {
   void run() {
     k = config.k;
     recording = config.record_paths;
+    stride = (static_cast<std::size_t>(g.num_nodes()) + 63) / 64;
+    // Both budgets scale with k; k is clamped first so that no k a caller
+    // can pass wraps them (the admission cap is reached at k = 2^19, and
+    // the record cap stays below kNoPath, far beyond any step's arrivals).
     per_step_admissions = static_cast<std::uint32_t>(
-        std::min<std::size_t>(2 * config.k, 1u << 20));
+        2 * std::min<std::uint64_t>(k, std::uint64_t{1} << 19));
     // Beyond this many recorded deliveries in one step, further paths are
     // counted but not materialized: only the k shortest ever reach the
     // caller, and a dense step can exceed k by orders of magnitude.
-    record_cap = 4 * config.k;
+    record_cap = 4 * std::min<std::uint64_t>(k, kNoPath / 4);
 
     // Lazy reset: undo exactly what the previous message on this
     // workspace touched, then stamp a new message generation.
@@ -523,32 +585,25 @@ struct EnumerationRun {
     if (ws.nodes_.size() < g.num_nodes()) ws.nodes_.resize(g.num_nodes());
     for (const NodeId v : ws.touched_) {
       NodeTable& t = ws.nodes_[v];
-      for (std::size_t i = 0; i < t.stored_size; ++i) t.stored[i].repr = Path();
-      for (std::size_t i = 0; i < t.fresh_size; ++i) t.fresh[i].repr = Path();
-      t.stored_size = 0;
-      t.fresh_size = 0;
-      t.stored_mult = 0;
-      t.fresh_mult = 0;
+      clear(t.stored);
+      clear(t.fresh);
       t.worst_hops = 0;
-      index_clear(t.stored_index);
-      index_clear(t.fresh_index);
     }
     ws.touched_.clear();
     ws.active_.clear();
+    ws.dst_mask_.assign(stride, 0);
+    ws.probe_.assign(stride, 0);
 
     const Step start = g.step_of(result.t_start);
 
     // Seed the origin at the source.
     touch(source);
     NodeTable& st = ws.nodes_[source];
-    Entry& origin = push_entry(st.stored, st.stored_size);
-    origin.members.clear();
-    origin.members.set(source);
-    origin.mult = 1;
-    origin.hops = 0;
-    if (recording) origin.repr = Path::origin(source, start);
-    index_insert(st.stored_index, st.stored, st.stored_size);
-    st.stored_mult = 1;
+    std::uint64_t* origin = ws.probe_.data();
+    origin[source >> 6] |= bit_of(source);
+    push(st.stored, origin, 0, 1);
+    if (recording) st.stored.repr.push_back(Path::origin(source, start));
+    index_insert(st.stored);
     st.active_stamp = ws.message_stamp_;
     ws.active_.push_back(source);
     total_stored = 1;
@@ -567,6 +622,24 @@ struct EnumerationRun {
     }
   }
 };
+
+std::size_t EnumeratorWorkspace::bytes() const noexcept {
+  const auto held = [](const auto& v) {
+    return v.capacity() * sizeof(*v.data());
+  };
+  std::size_t total = held(nodes_) + held(touched_) + held(active_) +
+                      held(fresh_nodes_) + held(worklist_) +
+                      held(step_deliveries_) + held(step_paths_) +
+                      held(trim_order_) + held(dst_mask_) + held(probe_);
+  for (const NodeTable& t : nodes_) {
+    for (const Pool* pool : {&t.stored, &t.fresh}) {
+      total += held(pool->words) + held(pool->mult) + held(pool->hops) +
+               held(pool->propagated) + held(pool->repr) +
+               held(pool->index.slots);
+    }
+  }
+  return total;
+}
 
 KPathEnumerator::KPathEnumerator(const graph::SpaceTimeGraph& graph,
                                  EnumeratorConfig config)

@@ -15,7 +15,8 @@
 // arrival order.
 //
 // Validity rules enforced (paper §4.1):
-//  * loop avoidance — a path never revisits a node (O(1) via NodeSet);
+//  * loop avoidance — a path never revisits a node (O(1) via its
+//    membership set);
 //  * minimal progress — whenever a node holding paths is in direct contact
 //    with the destination, every path it holds is delivered;
 //  * first preference — a delivered path is dropped from its holder, so no
@@ -31,12 +32,16 @@
 // generation-stamped marks, frontier scratch) that is grown, never shrunk:
 // a workspace warmed by one message lets subsequent messages enumerate
 // with zero steady-state allocation, which is why the engine's path sweep
-// owns one per worker thread. Workspaces never influence results: every
-// iteration the enumerator performs walks insertion-ordered entry pools
-// (the hash indexes are probed, never iterated), so the outcome is a pure
-// function of (graph, message, config) regardless of what the workspace
-// served before — the property that makes the parallel message fan-out
-// bit-identical at any thread count.
+// owns one per worker thread. Each node's pools are parallel arrays —
+// membership words in one u64 arena per pool, then multiplicities and hop
+// counts — so a pooled path class costs W = ceil(nodes / 64) words, a
+// multiplicity and a hop count (26 bytes at paper scale), plus a
+// representative Path only while paths are recorded. Workspaces never
+// influence results: every iteration the enumerator performs walks
+// insertion-ordered pools (the hash indexes are probed, never iterated),
+// so the outcome is a pure function of (graph, message, config)
+// regardless of what the workspace served before — the property that
+// makes the parallel message fan-out bit-identical at any thread count.
 
 #pragma once
 
@@ -140,14 +145,14 @@ struct EnumerationResult {
   [[nodiscard]] std::optional<Seconds> time_to_explosion(std::size_t k) const;
 };
 
-/// Reusable enumeration scratch: per-node path tables (insertion-ordered
-/// entry pools whose NodeSet/Path slots are recycled in place, plus
-/// open-addressed membership indexes that are probed but never iterated),
-/// the destination-contact marks, the zero-weight-closure frontier, and
-/// the per-step delivery buffer. Capacities are retained, never shrunk;
-/// stale state is made unreadable by 64-bit generation stamps instead of
-/// being cleared, so starting the next message costs O(nodes touched by
-/// the previous one).
+/// Reusable enumeration scratch: per-node path tables (a stored and a
+/// fresh pool per node, each laid out as parallel arrays over one
+/// member-word arena, plus open-addressed membership indexes that are
+/// probed but never iterated), the destination-contact marks, the
+/// zero-weight-closure frontier, and the per-step delivery buffer.
+/// Capacities are retained, never shrunk; stale state is made unreadable
+/// by 64-bit generation stamps instead of being cleared, so starting the
+/// next message costs O(nodes touched by the previous one).
 ///
 /// Not thread-safe: one workspace serves one enumerate() call at a time.
 /// Any graph size is accepted — the workspace grows to the largest
@@ -160,40 +165,48 @@ class EnumeratorWorkspace {
   EnumeratorWorkspace(EnumeratorWorkspace&&) = default;
   EnumeratorWorkspace& operator=(EnumeratorWorkspace&&) = default;
 
+  /// Heap bytes the workspace holds: the capacity of every pool array,
+  /// membership index, delivery buffer and scratch vector. Representative
+  /// path chains are shared with the results they end up in and are not
+  /// counted.
+  [[nodiscard]] std::size_t bytes() const noexcept;
+
  private:
   friend class KPathEnumerator;
   friend struct EnumerationRun;  ///< the per-call driver (enumerator.cpp).
 
-  /// One pooled path class at a node: every loop-free path with this
-  /// membership set (they are interchangeable — see enumerator.cpp).
-  struct Entry {
-    util::NodeSet members;
-    Path repr;  ///< representative path; valid() only when recording.
-    std::uint64_t mult = 0;
-    /// Multiplicity already propagated to neighbors during the current
-    /// step (stored entries) or closure round (fresh entries).
-    std::uint64_t propagated = 0;
-    std::uint16_t hops = 0;  ///< |members| - 1, cached.
-  };
-
   /// Open-addressed membership -> entry-slot map (linear probing over a
-  /// power-of-two slot array). Lookups compare against the entries pool;
-  /// the index itself is never iterated, so its layout cannot influence
-  /// enumeration order or results.
+  /// power-of-two slot array). Lookups compare against the pool's word
+  /// arena; the index itself is never iterated, so its layout cannot
+  /// influence enumeration order or results.
   struct EntryIndex {
     std::vector<std::uint32_t> slots;
     std::size_t size = 0;
   };
 
+  /// One node's pooled path classes (every loop-free path with a given
+  /// membership set — they are interchangeable, see enumerator.cpp), in
+  /// insertion order. Entry i's membership set is words[i W, (i + 1) W),
+  /// W fixed per enumerate() call. Every array holds exactly the live
+  /// entries, except `propagated` (empty in stored pools) and `repr`
+  /// (empty unless paths are recorded).
+  struct Pool {
+    std::vector<std::uint64_t> words;  ///< member-word arena, stride W.
+    std::vector<std::uint64_t> mult;   ///< pooled multiplicity.
+    std::vector<std::uint16_t> hops;   ///< |members| - 1, cached.
+    /// Multiplicity already propagated to neighbors during the current
+    /// closure round.
+    std::vector<std::uint64_t> propagated;
+    std::vector<Path> repr;  ///< representative paths, when recording.
+    EntryIndex index;
+    std::uint64_t mult_sum = 0;  ///< sum of mult.
+
+    [[nodiscard]] std::size_t size() const noexcept { return mult.size(); }
+  };
+
   struct NodeTable {
-    std::vector<Entry> stored;  ///< live prefix [0, stored_size).
-    std::vector<Entry> fresh;   ///< live prefix [0, fresh_size).
-    std::size_t stored_size = 0;
-    std::size_t fresh_size = 0;
-    EntryIndex stored_index;
-    EntryIndex fresh_index;
-    std::uint64_t stored_mult = 0;  ///< sum of stored multiplicities.
-    std::uint64_t fresh_mult = 0;   ///< sum of fresh multiplicities.
+    Pool stored;  ///< paths held across steps.
+    Pool fresh;   ///< arrivals during the current step.
     std::uint16_t worst_hops = 0;   ///< max hops among stored+fresh.
     /// New membership sets this node may still admit during the current
     /// step (see enumerator.cpp).
@@ -207,16 +220,26 @@ class EnumeratorWorkspace {
     std::uint64_t active_stamp = 0;     ///< currently in the active list.
   };
 
+  static constexpr std::uint32_t kNoPath = 0xffffffffu;
+  /// One arrival at the destination during the current step; only those
+  /// that reach the result become Delivery objects.
+  struct StepDelivery {
+    std::uint64_t count = 0;
+    std::uint32_t path = kNoPath;  ///< index into step_paths_.
+    std::uint16_t hops = 0;
+  };
+
   std::vector<NodeTable> nodes_;
   std::vector<NodeId> touched_;      ///< nodes to lazily reset next message.
   std::vector<NodeId> active_;       ///< nodes holding stored entries.
   std::vector<NodeId> fresh_nodes_;  ///< nodes freshened this step.
   std::vector<NodeId> worklist_;     ///< closure FIFO (head index below).
   std::size_t worklist_head_ = 0;
-  std::vector<Delivery> step_deliveries_;
+  std::vector<StepDelivery> step_deliveries_;
+  std::vector<Path> step_paths_;  ///< recorded delivery paths this step.
   std::vector<std::uint32_t> trim_order_;  ///< trim sort scratch.
-  util::NodeSet dst_mask_;  ///< nodes in contact with dst this step.
-  util::NodeSet probe_;     ///< candidate-membership scratch for offers.
+  std::vector<std::uint64_t> dst_mask_;  ///< nodes meeting dst (W words).
+  std::vector<std::uint64_t> probe_;     ///< candidate membership (W words).
   std::uint64_t stamp_ = 0;          ///< per-step generation, never reset.
   std::uint64_t message_stamp_ = 0;  ///< per-message generation, never reset.
 };

@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -125,6 +126,11 @@ class NodeSet {
   /// Word i of the set; 0 beyond the backing storage.
   [[nodiscard]] std::uint64_t word(std::uint32_t i) const noexcept {
     return i < num_words_ ? data()[i] : 0;
+  }
+
+  /// The backing words (num_words() of them), lowest node ids first.
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return {data(), num_words_};
   }
 
   /// Grows the backing storage to cover node ids in [0, capacity) without
@@ -275,14 +281,22 @@ class NodeSet {
 /// Bitset128Hash exactly, keeping legacy enumeration orders intact;
 /// trailing zero words are ignored so the hash agrees with operator==.
 struct NodeSetHash {
-  [[nodiscard]] std::size_t operator()(const NodeSet& s) const noexcept {
+  /// The hash of the set whose word i is words[i] (absent words are 0).
+  /// Lets word arenas (the path enumerator's entry pools) hash a member
+  /// span without building a NodeSet; equal sets hash equally whatever
+  /// their word counts.
+  [[nodiscard]] std::size_t operator()(
+      std::span<const std::uint64_t> words) const noexcept {
+    const auto word = [words](std::size_t i) -> std::uint64_t {
+      return i < words.size() ? words[i] : 0;
+    };
     // SplitMix-style mix of the first two words (the Bitset128 formula).
-    std::uint64_t h = s.word(0) * 0x9e3779b97f4a7c15ULL;
+    std::uint64_t h = word(0) * 0x9e3779b97f4a7c15ULL;
     h ^= h >> 32;
-    h += s.word(1) * 0xbf58476d1ce4e5b9ULL;
+    h += word(1) * 0xbf58476d1ce4e5b9ULL;
     h ^= h >> 29;
-    for (std::uint32_t i = 2; i < s.num_words(); ++i) {
-      const std::uint64_t w = s.word(i);
+    for (std::size_t i = 2; i < words.size(); ++i) {
+      const std::uint64_t w = words[i];
       if (w == 0) continue;
       std::uint64_t z = w + 0x9e3779b97f4a7c15ULL * (i + 1);
       z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -290,6 +304,10 @@ struct NodeSetHash {
       h ^= z ^ (z >> 31);
     }
     return static_cast<std::size_t>(h);
+  }
+
+  [[nodiscard]] std::size_t operator()(const NodeSet& s) const noexcept {
+    return (*this)(s.words());
   }
 };
 

@@ -1,8 +1,8 @@
 // Tests for the engine's path-study sweep: determinism of the parallel
 // message fan-out (bit-identical records at 1 vs 8 threads), the
 // dense/sparse enumeration oracle at sweep level (conference matrix and
-// gap-engineered traces), and the ScenarioContextCache probe for
-// core::run_path_study.
+// gap-engineered traces), the enumerator workspace's byte ceiling, and the
+// ScenarioContextCache probe for core::run_path_study.
 
 #include <gtest/gtest.h>
 
@@ -243,6 +243,31 @@ TEST(PathSweep, EnumerateSampleIsThreadCountInvariant) {
     EXPECT_EQ(serial[i].destination, messages[i].destination);
     expect_results_identical(serial[i], wide[i]);
   }
+}
+
+// One warm enumerator workspace at the paper's k = 2000 on conference_small
+// (98 nodes, W = 2 member words per pooled path class). The pools hold
+// W words + a multiplicity + a hop count per class, and nearly every
+// node's stored/fresh arrays reach the k-shortest working set of a dense
+// step: 36,805,712 B for this sample when the ceiling was set, which sits
+// 5 % above that (the floor at half of it catches a workspace that stopped
+// holding its pools). Capacities are a function of the graph, the sample
+// and the standard library's growth policy, not of the machine.
+TEST(PathSweep, ConferenceWorkspaceStaysUnderByteCeiling) {
+  constexpr std::size_t kCeilingBytes = 38'650'000;
+  const auto context = ScenarioContextCache::instance().acquire(
+      make_scenario_by_name("conference_small"));
+  const core::Dataset& ds = *context->dataset;
+  paths::EnumeratorConfig config;
+  config.k = 2000;
+  config.record_paths = false;
+  const paths::KPathEnumerator enumerator(*context->graph, config);
+  paths::EnumeratorWorkspace workspace;
+  for (const paths::MessageSpec& m : core::uniform_message_sample(
+           ds.trace.num_nodes(), 12, ds.message_horizon, 7))
+    (void)enumerator.enumerate(m.source, m.destination, m.t_start, workspace);
+  EXPECT_LT(workspace.bytes(), kCeilingBytes);
+  EXPECT_GT(workspace.bytes(), kCeilingBytes / 2);
 }
 
 // The build-count probe: run_path_study fetches its graph through the

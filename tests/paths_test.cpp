@@ -6,9 +6,13 @@
 
 #include <vector>
 
+#include "psn/core/workload.hpp"
+#include "psn/engine/scenario_context.hpp"
+#include "psn/engine/scenario_registry.hpp"
 #include "psn/paths/enumerator.hpp"
 #include "psn/paths/explosion.hpp"
 #include "psn/paths/path.hpp"
+#include "psn/synth/pairwise_poisson.hpp"
 
 namespace psn::paths {
 namespace {
@@ -501,12 +505,16 @@ TEST(Enumerator, SparseMatchesDenseAcrossGaps) {
 }
 
 TEST(Enumerator, WorkspaceHistoryCannotInfluenceResults) {
-  // Enumerate a reference message on a fresh workspace, then drag another
-  // workspace through unrelated messages on *different graphs* and
-  // re-enumerate: bit-identical output is required — this is what makes
-  // the parallel path sweep independent of which thread's (warm)
-  // workspace a message lands on.
-  const auto g = gap_graph();
+  // Drag one workspace through messages on *different graphs* and compare
+  // every call against the same call on a fresh workspace: bit-identical
+  // output is required — this is what makes the parallel path sweep
+  // independent of which thread's (warm) workspace a message lands on.
+  // The graphs span membership strides W = 1 (the tiny traces), 2
+  // (conference_small, 98 nodes) and 8 (campus_512), visited growing and
+  // then shrinking, and path recording flips on every call, so stale
+  // arena words, indexes and representatives of either stride or mode
+  // would all show.
+  const auto gap = gap_graph();
   const auto other = make_graph(
       {
           Contact::make(0, 1, 0.0, 40.0),
@@ -518,27 +526,161 @@ TEST(Enumerator, WorkspaceHistoryCannotInfluenceResults) {
           Contact::make(3, 4, 35.0, 80.0),
       },
       6, 100.0);
+  auto& cache = engine::ScenarioContextCache::instance();
+  const auto conference =
+      cache.acquire(engine::make_scenario_by_name("conference_small"));
+  const auto campus =
+      cache.acquire(engine::make_scenario_by_name("campus_512"));
 
-  EnumeratorConfig config;
-  config.k = 25;
-  config.record_paths = true;
-  const KPathEnumerator on_gap(g, config);
-  const KPathEnumerator on_other(other, config);
-
-  EnumeratorWorkspace fresh;
-  const auto reference = on_gap.enumerate(0, 3, 0.0, fresh);
-
-  EnumeratorWorkspace dirty;
+  struct Call {
+    const graph::SpaceTimeGraph* graph;
+    MessageSpec message;
+    std::size_t k;
+  };
+  std::vector<Call> calls;
+  const auto add_sample = [&calls](const engine::ScenarioContext& context,
+                                   std::size_t count, std::size_t k,
+                                   std::uint64_t seed) {
+    for (const MessageSpec& m : core::uniform_message_sample(
+             context.dataset->trace.num_nodes(), count,
+             context.dataset->message_horizon, seed))
+      calls.push_back({context.graph.get(), m, k});
+  };
   for (const NodeId src : {0u, 1u, 4u}) {
     for (const NodeId dst : {2u, 3u, 5u}) {
-      if (src != dst) (void)on_other.enumerate(src, dst, 0.0, dirty);
+      if (src != dst) calls.push_back({&other, {src, dst, 0.0}, 25});
     }
   }
-  (void)on_gap.enumerate(2, 1, 4990.0, dirty);
-  const auto warmed = on_gap.enumerate(0, 3, 0.0, dirty);
+  calls.push_back({&gap, {2, 1, 4990.0}, 25});
+  add_sample(*conference, 4, 300, 5);
+  add_sample(*campus, 4, 40, 6);
+  add_sample(*conference, 3, 300, 7);
+  calls.push_back({&gap, {0, 3, 0.0}, 25});
+  calls.push_back({&other, {1, 5, 0.0}, 25});
+  ASSERT_EQ(conference->graph->num_nodes(), 98u);
+  ASSERT_GE(campus->graph->num_nodes(), 449u);  // >= 8 words per set.
 
-  expect_identical(reference, warmed);
-  EXPECT_EQ(reference.effort.steps_replayed, warmed.effort.steps_replayed);
+  EnumeratorWorkspace dirty;
+  bool record_paths = true;
+  for (const Call& call : calls) {
+    EnumeratorConfig config;
+    config.k = call.k;
+    config.record_paths = record_paths;
+    const KPathEnumerator enumerator(*call.graph, config);
+    const MessageSpec& m = call.message;
+    EnumeratorWorkspace fresh;
+    const auto reference =
+        enumerator.enumerate(m.source, m.destination, m.t_start, fresh);
+    const auto warmed =
+        enumerator.enumerate(m.source, m.destination, m.t_start, dirty);
+    SCOPED_TRACE(testing::Message()
+                 << call.graph->num_nodes() << " nodes, " << m.source
+                 << " -> " << m.destination << " at " << m.t_start
+                 << ", record_paths " << record_paths);
+    expect_identical(reference, warmed);
+    EXPECT_EQ(reference.effort.steps_replayed, warmed.effort.steps_replayed);
+    record_paths = !record_paths;
+  }
+}
+
+TEST(Enumerator, MembershipStrideDoesNotChangeResults) {
+  // Membership sets take W = ceil(nodes / 64) words. Stretching node ids
+  // by an increasing map keeps every id-ordered walk (active nodes,
+  // adjacency, trace order) the same, so the stretched trace must
+  // enumerate exactly like the original: a W = 1 population of 48 nodes
+  // against W = 2 and W = 8 copies. Stride arithmetic is invisible at
+  // W = 1, so the original is the reference; a small k makes trims,
+  // purges and admission budgets fire on wide members.
+  constexpr NodeId kNodes = 48;
+  synth::PairwisePoissonConfig gen;
+  gen.num_nodes = kNodes;
+  gen.t_max = 2700.0;
+  gen.mean_node_rate = 0.08;
+  gen.seed = 21;
+  const ContactTrace base = synth::generate_pairwise_poisson(gen).trace;
+  const graph::SpaceTimeGraph base_graph(base, 10.0);
+  const auto messages =
+      core::uniform_message_sample(kNodes, 12, 1800.0, 23);
+
+  EnumeratorConfig config;
+  config.k = 30;
+  config.record_paths = true;
+  const KPathEnumerator on_base(base_graph, config);
+  std::vector<EnumerationResult> reference;
+  reference.reserve(messages.size());
+  std::uint64_t truncated = 0;
+  std::size_t delivered = 0;
+  for (const MessageSpec& m : messages) {
+    reference.push_back(on_base.enumerate(m.source, m.destination, m.t_start));
+    truncated += reference.back().effort.truncated_candidates;
+    delivered += reference.back().reached_k ? 1 : 0;
+  }
+  ASSERT_GT(truncated, 0u);
+  ASSERT_GT(delivered, messages.size() / 2);
+
+  for (const NodeId scale : {2u, 10u}) {
+    const auto stretch = [scale](NodeId v) { return v * scale; };
+    std::vector<Contact> cs;
+    for (const Contact& c : base.contacts())
+      cs.push_back(Contact::make(stretch(c.a), stretch(c.b), c.start, c.end));
+    const graph::SpaceTimeGraph g(
+        ContactTrace(std::move(cs), kNodes * scale, base.t_max()), 10.0);
+    const KPathEnumerator on_stretched(g, config);
+    EnumeratorWorkspace workspace;
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      const MessageSpec& m = messages[i];
+      SCOPED_TRACE(testing::Message() << "scale " << scale << ", message "
+                                      << i);
+      const auto r = on_stretched.enumerate(
+          stretch(m.source), stretch(m.destination), m.t_start, workspace);
+      const EnumerationResult& want = reference[i];
+      EXPECT_EQ(r.reached_k, want.reached_k);
+      EXPECT_EQ(r.effort.steps_replayed, want.effort.steps_replayed);
+      EXPECT_EQ(r.effort.contact_events, want.effort.contact_events);
+      EXPECT_EQ(r.effort.peak_stored_paths, want.effort.peak_stored_paths);
+      EXPECT_EQ(r.effort.truncated_candidates,
+                want.effort.truncated_candidates);
+      ASSERT_EQ(r.deliveries.size(), want.deliveries.size());
+      for (std::size_t d = 0; d < r.deliveries.size(); ++d) {
+        EXPECT_EQ(r.deliveries[d].step, want.deliveries[d].step);
+        EXPECT_EQ(r.deliveries[d].hops, want.deliveries[d].hops);
+        EXPECT_EQ(r.deliveries[d].count, want.deliveries[d].count);
+        ASSERT_EQ(r.deliveries[d].path.valid(),
+                  want.deliveries[d].path.valid());
+        if (!want.deliveries[d].path.valid()) continue;
+        auto expected = want.deliveries[d].path.sequence();
+        for (auto& hop : expected) hop.first = stretch(hop.first);
+        EXPECT_EQ(r.deliveries[d].path.sequence(), expected);
+      }
+    }
+  }
+}
+
+TEST(Enumerator, HugeKMatchesUnreachedK) {
+  // On a trace where k is never reached, any larger k must give the same
+  // outcome: the per-step admission budget (2k, capped) and the per-step
+  // record cap (4k) may not wrap around for k near the top of size_t.
+  const auto g = make_graph(
+      {
+          Contact::make(0, 1, 0.0, 35.0),
+          Contact::make(1, 2, 5.0, 45.0),
+          Contact::make(2, 3, 12.0, 50.0),
+          Contact::make(3, 4, 22.0, 60.0),
+          Contact::make(0, 4, 41.0, 44.0),
+          Contact::make(1, 4, 55.0, 80.0),
+          Contact::make(2, 4, 61.0, 62.0),
+      },
+      5, 100.0);
+  const auto reference = run(g, 0, 4, 0.0, 2000);
+  ASSERT_FALSE(reference.reached_k);
+  ASSERT_GT(reference.deliveries.size(), 1u);
+  for (const std::size_t k : {std::size_t{1} << 40, std::size_t{1} << 62,
+                              std::size_t{1} << 63}) {
+    SCOPED_TRACE(testing::Message() << "k = " << k);
+    const auto huge = run(g, 0, 4, 0.0, k);
+    expect_identical(reference, huge);
+    for (const auto& d : huge.deliveries) EXPECT_TRUE(d.path.valid());
+  }
 }
 
 TEST(Enumerator, EffortCountsTruncationAndPeakStorage) {
