@@ -30,7 +30,6 @@ ForwardingStudyResult run_forwarding_study(
 
   engine::SweepOptions options;
   options.threads = config.threads;
-  options.replay = config.replay;
   auto sweep = engine::run_sweep(plan, options);
 
   ForwardingStudyResult result;
@@ -80,7 +79,6 @@ OfferedLoadStudy run_offered_load_study(const Dataset& dataset,
     engine::SweepOptions options;
     options.threads = config.threads;
     options.keep_delays = false;  // load curves need aggregates only.
-    options.replay = config.replay;
     const auto sweep = engine::run_sweep(plan, options);
 
     for (std::size_t a = 0; a < config.algorithms.size(); ++a) {

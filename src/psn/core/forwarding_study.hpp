@@ -31,9 +31,6 @@ struct ForwardingStudyConfig {
   /// Worker threads for the underlying engine sweep; 0 means one per
   /// hardware thread. Results are identical at every thread count.
   std::size_t threads = 0;
-  /// Simulator step sequence (bit-identical either way; kDense is the
-  /// validation oracle — see forward::ReplayMode).
-  forward::ReplayMode replay = forward::ReplayMode::kSparse;
   /// Traffic model: network-side limits plus per-message size and TTL.
   /// The defaults reproduce the unconstrained paper study bit-for-bit.
   forward::TrafficConfig traffic;
@@ -85,7 +82,6 @@ struct OfferedLoadConfig {
   std::uint32_t message_size_bytes = 1;
   trace::Seconds message_ttl = forward::kNoTtl;
   std::size_t threads = 0;
-  forward::ReplayMode replay = forward::ReplayMode::kSparse;
 };
 
 /// One (rate multiplier, algorithm) cell of the offered-load matrix.

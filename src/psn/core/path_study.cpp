@@ -35,7 +35,6 @@ PathStudyResult run_path_study(const Dataset& dataset,
 
   engine::PathSweepOptions options;
   options.threads = config.threads;
-  options.replay = config.replay;
   options.keep_results = false;  // T1/TE records are all the study needs.
   auto sweep = engine::run_path_sweep(plan, options);
 

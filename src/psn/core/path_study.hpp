@@ -28,9 +28,6 @@ struct PathStudyConfig {
   /// Worker threads for the underlying path sweep; 0 means one per
   /// hardware thread. Records are identical at every thread count.
   std::size_t threads = 0;
-  /// Step sequence each enumeration replays (bit-identical either way;
-  /// kDense is the validation oracle — see paths::ReplayMode).
-  paths::ReplayMode replay = paths::ReplayMode::kSparse;
 };
 
 struct PathStudyResult {

@@ -3,7 +3,7 @@
 // the engine's thread pool, mirroring run_sweep's and run_path_sweep's
 // slot-addressed, deterministically aggregated design — the parallel
 // production path behind bench/model_validation, bench/model_heterogeneous
-// and the `model` section of BENCH_sweep.json.
+// and psn_serve's model requests.
 //
 // Determinism guarantee: for a fixed plan, run_model_sweep produces
 // bit-identical cells at any thread count. Every unit of work — one jump

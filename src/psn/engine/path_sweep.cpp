@@ -99,7 +99,6 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
   paths::EnumeratorConfig ec;
   ec.k = plan.config.k;
   ec.record_paths = plan.config.record_paths;
-  ec.replay = options.replay;
   std::vector<paths::KPathEnumerator> enumerators;
   enumerators.reserve(plan.scenarios.size());
   std::vector<std::vector<paths::EnumerationResult>> results(

@@ -59,10 +59,6 @@ struct PathSweepOptions {
   /// Execute on this caller-owned pool instead of a private one (the
   /// psn_serve batching hook; see SweepOptions::pool).
   ThreadPool* pool = nullptr;
-  /// Step sequence each enumeration replays. kSparse (default) walks only
-  /// the graph's event timeline; kDense replays every step — bit-identical
-  /// modes, kDense being the equivalence oracle.
-  paths::ReplayMode replay = paths::ReplayMode::kSparse;
   /// Retain the raw EnumerationResults (drivers that read deliveries or
   /// recorded paths need them; T1/TE studies keep only the records and
   /// switch this off to bound memory on large sweeps).

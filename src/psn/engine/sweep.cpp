@@ -35,9 +35,8 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
                                    ? ThreadPool::hardware_threads()
                                    : options.threads);
   ErrorSlot errors;
-  // One pool-backed executor shared by the sharded graph builds (phase 1)
-  // and, when enabled, the simulator's intra-run flood fan-out (phase 2).
-  // Caller participation makes it safe to invoke from inside pool tasks.
+  // Pool-backed executor for the sharded graph builds (phase 1). Caller
+  // participation makes it safe to invoke from inside pool tasks.
   const util::ParallelFor pool_executor = parallel_for(pool);
 
   // Phase 1: shared read-only inputs, built in parallel — one immutable
@@ -136,7 +135,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   ResultStore store(plan.total_runs());
   for (std::size_t slot = 0; slot < plan.runs.size(); ++slot) {
     pool.submit([&plan, &options, &contexts, &workloads, &store, &errors,
-                 &canonical_spec, &pool_executor, slot] {
+                 &canonical_spec, slot] {
       try {
         const RunSpec& spec = plan.runs[slot];
         const Scenario& scenario = plan.scenarios[spec.scenario];
@@ -192,7 +191,6 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         request.replay = options.replay;
         request.flood_kernel = options.flood_kernel;
         request.contact_scan = options.contact_scan;
-        if (options.intra_run_parallel) request.parallel = &pool_executor;
         // One workspace per worker thread, reused across every run the
         // thread executes: the sweep's steady state simulates without
         // heap allocation. Workspaces never influence results (asserted

@@ -94,12 +94,10 @@ struct SweepOptions {
   bool keep_delays = true;
   /// Simulator step sequence. kSparse (default) replays only the graph's
   /// event timeline; kDense replays every step — the modes are
-  /// bit-identical, and kDense exists for the equivalence harness and the
-  /// perf_microbench dense-vs-sparse comparison.
+  /// bit-identical, and kDense exists for the equivalence harness.
   forward::ReplayMode replay = forward::ReplayMode::kSparse;
   /// Epidemic-closure kernel handed to every run (bit-identical options;
-  /// kScalar exists for the equivalence harness and the scalar-vs-word
-  /// columns of the node-scaling bench).
+  /// kScalar exists for the equivalence harness).
   forward::FloodKernel flood_kernel = forward::FloodKernel::kWordParallel;
   /// Simulator contact-scan mode handed to every run. kHolderIncident
   /// (default) lets eligible non-flood runs visit only holder-incident
@@ -108,12 +106,6 @@ struct SweepOptions {
   forward::ContactScan contact_scan = forward::ContactScan::kHolderIncident;
   /// Observation state sourcing (see ObservationMode). kShared default.
   ObservationMode observation = ObservationMode::kShared;
-  /// Fan each run's per-step flood closures out across the sweep pool in
-  /// addition to the run-level parallelism. Off by default: with more runs
-  /// than workers the run-level fan-out already saturates the pool, and
-  /// intra-run sharding only helps when a handful of huge-population runs
-  /// leave workers idle. Results are bit-identical either way.
-  bool intra_run_parallel = false;
 };
 
 /// Executes the plan. Each scenario's immutable context (dataset +

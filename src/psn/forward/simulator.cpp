@@ -358,10 +358,10 @@ SimulationResult simulate(const SimulationRequest& request,
   // returns its (absolute) level as soon as it settles; otherwise settles
   // the whole component, leaving sc.level[] valid for every member. All
   // scratch is cleared sparsely (component words only) before returning.
+  auto& sc = ws.settle;
   const auto settle_word =
       [&](const graph::StepComponent& comp,
-          const detail::SimulatorState::MessageState& st,
-          detail::SimulatorState::SettleScratch& sc, NodeId stop_at,
+          const detail::SimulatorState::MessageState& st, NodeId stop_at,
           bool has_stop) -> std::uint32_t {
     if (sc.level.size() < n) sc.level.resize(n, 0);
     sc.visited.ensure_capacity(n);
@@ -435,7 +435,7 @@ SimulationResult simulate(const SimulationRequest& request,
               w * 64 + static_cast<std::uint32_t>(std::countr_zero(fresh)));
           fresh &= fresh - 1;
           // Same contract as the scalar kernel: ws.components carries
-          // step s's adjacency, read-only and shared across shards.
+          // step s's adjacency.
           for (const NodeId nb : ws.components.step_neighbors(v)) {
             nf.set(nb);
             expanded = true;
@@ -453,60 +453,6 @@ SimulationResult simulate(const SimulationRequest& request,
     return found != std::numeric_limits<std::uint32_t>::max() ? found : 0;
   };
 
-  // Floods one message through the step's components, word-parallel.
-  // Touches only the message's own state and outcome slot plus the
-  // caller-provided scratch and transmission counter, so disjoint
-  // messages flood concurrently with bit-identical results.
-  const auto flood_message_word = [&](std::uint32_t id, graph::Step s,
-                                      std::size_t num_comps,
-                                      detail::SimulatorState::SettleScratch&
-                                          sc,
-                                      std::size_t& tx) {
-    auto& st = state[id];
-    if (st.delivered || st.expired) return;
-    const NodeId dest = messages[id].destination;
-    for (std::size_t ci = 0; ci < num_comps; ++ci) {
-      const graph::StepComponent& comp = ws.components.pool[ci];
-      unsigned held = 0;
-      for (const std::uint32_t w : comp.words)
-        held += static_cast<unsigned>(
-            std::popcount(comp.mask.word(w) & st.holders.word(w)));
-      if (held == 0) continue;
-      if (comp.mask.test(dest)) {
-        // Copies made inside the component before reaching the
-        // destination are part of the flood's cost too; +1 below is the
-        // final hop to the destination.
-        tx += comp.size - held - 1;
-        const std::uint32_t hops = settle_word(comp, st, sc, dest, true);
-        st.delivered = true;
-        auto& outcome = result.outcomes[id];
-        outcome.delivered = true;
-        outcome.delay = graph.step_end(s) - messages[id].created;
-        outcome.hops = static_cast<std::uint16_t>(
-            std::min<std::uint32_t>(hops, 0xFFFF));
-        tx += 1;
-        break;
-      }
-      // Fully flooded components have nothing left to spread; skipping
-      // them also skips the (comparatively expensive) hop settle.
-      if (held == comp.size) continue;
-      settle_word(comp, st, sc, 0, false);
-      for (const std::uint32_t w : comp.words) {
-        const std::uint64_t mask_word = comp.mask.word(w);
-        std::uint64_t fresh = mask_word & ~st.holders.word(w);
-        while (fresh != 0) {
-          const auto v = static_cast<NodeId>(
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(fresh)));
-          fresh &= fresh - 1;
-          st.hops[v] = static_cast<std::uint16_t>(
-              std::min<std::uint32_t>(sc.level[v], 0xFFFF));
-        }
-        st.holders.or_word(w, mask_word);
-      }
-      tx += comp.size - held;
-    }
-  };
-
   // One flooding step: spread every live flood through the step's contact
   // components and deliver where the destination is reached. Components
   // (masks + nonzero-word lists, canonical order) are extracted once and
@@ -515,37 +461,45 @@ SimulationResult simulate(const SimulationRequest& request,
     const std::size_t num_comps =
         graph::step_components_at(graph, s, ws.components);
     if (word_kernel) {
-      // Live worklist for this step; per-message flood state is disjoint,
-      // so the list fans out across the executor when one is provided.
-      auto& live = ws.live;
-      live.clear();
-      for (const std::uint32_t id : active_msgs)
-        if (!state[id].delivered && !state[id].expired) live.push_back(id);
-      if (live.empty()) return;
-      // Shard geometry depends on the worklist alone (not the executor);
-      // per-message results are independent either way.
-      const std::size_t shards =
-          request.parallel != nullptr && live.size() > 1
-              ? std::clamp<std::size_t>(live.size() / 4, 1, 32)
-              : 1;
-      if (ws.settle.size() < shards) ws.settle.resize(shards);
-      if (shards == 1) {
-        std::size_t tx = 0;
-        for (const std::uint32_t id : live)
-          flood_message_word(id, s, num_comps, ws.settle[0], tx);
-        result.transmissions += tx;
-      } else {
-        ws.shard_tx.assign(shards, 0);
-        (*request.parallel)(shards, [&](std::size_t shard) {
-          std::size_t tx = 0;
-          const std::size_t lo = live.size() * shard / shards;
-          const std::size_t hi = live.size() * (shard + 1) / shards;
-          for (std::size_t i = lo; i < hi; ++i)
-            flood_message_word(live[i], s, num_comps, ws.settle[shard], tx);
-          ws.shard_tx[shard] = tx;
-        });
-        // Fixed-order reduction (sums are order-independent anyway).
-        for (const std::size_t tx : ws.shard_tx) result.transmissions += tx;
+      for (const std::uint32_t id : active_msgs) {
+        auto& st = state[id];
+        if (st.delivered || st.expired) continue;
+        const NodeId dest = messages[id].destination;
+        for (std::size_t ci = 0; ci < num_comps; ++ci) {
+          const graph::StepComponent& comp = ws.components.pool[ci];
+          unsigned held = 0;
+          for (const std::uint32_t w : comp.words)
+            held += static_cast<unsigned>(
+                std::popcount(comp.mask.word(w) & st.holders.word(w)));
+          if (held == 0) continue;
+          if (comp.mask.test(dest)) {
+            // Copies made inside the component before reaching the
+            // destination are part of the flood's cost too.
+            result.transmissions += comp.size - held - 1;
+            const std::uint32_t hops = settle_word(comp, st, dest, true);
+            deliver(id, s, static_cast<std::uint16_t>(
+                               std::min<std::uint32_t>(hops, 0xFFFF)));
+            break;
+          }
+          // Fully flooded components have nothing left to spread; skipping
+          // them also skips the (comparatively expensive) hop settle.
+          if (held == comp.size) continue;
+          settle_word(comp, st, 0, false);
+          for (const std::uint32_t w : comp.words) {
+            const std::uint64_t mask_word = comp.mask.word(w);
+            std::uint64_t fresh = mask_word & ~st.holders.word(w);
+            while (fresh != 0) {
+              const auto v = static_cast<NodeId>(
+                  w * 64 +
+                  static_cast<std::uint32_t>(std::countr_zero(fresh)));
+              fresh &= fresh - 1;
+              st.hops[v] = static_cast<std::uint16_t>(
+                  std::min<std::uint32_t>(sc.level[v], 0xFFFF));
+            }
+            st.holders.or_word(w, mask_word);
+          }
+          result.transmissions += comp.size - held;
+        }
       }
       return;
     }

@@ -51,13 +51,11 @@
 #include "psn/forward/traffic.hpp"
 #include "psn/graph/components.hpp"
 #include "psn/util/node_set.hpp"
-#include "psn/util/parallel.hpp"
 
 namespace psn::forward {
 
 /// Which step sequence the replay visits. Results are bit-identical; the
-/// dense mode exists as the validation oracle and for benchmarking the
-/// timeline win (perf_microbench's event_timeline section).
+/// dense mode exists as the validation oracle.
 enum class ReplayMode : std::uint8_t {
   kSparse,  ///< only the graph's active steps (the default).
   kDense,   ///< every discretized step (pre-timeline reference semantics).
@@ -126,15 +124,6 @@ struct SimulationRequest {
   /// Epidemic-closure implementation (see FloodKernel). Only consulted on
   /// the flooding fast path; the generic relay path has one kernel.
   FloodKernel flood_kernel = FloodKernel::kWordParallel;
-  /// Optional intra-run executor (non-owning; may be null). When set, the
-  /// word-parallel flooding path fans each step's component closures out
-  /// across live messages: per-message flood state is disjoint, outcome
-  /// slots are addressed by message id, and per-shard transmission
-  /// counters are reduced in fixed order, so results are bit-identical to
-  /// the serial replay at any thread count. Ignored by the scalar oracle
-  /// kernel and the generic relay path (whose RNG-ordered edge scan is
-  /// inherently sequential).
-  const util::ParallelFor* parallel = nullptr;
 };
 
 namespace detail {
@@ -203,18 +192,15 @@ struct SimulatorState {
   /// both flood kernels.
   graph::StepComponentScratch components;
 
-  /// Word-kernel hop-settle scratch, one per fan-out shard (slot 0 serves
-  /// the serial path). Frontier/visited masks are cleared sparsely via
-  /// the component's word list, so a settle costs O(component), never
-  /// O(population).
+  /// Word-kernel hop-settle scratch. Frontier/visited masks are cleared
+  /// sparsely via the component's word list, so a settle costs
+  /// O(component), never O(population).
   struct SettleScratch {
     std::vector<std::uint32_t> level;    ///< absolute hop level per node.
     util::NodeSet visited;               ///< settled nodes, this settle.
     std::vector<util::NodeSet> frontier; ///< per-relative-level seed masks.
   };
-  std::vector<SettleScratch> settle;
-  std::vector<std::uint32_t> live;      ///< flood fan-out worklist.
-  std::vector<std::size_t> shard_tx;    ///< per-shard transmission counts.
+  SettleScratch settle;
 };
 
 }  // namespace detail

@@ -55,8 +55,7 @@
 namespace psn::paths {
 
 /// Which step sequence the replay visits. Results are bit-identical; the
-/// dense mode exists as the validation oracle and for benchmarking the
-/// timeline win (perf_microbench's path_explosion section).
+/// dense mode exists as the validation oracle.
 enum class ReplayMode : std::uint8_t {
   kSparse,  ///< only the graph's active steps (the default).
   kDense,   ///< every discretized step (pre-timeline reference semantics).
@@ -89,7 +88,7 @@ struct Delivery {
 };
 
 /// How much work one enumeration performed — the telemetry behind
-/// fig06's effort summary and perf_microbench's path_explosion section.
+/// fig06's effort summary and perfbench's paths_paper per-layer metrics.
 /// All fields except steps_replayed are replay-mode invariant (a skipped
 /// gap performs no work), so the dense/sparse oracle can compare them.
 struct EnumerationEffort {

@@ -1,6 +1,6 @@
 // ParallelFor: the minimal execution abstraction the construction-side
-// kernels (sharded trace generation, the sharded space-time-graph build,
-// the simulator's per-component flood fan-out) are written against.
+// kernels (sharded trace generation, the sharded space-time-graph build)
+// are written against.
 //
 // A ParallelFor runs `f(shard)` for every shard in [0, num_shards)
 // exactly once and returns only when all shards have completed. Shards

@@ -1,7 +1,8 @@
 // Tests for the engine's §5 model sweep: the SplitMix64 substream
-// lattice, the scale-tier registry, bit-identical cells at 1 vs 8
-// threads, the serial-replica and single-stream oracles, workspace-reuse
-// equivalence, and the NaN-safe quadrant summary.
+// lattice, the scale-tier registry (every tier run end to end, model_100k
+// included), bit-identical cells at 1 vs 8 threads, the serial-replica
+// and single-stream oracles, workspace-reuse equivalence, and the
+// NaN-safe quadrant summary.
 
 #include <gtest/gtest.h>
 
@@ -144,6 +145,25 @@ TEST(ModelScenarioRegistry, UnknownNameThrowsListingNames) {
     EXPECT_NE(what.find("model_9000"), std::string::npos);
     for (const auto& name : model_scenario_names())
       EXPECT_NE(what.find(name), std::string::npos) << name;
+  }
+}
+
+// Every registered tier runs end to end through the sweep, model_100k
+// (N = 100 000) included, with one jump replica and one MC message each
+// so the whole ladder takes about half a second in Release.
+TEST(ModelScenarioRegistry, EveryTierRunsEndToEnd) {
+  for (const auto& name : model_scenario_names()) {
+    ModelSweepPlan plan;
+    plan.scenarios = {make_model_scenario(name)};
+    plan.scenarios[0].mc.messages = 1;
+    plan.config.jump_replicas = 1;
+    const auto result = run_model_sweep(plan);
+    ASSERT_EQ(result.cells.size(), 1u) << name;
+    EXPECT_EQ(result.cells[0].population,
+              plan.scenarios[0].jump.population)
+        << name;
+    EXPECT_GT(result.cells[0].jump_events, 0u) << name;
+    EXPECT_EQ(result.cells[0].messages.size(), 1u) << name;
   }
 }
 

@@ -1,12 +1,12 @@
 // Tests for the engine's path-study sweep: determinism of the parallel
-// message fan-out (bit-identical records at 1 vs 8 threads), the
-// dense/sparse enumeration oracle at sweep level (conference matrix and
-// gap-engineered traces), the enumerator workspace's byte ceiling, and the
-// ScenarioContextCache probe for core::run_path_study.
+// message fan-out (bit-identical records at 1 vs 8 threads, with and
+// without recorded paths), the sparse replay's active-step bound on a
+// gap-engineered trace, the enumerator workspace's byte ceiling, and the
+// ScenarioContextCache probe for core::run_path_study. The dense/sparse
+// enumeration oracle runs at enumerator level (paths_test).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -65,8 +65,7 @@ core::Dataset gap_dataset() {
 }
 
 // Bit-identical delivery comparison (no tolerance on doubles), plus the
-// replay-mode-invariant effort fields. steps_replayed is intentionally
-// excluded: it differs between kDense and kSparse by design.
+// effort counters.
 void expect_results_identical(const paths::EnumerationResult& lhs,
                               const paths::EnumerationResult& rhs) {
   EXPECT_EQ(lhs.source, rhs.source);
@@ -87,6 +86,7 @@ void expect_results_identical(const paths::EnumerationResult& lhs,
                 rhs.deliveries[i].path.sequence());
     }
   }
+  EXPECT_EQ(lhs.effort.steps_replayed, rhs.effort.steps_replayed);
   EXPECT_EQ(lhs.effort.contact_events, rhs.effort.contact_events);
   EXPECT_EQ(lhs.effort.peak_stored_paths, rhs.effort.peak_stored_paths);
   EXPECT_EQ(lhs.effort.truncated_candidates,
@@ -162,9 +162,9 @@ TEST(PathSweep, BitIdenticalAcrossThreadCounts) {
   EXPECT_GT(delivered, 0u);
 }
 
-// The dense/sparse oracle at sweep level on the paper-scale scenario,
-// with and without recorded paths, at 1 and 8 threads.
-TEST(PathSweep, SparseMatchesDenseOnConferenceMatrix) {
+// The paper-scale scenario, with and without recorded paths: 1 and 8
+// threads agree on every delivery, representative path and effort count.
+TEST(PathSweep, ConferenceMatrixBitIdenticalAcrossThreadCounts) {
   const auto scenario = make_scenario_by_name("conference_small");
   for (const bool record_paths : {false, true}) {
     PathSweepPlan plan;
@@ -173,23 +173,19 @@ TEST(PathSweep, SparseMatchesDenseOnConferenceMatrix) {
     plan.config.k = 120;
     plan.config.seed = 42;
     plan.config.record_paths = record_paths;
-    for (const std::size_t threads : {1u, 8u}) {
-      PathSweepOptions dense;
-      dense.threads = threads;
-      dense.replay = paths::ReplayMode::kDense;
-      PathSweepOptions sparse;
-      sparse.threads = threads;
-      sparse.replay = paths::ReplayMode::kSparse;
-      expect_sweeps_identical(run_path_sweep(plan, dense),
-                              run_path_sweep(plan, sparse));
-    }
+    PathSweepOptions serial;
+    serial.threads = 1;
+    PathSweepOptions wide;
+    wide.threads = 8;
+    expect_sweeps_identical(run_path_sweep(plan, serial),
+                            run_path_sweep(plan, wide));
   }
 }
 
 // Gap-engineered trace: most steps are contact-free; the sparse replay
-// must skip them without changing any outcome, and its per-message step
-// work must be bounded by the number of active steps.
-TEST(PathSweep, SparseMatchesDenseAcrossGaps) {
+// must skip them, so its per-message step work is bounded by the number
+// of active steps, at any thread count.
+TEST(PathSweep, SparseReplayBoundedByActiveStepsAcrossGaps) {
   const auto ds = gap_dataset();
   const graph::SpaceTimeGraph probe_graph(ds.trace, 10.0);
   ASSERT_GT(probe_graph.num_steps(), 1000u);
@@ -201,26 +197,19 @@ TEST(PathSweep, SparseMatchesDenseAcrossGaps) {
   plan.config.k = 50;
   plan.config.seed = 5;
 
-  PathSweepOptions dense;
-  dense.threads = 8;
-  dense.replay = paths::ReplayMode::kDense;
-  PathSweepOptions sparse;
-  sparse.threads = 8;
-  sparse.replay = paths::ReplayMode::kSparse;
-  const auto reference = run_path_sweep(plan, dense);
-  const auto timeline = run_path_sweep(plan, sparse);
-  expect_sweeps_identical(reference, timeline);
+  PathSweepOptions serial;
+  serial.threads = 1;
+  PathSweepOptions wide;
+  wide.threads = 8;
+  const auto timeline = run_path_sweep(plan, wide);
+  expect_sweeps_identical(run_path_sweep(plan, serial), timeline);
 
-  std::uint64_t dense_steps = 0;
-  std::uint64_t sparse_steps = 0;
-  for (std::size_t i = 0; i < reference.cells[0].records.size(); ++i) {
-    dense_steps += reference.cells[0].records[i].effort.steps_replayed;
-    sparse_steps += timeline.cells[0].records[i].effort.steps_replayed;
-    EXPECT_LE(timeline.cells[0].records[i].effort.steps_replayed,
-              probe_graph.num_active_steps());
+  std::size_t delivered = 0;
+  for (const auto& rec : timeline.cells[0].records) {
+    EXPECT_LE(rec.effort.steps_replayed, probe_graph.num_active_steps());
+    delivered += rec.delivered;
   }
-  // The timeline win on this trace is massive, not marginal.
-  EXPECT_GT(dense_steps, 10u * std::max<std::uint64_t>(sparse_steps, 1u));
+  EXPECT_GT(delivered, 0u);
 }
 
 // enumerate_sample (the fig-driver fan-out core) is slot-addressed: the
@@ -301,9 +290,8 @@ TEST(PathStudy, FetchesGraphThroughScenarioContextCache) {
 }
 
 // run_path_study itself is thread-count invariant (the engine propagates
-// its determinism guarantee to the study layer), and the dense replay
-// reproduces the sparse study bit for bit.
-TEST(PathStudy, ThreadCountAndReplayModeInvariant) {
+// its determinism guarantee to the study layer).
+TEST(PathStudy, ThreadCountInvariant) {
   const auto ds = small_dataset(53);
   core::PathStudyConfig config;
   config.messages = 30;
@@ -314,15 +302,10 @@ TEST(PathStudy, ThreadCountAndReplayModeInvariant) {
   const auto serial = core::run_path_study(ds, config);
   config.threads = 8;
   const auto wide = core::run_path_study(ds, config);
-  config.replay = paths::ReplayMode::kDense;
-  const auto dense = core::run_path_study(ds, config);
 
   ASSERT_EQ(serial.records.size(), wide.records.size());
-  ASSERT_EQ(serial.records.size(), dense.records.size());
-  for (std::size_t i = 0; i < serial.records.size(); ++i) {
+  for (std::size_t i = 0; i < serial.records.size(); ++i)
     expect_records_identical(serial.records[i], wide.records[i]);
-    expect_records_identical(serial.records[i], dense.records[i]);
-  }
 }
 
 // Multi-scenario sweeps aggregate in plan order and stay deterministic.
