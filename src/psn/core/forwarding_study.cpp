@@ -17,7 +17,6 @@ ForwardingStudyResult run_forwarding_study(
   pc.runs = config.runs;
   pc.master_seed = config.seed;
   pc.message_rate = config.message_rate;
-  pc.seed_mode = engine::SeedMode::kSharedAcrossScenarios;
   pc.traffic = config.traffic;
   pc.message_size_bytes = config.message_size_bytes;
   pc.message_ttl = config.message_ttl;
@@ -67,7 +66,6 @@ OfferedLoadStudy run_offered_load_study(const Dataset& dataset,
     pc.runs = config.runs;
     pc.master_seed = config.seed;
     pc.message_rate = config.base_message_rate * multiplier;
-    pc.seed_mode = engine::SeedMode::kSharedAcrossScenarios;
     pc.traffic = config.traffic;
     pc.message_size_bytes = config.message_size_bytes;
     pc.message_ttl = config.message_ttl;

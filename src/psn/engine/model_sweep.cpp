@@ -1,12 +1,12 @@
 #include "psn/engine/model_sweep.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "psn/engine/clock.hpp"
-#include "psn/engine/error_slot.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/model/workspace.hpp"
 #include "psn/stats/summary.hpp"
@@ -148,7 +148,10 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
           : owned_pool.emplace(options.threads == 0
                                    ? ThreadPool::hardware_threads()
                                    : options.threads);
-  ErrorSlot errors;
+  // Each phase is one fan-out on this executor: shards write only their
+  // own pre-sized slots, and the call returns once every shard is done
+  // (rethrowing the first failure).
+  const util::ParallelFor parallel = parallel_for(pool);
 
   const std::size_t num_scenarios = plan.scenarios.size();
   const std::size_t replicas = plan.config.jump_replicas;
@@ -164,39 +167,32 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
   };
   std::vector<model::HeterogeneousPopulation> populations(num_scenarios);
   std::vector<std::vector<PairSample>> pairs(num_scenarios);
-  for (std::size_t s = 0; s < num_scenarios; ++s) {
-    if (plan.scenarios[s].mc.messages == 0) continue;
-    pool.submit([&plan, &populations, &pairs, &errors, master, s] {
-      try {
-        const model::HeterogeneousMcConfig& config = plan.scenarios[s].mc;
-        util::Rng population_rng(model_mc_population_seed(master, s));
-        populations[s] =
-            model::make_heterogeneous_population(config, population_rng);
-        util::Rng pair_rng(model_mc_pair_seed(master, s));
-        const std::size_t n = config.population;
-        pairs[s].reserve(config.messages);
-        for (std::size_t m = 0; m < config.messages; ++m) {
-          PairSample pair;
-          pair.source =
-              static_cast<std::size_t>(pair_rng.uniform_index(n));
-          pair.destination =
-              static_cast<std::size_t>(pair_rng.uniform_index(n - 1));
-          if (pair.destination >= pair.source) ++pair.destination;
-          pairs[s].push_back(pair);
-        }
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  parallel(num_scenarios, [&](std::size_t s) {
+    const model::HeterogeneousMcConfig& config = plan.scenarios[s].mc;
+    if (config.messages == 0) return;
+    util::Rng population_rng(model_mc_population_seed(master, s));
+    populations[s] =
+        model::make_heterogeneous_population(config, population_rng);
+    util::Rng pair_rng(model_mc_pair_seed(master, s));
+    const std::size_t n = config.population;
+    pairs[s].reserve(config.messages);
+    for (std::size_t m = 0; m < config.messages; ++m) {
+      PairSample pair;
+      pair.source = static_cast<std::size_t>(pair_rng.uniform_index(n));
+      pair.destination =
+          static_cast<std::size_t>(pair_rng.uniform_index(n - 1));
+      if (pair.destination >= pair.source) ++pair.destination;
+      pairs[s].push_back(pair);
+    }
+  });
 
-  // Phase 2: the replica/message matrix. Each task is self-contained —
-  // it seeds its own substream from (master, scenario, slot), reads only
-  // immutable shared inputs, and writes into its slot, so nothing
-  // depends on scheduling order. One ModelWorkspace per worker thread:
-  // the O(N) state vectors are reused across every unit the thread runs.
+  // Phase 2: the replica/message matrix, one shard per unit: scenario s
+  // owns units [first_unit[s], first_unit[s + 1]), its jump replicas
+  // first, then its MC messages. Each shard seeds its own substream from
+  // (master, scenario, slot), reads only immutable shared inputs, and
+  // writes only its own slot, so nothing depends on scheduling order.
+  // One ModelWorkspace per worker thread: the O(N) state vectors are
+  // reused across every unit the thread runs.
   std::vector<std::vector<std::vector<model::JumpSample>>> jump_runs(
       num_scenarios);
   std::vector<std::vector<model::JumpRunTelemetry>> jump_telemetry(
@@ -204,6 +200,7 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
   std::vector<std::vector<double>> jump_walls(num_scenarios);
   std::vector<std::vector<model::McMessageResult>> mc_results(num_scenarios);
   std::vector<std::vector<double>> mc_walls(num_scenarios);
+  std::vector<std::size_t> first_unit(num_scenarios + 1, 0);
   for (std::size_t s = 0; s < num_scenarios; ++s) {
     jump_runs[s].resize(replicas);
     jump_telemetry[s].resize(replicas);
@@ -211,45 +208,32 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
     const std::size_t messages = plan.scenarios[s].mc.messages;
     mc_results[s].resize(messages);
     mc_walls[s].assign(messages, 0.0);
+    first_unit[s + 1] = first_unit[s] + replicas + messages;
   }
-  for (std::size_t s = 0; s < num_scenarios; ++s) {
-    for (std::size_t r = 0; r < replicas; ++r) {
-      pool.submit([&plan, &jump_runs, &jump_telemetry, &jump_walls, &errors,
-                   master, s, r] {
-        try {
-          const auto start = Clock::now();
-          model::JumpSimConfig config = plan.scenarios[s].jump;
-          config.seed = model_jump_replica_seed(master, s, r);
-          thread_local model::ModelWorkspace workspace;
-          model::JumpRunTelemetry telemetry;
-          jump_runs[s][r] =
-              model::run_jump_simulation(config, workspace, &telemetry);
-          jump_telemetry[s][r] = telemetry;
-          jump_walls[s][r] = seconds_since(start);
-        } catch (...) {
-          errors.capture();
-        }
-      });
+  parallel(first_unit.back(), [&](std::size_t unit) {
+    const std::size_t s = static_cast<std::size_t>(
+        std::upper_bound(first_unit.begin(), first_unit.end(), unit) -
+        first_unit.begin() - 1);
+    const std::size_t u = unit - first_unit[s];
+    const auto start = Clock::now();
+    thread_local model::ModelWorkspace workspace;
+    if (u < replicas) {
+      model::JumpSimConfig config = plan.scenarios[s].jump;
+      config.seed = model_jump_replica_seed(master, s, u);
+      model::JumpRunTelemetry telemetry;
+      jump_runs[s][u] =
+          model::run_jump_simulation(config, workspace, &telemetry);
+      jump_telemetry[s][u] = telemetry;
+      jump_walls[s][u] = seconds_since(start);
+      return;
     }
-    for (std::size_t m = 0; m < plan.scenarios[s].mc.messages; ++m) {
-      pool.submit([&plan, &populations, &pairs, &mc_results, &mc_walls,
-                   &errors, master, s, m] {
-        try {
-          const auto start = Clock::now();
-          util::Rng rng(model_mc_message_seed(master, s, m));
-          thread_local model::ModelWorkspace workspace;
-          mc_results[s][m] = model::simulate_mc_message(
-              populations[s], plan.scenarios[s].mc, pairs[s][m].source,
-              pairs[s][m].destination, rng, workspace.mc_state);
-          mc_walls[s][m] = seconds_since(start);
-        } catch (...) {
-          errors.capture();
-        }
-      });
-    }
-  }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+    const std::size_t m = u - replicas;
+    util::Rng rng(model_mc_message_seed(master, s, m));
+    mc_results[s][m] = model::simulate_mc_message(
+        populations[s], plan.scenarios[s].mc, pairs[s][m].source,
+        pairs[s][m].destination, rng, workspace.mc_state);
+    mc_walls[s][m] = seconds_since(start);
+  });
 
   // Phase 3: aggregation, single-threaded in slot order (replica-major,
   // then message) — deterministic regardless of completion order.

@@ -104,7 +104,9 @@ struct ModelSweepOptions {
   /// `pool` is set.
   std::size_t threads = 0;
   /// Execute on this caller-owned pool instead of a private one (the
-  /// psn_serve batching hook; see SweepOptions::pool).
+  /// psn_serve batching hook). The sweep waits only for its own shards,
+  /// so it may share the pool with other sweeps or be entered from one of
+  /// the pool's own tasks (see SweepOptions::pool).
   ThreadPool* pool = nullptr;
   /// Retain the raw per-message MC results in the cells (the quadrant
   /// summary is always computed; large sweeps switch this off to bound

@@ -7,7 +7,6 @@
 
 #include "psn/core/workload.hpp"
 #include "psn/engine/clock.hpp"
-#include "psn/engine/error_slot.hpp"
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/thread_pool.hpp"
 
@@ -15,33 +14,13 @@ namespace psn::engine {
 
 namespace {
 
-/// Submits one task per message: enumerate into the slot-addressed
-/// `results[i]`, accumulating the per-message wall into `walls[i]`.
-/// Callers wait_idle() and rethrow before reading either.
-void submit_sample(ThreadPool& pool, ErrorSlot& errors,
-                   const paths::KPathEnumerator& enumerator,
-                   const std::vector<paths::MessageSpec>& messages,
-                   std::vector<paths::EnumerationResult>& results,
-                   std::vector<double>* walls) {
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    pool.submit([&enumerator, &messages, &results, walls, &errors, i] {
-      try {
-        const auto start = Clock::now();
-        const paths::MessageSpec& m = messages[i];
-        // One workspace per worker thread, reused across every message
-        // the thread enumerates: the sweep's steady state allocates
-        // nothing. Workspaces never influence results (paths_test's
-        // workspace-reuse equivalence).
-        thread_local paths::EnumeratorWorkspace workspace;
-        results[i] =
-            enumerator.enumerate(m.source, m.destination, m.t_start,
-                                 workspace);
-        if (walls != nullptr) (*walls)[i] = seconds_since(start);
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
+/// Enumerates one message on this thread's reusable workspace: the
+/// sweep's steady state allocates nothing. Workspaces never influence
+/// results (paths_test's workspace-reuse equivalence).
+paths::EnumerationResult enumerate_on_thread(
+    const paths::KPathEnumerator& enumerator, const paths::MessageSpec& m) {
+  thread_local paths::EnumeratorWorkspace workspace;
+  return enumerator.enumerate(m.source, m.destination, m.t_start, workspace);
 }
 
 }  // namespace
@@ -66,60 +45,56 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
           : owned_pool.emplace(options.threads == 0
                                    ? ThreadPool::hardware_threads()
                                    : options.threads);
-  ErrorSlot errors;
+  // Each phase is one fan-out on this executor: shards write only their
+  // own pre-sized slots, and the call returns once every shard is done
+  // (rethrowing the first failure).
+  const util::ParallelFor parallel = parallel_for(pool);
+  const std::size_t num_scenarios = plan.scenarios.size();
+  const std::size_t messages = plan.config.messages;
 
   // Phase 1: shared read-only inputs — one immutable ScenarioContext
   // (dataset + space-time graph) per scenario from the process-wide cache
   // (built exactly once per cell; reused outright when a caller already
   // holds the scenario's context), and each scenario's message sample,
   // drawn from the study's isolated stream exactly as the serial study
-  // drew it.
-  std::vector<std::shared_ptr<const ScenarioContext>> contexts(
-      plan.scenarios.size());
-  std::vector<std::vector<paths::MessageSpec>> samples(plan.scenarios.size());
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-    pool.submit([&plan, &contexts, &samples, &errors, s] {
-      try {
-        const Scenario& scenario = plan.scenarios[s];
-        contexts[s] = ScenarioContextCache::instance().acquire(scenario);
-        samples[s] = core::uniform_message_sample(
-            scenario.dataset->trace.num_nodes(), plan.config.messages,
-            scenario.dataset->message_horizon, plan.config.seed);
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  // drew it (always `messages` specs).
+  std::vector<std::shared_ptr<const ScenarioContext>> contexts(num_scenarios);
+  std::vector<std::vector<paths::MessageSpec>> samples(num_scenarios);
+  parallel(num_scenarios, [&](std::size_t s) {
+    const Scenario& scenario = plan.scenarios[s];
+    contexts[s] = ScenarioContextCache::instance().acquire(scenario);
+    samples[s] = core::uniform_message_sample(
+        scenario.dataset->trace.num_nodes(), messages,
+        scenario.dataset->message_horizon, plan.config.seed);
+  });
 
-  // Phase 2: the message matrix. Each task is self-contained — it reads
-  // its message spec and the scenario's shared context, and writes into
-  // its (scenario, message) slot, so nothing depends on scheduling order.
+  // Phase 2: the message matrix, one shard per (scenario, message) slot.
+  // Each shard reads its message spec and the scenario's shared context
+  // and writes only its own slot, so nothing depends on scheduling order.
   paths::EnumeratorConfig ec;
   ec.k = plan.config.k;
   ec.record_paths = plan.config.record_paths;
   std::vector<paths::KPathEnumerator> enumerators;
-  enumerators.reserve(plan.scenarios.size());
-  std::vector<std::vector<paths::EnumerationResult>> results(
-      plan.scenarios.size());
-  std::vector<std::vector<double>> walls(plan.scenarios.size());
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
+  enumerators.reserve(num_scenarios);
+  for (std::size_t s = 0; s < num_scenarios; ++s)
     enumerators.emplace_back(*contexts[s]->graph, ec);
-    results[s].resize(samples[s].size());
-    walls[s].assign(samples[s].size(), 0.0);
-  }
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s)
-    submit_sample(pool, errors, enumerators[s], samples[s], results[s],
-                  &walls[s]);
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  std::vector<std::vector<paths::EnumerationResult>> results(
+      num_scenarios, std::vector<paths::EnumerationResult>(messages));
+  std::vector<std::vector<double>> walls(num_scenarios,
+                                         std::vector<double>(messages, 0.0));
+  parallel(num_scenarios * messages, [&](std::size_t i) {
+    const std::size_t s = i / messages;
+    const std::size_t m = i % messages;
+    const auto start = Clock::now();
+    results[s][m] = enumerate_on_thread(enumerators[s], samples[s][m]);
+    walls[s][m] = seconds_since(start);
+  });
 
   // Phase 3: aggregation, single-threaded in plan order.
   PathSweepResult out;
   out.threads = pool.size();  // actual worker count, after clamping.
-  out.cells.reserve(plan.scenarios.size());
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
+  out.cells.reserve(num_scenarios);
+  for (std::size_t s = 0; s < num_scenarios; ++s) {
     PathCell cell;
     cell.scenario = plan.scenarios[s].name;
     cell.messages = std::move(samples[s]);
@@ -140,15 +115,12 @@ std::vector<paths::EnumerationResult> enumerate_sample(
     const graph::SpaceTimeGraph& graph,
     const std::vector<paths::MessageSpec>& messages,
     const paths::EnumeratorConfig& config, std::size_t threads) {
-  const std::size_t workers =
-      threads == 0 ? ThreadPool::hardware_threads() : threads;
-  ThreadPool pool(workers);
-  ErrorSlot errors;
+  ThreadPool pool(threads == 0 ? ThreadPool::hardware_threads() : threads);
   const paths::KPathEnumerator enumerator(graph, config);
   std::vector<paths::EnumerationResult> results(messages.size());
-  submit_sample(pool, errors, enumerator, messages, results, nullptr);
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  parallel_for(pool)(messages.size(), [&](std::size_t i) {
+    results[i] = enumerate_on_thread(enumerator, messages[i]);
+  });
   return results;
 }
 

@@ -1,26 +1,13 @@
 #include "psn/engine/run_spec.hpp"
 
-#include "psn/util/rng.hpp"
-
 namespace psn::engine {
 
 namespace {
 
-// Historical per-run strides of core::run_forwarding_study; kept so that
-// kSharedAcrossScenarios plans reproduce pre-engine results exactly.
+// Historical per-run strides of core::run_forwarding_study, so plans
+// reproduce pre-engine results exactly.
 constexpr std::uint64_t kWorkloadStride = 1000003ULL;
 constexpr std::uint64_t kSimStride = 7919ULL;
-
-// Scenario salt for kPerScenario: one SplitMix64 round over the master
-// seed xored with a scenario tag, giving well-separated base seeds.
-std::uint64_t scenario_base(std::uint64_t master_seed, std::size_t scenario,
-                            SeedMode mode) noexcept {
-  if (mode == SeedMode::kSharedAcrossScenarios || scenario == 0)
-    return master_seed;
-  std::uint64_t state =
-      master_seed ^ (0x5851f42d4c957f2dULL * static_cast<std::uint64_t>(scenario));
-  return util::splitmix64(state);
-}
 
 }  // namespace
 
@@ -38,16 +25,13 @@ Scenario make_scenario(const core::Dataset& dataset, trace::Seconds delta) {
 }
 
 std::uint64_t workload_stream_seed(std::uint64_t master_seed,
-                                   std::size_t scenario, std::size_t run,
-                                   SeedMode mode) noexcept {
-  return scenario_base(master_seed, scenario, mode) +
-         static_cast<std::uint64_t>(run) * kWorkloadStride;
+                                   std::size_t run) noexcept {
+  return master_seed + static_cast<std::uint64_t>(run) * kWorkloadStride;
 }
 
-std::uint64_t sim_stream_seed(std::uint64_t master_seed, std::size_t scenario,
-                              std::size_t run, SeedMode mode) noexcept {
-  return scenario_base(master_seed, scenario, mode) +
-         static_cast<std::uint64_t>(run) * kSimStride;
+std::uint64_t sim_stream_seed(std::uint64_t master_seed,
+                              std::size_t run) noexcept {
+  return master_seed + static_cast<std::uint64_t>(run) * kSimStride;
 }
 
 SweepPlan make_plan(std::vector<Scenario> scenarios,
@@ -66,10 +50,8 @@ SweepPlan make_plan(std::vector<Scenario> scenarios,
         spec.scenario = s;
         spec.algorithm = a;
         spec.run = r;
-        spec.workload_seed =
-            workload_stream_seed(config.master_seed, s, r, config.seed_mode);
-        spec.sim_seed =
-            sim_stream_seed(config.master_seed, s, r, config.seed_mode);
+        spec.workload_seed = workload_stream_seed(config.master_seed, r);
+        spec.sim_seed = sim_stream_seed(config.master_seed, r);
         spec.message_rate = config.message_rate;
         plan.runs.push_back(spec);
       }

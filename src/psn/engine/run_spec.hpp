@@ -58,23 +58,10 @@ struct RunSpec {
   double message_rate = 0.25;
 };
 
-/// How per-run streams are derived from the master seed.
-enum class SeedMode {
-  /// Streams depend on the run index only — every scenario replays the
-  /// same workload sequence. This is the historical behavior of the
-  /// figure drivers (each dataset was studied with the same config seed),
-  /// so single-scenario plans reproduce pre-engine results bit for bit.
-  kSharedAcrossScenarios,
-  /// Streams are additionally salted by scenario index, giving every
-  /// scenario statistically independent workloads.
-  kPerScenario,
-};
-
 struct PlanConfig {
   std::size_t runs = 10;          ///< repetitions per (scenario, algorithm).
   std::uint64_t master_seed = 7;  ///< root of all derived streams.
   double message_rate = 0.25;     ///< messages per second (paper: 1 per 4s).
-  SeedMode seed_mode = SeedMode::kSharedAcrossScenarios;
   /// Network-side traffic limits applied to every run of the sweep; the
   /// default (unlimited) reproduces the unconstrained sweeps bit-for-bit.
   forward::TrafficConfig traffic;
@@ -85,7 +72,7 @@ struct PlanConfig {
 
 /// A fully expanded sweep: the axes plus the linearized cross product.
 /// runs[] is ordered scenario-major, then algorithm, then repetition; the
-/// position of a spec in this vector is its result slot (result_store.hpp).
+/// position of a spec in this vector is its result slot in run_sweep.
 struct SweepPlan {
   std::vector<Scenario> scenarios;
   std::vector<std::string> algorithms;  ///< forward registry names.
@@ -102,17 +89,16 @@ struct SweepPlan {
   }
 };
 
-/// Seed of the workload stream for (scenario, run) under `mode`.
+/// Seed of the workload stream of repetition `run`. Every scenario of a
+/// plan replays the same stream, as the pre-engine studies did (each
+/// dataset was studied with the same config seed), so single-scenario
+/// plans reproduce pre-engine results bit for bit.
 [[nodiscard]] std::uint64_t workload_stream_seed(std::uint64_t master_seed,
-                                                 std::size_t scenario,
-                                                 std::size_t run,
-                                                 SeedMode mode) noexcept;
+                                                 std::size_t run) noexcept;
 
-/// Seed of the simulator tie-break stream for (scenario, run).
+/// Seed of the simulator tie-break stream of repetition `run`.
 [[nodiscard]] std::uint64_t sim_stream_seed(std::uint64_t master_seed,
-                                            std::size_t scenario,
-                                            std::size_t run,
-                                            SeedMode mode) noexcept;
+                                            std::size_t run) noexcept;
 
 /// Expands the cross product into a SweepPlan.
 [[nodiscard]] SweepPlan make_plan(std::vector<Scenario> scenarios,

@@ -7,8 +7,6 @@
 
 #include "psn/core/workload.hpp"
 #include "psn/engine/clock.hpp"
-#include "psn/engine/error_slot.hpp"
-#include "psn/engine/result_store.hpp"
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/forward/algorithm_registry.hpp"
@@ -34,61 +32,49 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
           : owned_pool.emplace(options.threads == 0
                                    ? ThreadPool::hardware_threads()
                                    : options.threads);
-  ErrorSlot errors;
-  // Pool-backed executor for the sharded graph builds (phase 1). Caller
-  // participation makes it safe to invoke from inside pool tasks.
-  const util::ParallelFor pool_executor = parallel_for(pool);
+  // Every phase is one fan-out on this executor: each shard writes only
+  // its own pre-sized slot, and the call returns once every shard is
+  // done (rethrowing the first failure). The phase-1 graph builds shard
+  // on it too, from inside their own shard.
+  const util::ParallelFor parallel = parallel_for(pool);
+  const std::size_t num_scenarios = plan.scenarios.size();
 
   // Phase 1: shared read-only inputs, built in parallel — one immutable
   // ScenarioContext (dataset + space-time graph) per scenario from the
   // process-wide cache (built exactly once per cell; reused outright when
   // a caller already holds the scenario's context), and one workload per
-  // (scenario, run). Workloads are algorithm-independent by construction
-  // (paired comparisons), so generating them here does the work once
-  // instead of once per algorithm; tasks copy them into their records.
-  std::vector<std::shared_ptr<const ScenarioContext>> contexts(
-      plan.scenarios.size());
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-    pool.submit([&plan, &contexts, &errors, &pool_executor, s] {
-      try {
-        contexts[s] = ScenarioContextCache::instance().acquire(
-            plan.scenarios[s], &pool_executor);
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
-  std::vector<std::vector<forward::Message>> workloads(
-      plan.scenarios.size() * plan.config.runs);
-  const auto canonical_spec = [&plan](std::size_t s, std::size_t r)
-      -> const RunSpec& { return plan.runs[plan.slot(s, 0, r)]; };
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-    for (std::size_t r = 0; r < plan.config.runs; ++r) {
-      pool.submit([&plan, &workloads, &errors, &canonical_spec, s, r] {
-        try {
-          const Scenario& scenario = plan.scenarios[s];
-          const RunSpec& spec = canonical_spec(s, r);
-          core::WorkloadConfig wc;
-          wc.mode = core::WorkloadMode::kPoissonRate;
-          wc.message_rate = spec.message_rate;
-          wc.horizon = scenario.dataset->message_horizon;
-          wc.seed = spec.workload_seed;
-          wc.size_bytes = plan.config.message_size_bytes;
-          wc.ttl = plan.config.message_ttl;
-          workloads[s * plan.config.runs + r] = core::generate_workload(
-              scenario.dataset->trace.num_nodes(), wc);
-        } catch (...) {
-          errors.capture();
-        }
-      });
+  // (scenario, run). Both share one index space, so the context builds
+  // overlap the workload draws. Workloads are algorithm-independent by
+  // construction (make_plan gives every algorithm of a (scenario, run)
+  // the same stream: paired comparisons), so generating them here does
+  // the work once instead of once per algorithm; runs copy them.
+  std::vector<std::shared_ptr<const ScenarioContext>> contexts(num_scenarios);
+  std::vector<std::vector<forward::Message>> workloads(num_scenarios *
+                                                     plan.config.runs);
+  parallel(num_scenarios + workloads.size(), [&](std::size_t i) {
+    if (i < num_scenarios) {
+      contexts[i] = ScenarioContextCache::instance().acquire(
+          plan.scenarios[i], &parallel);
+      return;
     }
-  }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+    const std::size_t w = i - num_scenarios;  // s * runs + r.
+    const std::size_t s = w / plan.config.runs;
+    const Scenario& scenario = plan.scenarios[s];
+    const RunSpec& spec = plan.runs[plan.slot(s, 0, w % plan.config.runs)];
+    core::WorkloadConfig wc;
+    wc.mode = core::WorkloadMode::kPoissonRate;
+    wc.message_rate = spec.message_rate;
+    wc.horizon = scenario.dataset->message_horizon;
+    wc.seed = spec.workload_seed;
+    wc.size_bytes = plan.config.message_size_bytes;
+    wc.ttl = plan.config.message_ttl;
+    workloads[w] =
+        core::generate_workload(scenario.dataset->trace.num_nodes(), wc);
+  });
 
   // Phase 1.5: shared observation snapshots. Each algorithm that
   // publishes a snapshot key gets its snapshot built once per scenario,
-  // here, in parallel across (scenario, key) — not inside phase-2 tasks,
+  // here, in parallel across (scenario, key) — not inside phase-2 shards,
   // where every run of a scenario would serialize on the one build. The
   // adoption path below still calls get_or_build, so correctness never
   // depends on this wave (it is purely a scheduling optimization).
@@ -104,109 +90,68 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       for (const auto& [k, a] : snapshot_jobs) seen = seen || k == key;
       if (!seen) snapshot_jobs.emplace_back(key, name);
     }
-    for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-      for (std::size_t j = 0; j < snapshot_jobs.size(); ++j) {
-        pool.submit([&contexts, &snapshot_jobs, &errors, s, j] {
-          try {
-            const ScenarioContext& context = *contexts[s];
-            const auto proto =
-                forward::make_algorithm(snapshot_jobs[j].second);
-            const auto [snapshot, built] =
-                context.observations->get_or_build(snapshot_jobs[j].first, [&] {
-                  return proto->build_shared_snapshot(*context.graph,
-                                                      context.dataset->trace);
-                });
-            if (built) ScenarioContextCache::instance().reaccount(context);
-          } catch (...) {
-            errors.capture();
-          }
-        });
-      }
-    }
-    pool.wait_idle();
-    errors.rethrow_if_set();
+    parallel(num_scenarios * snapshot_jobs.size(), [&](std::size_t i) {
+      const ScenarioContext& context = *contexts[i / snapshot_jobs.size()];
+      const auto& [key, name] = snapshot_jobs[i % snapshot_jobs.size()];
+      const auto proto = forward::make_algorithm(name);
+      const auto [snapshot, built] =
+          context.observations->get_or_build(key, [&] {
+            return proto->build_shared_snapshot(*context.graph,
+                                                context.dataset->trace);
+          });
+      if (built) ScenarioContextCache::instance().reaccount(context);
+    });
     if (!snapshot_jobs.empty())
       snapshot_wall_seconds = seconds_since(snapshot_start);
   }
 
-  // Phase 2: the run matrix. Each task is self-contained — it derives its
-  // workload and algorithm instance from the spec alone and writes into
-  // its plan slot, so nothing here depends on scheduling order.
-  ResultStore store(plan.total_runs());
-  for (std::size_t slot = 0; slot < plan.runs.size(); ++slot) {
-    pool.submit([&plan, &options, &contexts, &workloads, &store, &errors,
-                 &canonical_spec, slot] {
-      try {
-        const RunSpec& spec = plan.runs[slot];
-        const Scenario& scenario = plan.scenarios[spec.scenario];
-        const auto run_start = Clock::now();
+  // Phase 2: the run matrix, one shard per plan slot. Each shard is
+  // self-contained — it takes its workload and algorithm instance from
+  // its spec and writes only its own slot, so nothing here depends on
+  // scheduling order.
+  std::vector<forward::Run> run_results(plan.total_runs());
+  std::vector<double> run_walls(plan.total_runs(), 0.0);
+  parallel(plan.total_runs(), [&](std::size_t slot) {
+    const RunSpec& spec = plan.runs[slot];
+    const auto run_start = Clock::now();
+    forward::Run& run = run_results[slot];
+    run.messages = workloads[spec.scenario * plan.config.runs + spec.run];
 
-        RunRecord record;
-        record.spec = spec;
-        // make_plan gives every algorithm of a (scenario, run) the same
-        // workload stream, so the shared pre-generated workload applies;
-        // hand-built plans with divergent specs fall back to generating
-        // their own.
-        const RunSpec& canonical = canonical_spec(spec.scenario, spec.run);
-        if (spec.workload_seed == canonical.workload_seed &&
-            spec.message_rate == canonical.message_rate) {
-          record.run.messages =
-              workloads[spec.scenario * plan.config.runs + spec.run];
-        } else {
-          core::WorkloadConfig wc;
-          wc.mode = core::WorkloadMode::kPoissonRate;
-          wc.message_rate = spec.message_rate;
-          wc.horizon = scenario.dataset->message_horizon;
-          wc.seed = spec.workload_seed;
-          wc.size_bytes = plan.config.message_size_bytes;
-          wc.ttl = plan.config.message_ttl;
-          record.run.messages = core::generate_workload(
-              scenario.dataset->trace.num_nodes(), wc);
-        }
-
-        const auto algorithm =
-            forward::make_algorithm(plan.algorithms[spec.algorithm]);
-        const ScenarioContext& context = *contexts[spec.scenario];
-        if (options.observation == ObservationMode::kShared) {
-          const std::string key = algorithm->shared_snapshot_key();
-          if (!key.empty()) {
-            // Normally a hit on the phase-1.5 prebuild; builds here only
-            // when that wave was skipped or the snapshot was evicted.
-            const auto [snapshot, built] =
-                context.observations->get_or_build(key, [&] {
-                  return algorithm->build_shared_snapshot(
-                      *context.graph, context.dataset->trace);
-                });
-            if (built) ScenarioContextCache::instance().reaccount(context);
-            algorithm->adopt_shared_snapshot(snapshot);
-          }
-        }
-        forward::SimulationRequest request;
-        request.algorithm = algorithm.get();
-        request.graph = context.graph.get();
-        request.trace = &context.dataset->trace;
-        request.messages = &record.run.messages;
-        request.traffic = plan.config.traffic;
-        request.seed = spec.sim_seed;
-        request.replay = options.replay;
-        request.flood_kernel = options.flood_kernel;
-        request.contact_scan = options.contact_scan;
-        // One workspace per worker thread, reused across every run the
-        // thread executes: the sweep's steady state simulates without
-        // heap allocation. Workspaces never influence results (asserted
-        // by forward_test's workspace-reuse equivalence).
-        thread_local forward::SimulatorWorkspace workspace;
-        record.run.result = forward::simulate(request, workspace);
-
-        record.wall_seconds = seconds_since(run_start);
-        store.put(slot, std::move(record));
-      } catch (...) {
-        errors.capture();
+    const auto algorithm =
+        forward::make_algorithm(plan.algorithms[spec.algorithm]);
+    const ScenarioContext& context = *contexts[spec.scenario];
+    if (options.observation == ObservationMode::kShared) {
+      const std::string key = algorithm->shared_snapshot_key();
+      if (!key.empty()) {
+        // Normally a hit on the phase-1.5 prebuild; builds here only
+        // when the snapshot was evicted since.
+        const auto [snapshot, built] =
+            context.observations->get_or_build(key, [&] {
+              return algorithm->build_shared_snapshot(
+                  *context.graph, context.dataset->trace);
+            });
+        if (built) ScenarioContextCache::instance().reaccount(context);
+        algorithm->adopt_shared_snapshot(snapshot);
       }
-    });
-  }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+    }
+    forward::SimulationRequest request;
+    request.algorithm = algorithm.get();
+    request.graph = context.graph.get();
+    request.trace = &context.dataset->trace;
+    request.messages = &run.messages;
+    request.traffic = plan.config.traffic;
+    request.seed = spec.sim_seed;
+    request.replay = options.replay;
+    request.flood_kernel = options.flood_kernel;
+    request.contact_scan = options.contact_scan;
+    // One workspace per worker thread, reused across every run the
+    // thread executes: the sweep's steady state simulates without
+    // heap allocation. Workspaces never influence results (asserted
+    // by forward_test's workspace-reuse equivalence).
+    thread_local forward::SimulatorWorkspace workspace;
+    run.result = forward::simulate(request, workspace);
+    run_walls[slot] = seconds_since(run_start);
+  });
 
   // Phase 3: aggregation, single-threaded in plan order.
   SweepResult result;
@@ -226,17 +171,18 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       std::uint64_t transmissions = 0;
       std::size_t messages = 0;
       for (std::size_t r = 0; r < plan.config.runs; ++r) {
-        RunRecord record = store.take(plan.slot(s, a, r));
-        cell.run_walls.push_back(record.wall_seconds);
-        cell.truncated_relay_steps += record.run.result.truncated_relay_steps;
-        cell.expirations += record.run.result.expirations;
-        cell.evictions += record.run.result.evictions;
-        cell.drops += record.run.result.drops;
-        cell.budget_blocked += record.run.result.budget_blocked;
-        cell.buffer_rejections += record.run.result.buffer_rejections;
-        transmissions += record.run.result.transmissions;
-        messages += record.run.messages.size();
-        runs.push_back(std::move(record.run));
+        const std::size_t slot = plan.slot(s, a, r);
+        forward::Run& run = run_results[slot];
+        cell.run_walls.push_back(run_walls[slot]);
+        cell.truncated_relay_steps += run.result.truncated_relay_steps;
+        cell.expirations += run.result.expirations;
+        cell.evictions += run.result.evictions;
+        cell.drops += run.result.drops;
+        cell.budget_blocked += run.result.budget_blocked;
+        cell.buffer_rejections += run.result.buffer_rejections;
+        transmissions += run.result.transmissions;
+        messages += run.messages.size();
+        runs.push_back(std::move(run));
       }
       cell.overall = forward::aggregate_performance(cell.algorithm, runs);
       cell.by_pair_type = forward::split_by_pair_type(

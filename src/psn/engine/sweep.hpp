@@ -4,9 +4,10 @@
 //
 // Determinism guarantee: for a fixed plan, run_sweep produces bit-identical
 // CellSummary metrics at any thread count. Each run draws from its own
-// precomputed RNG streams (run_spec.hpp), results land in slot-addressed
-// storage (result_store.hpp), and aggregation walks slots in plan order.
-// Only the wall-clock telemetry fields vary between executions.
+// precomputed RNG streams (run_spec.hpp), every phase is one
+// engine::parallel_for whose shards write pre-sized slots addressed by
+// plan index, and aggregation walks slots in plan order. Only the
+// wall-clock telemetry fields vary between executions.
 
 #pragma once
 
@@ -85,9 +86,9 @@ struct SweepOptions {
   /// one — the batching hook a resident service (psn_serve) uses so every
   /// request shares one warm worker set (and its thread_local simulator
   /// workspaces) instead of paying pool spin-up per request. Results are
-  /// identical either way (slot-addressed, pool-independent). Must not be
-  /// called from inside a task of the same pool (wait_idle would
-  /// self-deadlock).
+  /// identical either way (slot-addressed, pool-independent). The sweep
+  /// waits only for its own shards, so it may run beside other sweeps on
+  /// the pool or be entered from one of the pool's own tasks.
   ThreadPool* pool = nullptr;
   /// Retain pooled delay vectors in the cells (Fig. 10 style drivers need
   /// them; large sweeps can switch them off to bound memory).

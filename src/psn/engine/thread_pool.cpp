@@ -1,5 +1,6 @@
 #include "psn/engine/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -10,6 +11,10 @@
 namespace psn::engine {
 
 namespace {
+
+/// The pool whose worker_loop runs on this thread, nullptr elsewhere:
+/// tells parallel_for a nested fan-out from an outside caller.
+thread_local const ThreadPool* current_pool = nullptr;
 
 /// Shared state of one parallel_for invocation. Heap-allocated and held
 /// by shared_ptr from every helper task, so the caller can return as soon
@@ -54,27 +59,29 @@ util::ParallelFor parallel_for(ThreadPool& pool) {
   return [&pool](std::size_t num_shards,
                  const std::function<void(std::size_t)>& f) {
     if (num_shards == 0) return;
-    if (num_shards == 1 || pool.size() <= 1) {
-      for (std::size_t shard = 0; shard < num_shards; ++shard) f(shard);
-      return;
-    }
     auto state = std::make_shared<ForState>();
     state->num_shards = num_shards;
     state->f = &f;
-    // One helper per worker (capped by shard count, minus the caller's
-    // own lane). Helpers queued behind other pool work simply arrive
-    // late and find nothing left; pool tasks must not throw, and
-    // drain() catches everything.
-    const std::size_t helpers =
-        std::min(pool.size(), num_shards) - std::size_t{1};
-    for (std::size_t h = 0; h < helpers; ++h)
+    // One lane per worker, capped by the shard count; a worker of this
+    // pool is one of the lanes itself. Helpers queued behind other pool
+    // work simply arrive late and find nothing left; pool tasks must not
+    // throw, and drain() catches everything.
+    const bool nested = current_pool == &pool;
+    const std::size_t lanes = std::min(pool.size(), num_shards);
+    for (std::size_t h = nested ? 1 : 0; h < lanes; ++h)
       pool.submit([state] { state->drain(); });
-    state->drain();
+    if (nested) state->drain();
+    // Take the exception out of the shared state under its lock, so the
+    // last reference to it dies on this thread: a helper task that drops
+    // the final ForState reference must not free an exception the caller
+    // is still reading.
+    std::exception_ptr error;
     {
       util::LockGuard lock(state->mu);
       while (!state->all_done) state->cv.wait(lock);
-      if (state->error) std::rethrow_exception(state->error);
+      error = std::exchange(state->error, nullptr);
     }
+    if (error) std::rethrow_exception(error);
   };
 }
 
@@ -108,6 +115,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {

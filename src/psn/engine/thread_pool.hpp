@@ -1,10 +1,10 @@
 // A fixed-size worker pool for the sweep engine.
 //
 // Deliberately minimal: FIFO queue, submit() + wait_idle(), no futures.
-// Determinism in the sweep does not come from the pool (task completion
-// order is arbitrary) but from result slots being addressed by plan index
-// (see result_store.hpp); the pool only needs to run every task exactly
-// once. Tasks must not throw — callers wrap their work and stash errors.
+// The engine fans out only through parallel_for below: every sweep phase
+// is one parallel_for call whose shards write pre-sized, index-addressed
+// slots, so results never depend on which thread ran a shard or when.
+// Tasks must not throw — parallel_for catches inside its own tasks.
 
 #pragma once
 
@@ -33,7 +33,9 @@ class ThreadPool {
   /// Enqueues a task. Safe to call from any thread, including workers.
   void submit(std::function<void()> task);
 
-  /// Blocks until the queue is empty and no task is executing.
+  /// Blocks until the queue is empty and no task is executing — every
+  /// task of every submitter, so a fan-out should wait on parallel_for
+  /// instead. Must not be called from a worker (it would wait on itself).
   void wait_idle();
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
@@ -55,16 +57,24 @@ class ThreadPool {
   bool stopping_ PSN_GUARDED_BY(mu_) = false;
 };
 
-/// Adapts `pool` to the util::ParallelFor contract. The caller thread
-/// always participates: shards are handed out from a shared atomic
-/// counter to the caller plus up to pool.size() helper tasks, so the
-/// construct works from inside a pool worker (helpers queue behind other
-/// work; the caller drains whatever they don't reach — no deadlock, no
-/// dependence on pool progress) and degenerates to the serial executor
-/// when the pool is busy or single-threaded. Shard results must not
-/// depend on which thread ran them (the ParallelFor contract); the first
-/// exception thrown by any shard is rethrown on the caller once every
-/// shard has been attempted.
+/// Adapts `pool` to the util::ParallelFor contract: runs f(shard) for
+/// every shard in [0, num_shards) exactly once and returns when all of
+/// them are done. Shards are handed out in index order from one atomic
+/// counter to up to min(pool.size(), num_shards) lanes.
+///
+/// Who takes a lane: pool workers only. A caller from outside the pool
+/// just waits, so shards (and their thread_local workspaces) stay on pool
+/// threads. A caller that is itself a worker of `pool` — a nested
+/// fan-out, such as a graph build inside a sweep shard or a sweep entered
+/// from a pool task — takes one lane and drains whatever the helpers it
+/// queued have not reached, so it never waits on tasks queued behind its
+/// own and cannot deadlock.
+///
+/// The call waits for its own shards only, never for unrelated pool work,
+/// so concurrent fan-outs on one pool do not wait on each other. The
+/// first exception thrown by any shard is rethrown on the caller once
+/// every shard has been attempted. Shard results must not depend on which
+/// thread ran them (the ParallelFor contract).
 ///
 /// The returned closure borrows `pool`, which must outlive it.
 [[nodiscard]] util::ParallelFor parallel_for(ThreadPool& pool);

@@ -22,7 +22,7 @@
 // be merged into ONE engine execution with bit-identical per-request
 // results. For forwarding requests the key deliberately EXCLUDES the
 // algorithm list: workload_stream_seed / sim_stream_seed depend only on
-// (scenario, run) — never the algorithm index — so merging the algorithm
+// the run index — never the algorithm index — so merging the algorithm
 // axes of several same-scenario, same-config requests into one plan
 // yields per-algorithm cells bit-identical to running each request alone
 // (serve_test pins this). Path and model requests coalesce only when

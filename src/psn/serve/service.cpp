@@ -198,8 +198,7 @@ void SweepService::dispatch_loop() {
     }
 
     // Groups run sequentially on this thread; the shared pool underneath
-    // provides the parallelism (and run_sweep must not be entered from
-    // inside its own pool).
+    // provides the parallelism.
     for (auto& [key, group] : groups) {
       (void)key;
       {

@@ -11,8 +11,7 @@
 // serving each request alone (request.hpp explains why; serve_test pins
 // it), and path/model groups are fully identical requests answered by one
 // execution. Groups run sequentially on the dispatcher thread — the pool
-// underneath provides the parallelism, and run_sweep must not be entered
-// from inside its own pool.
+// underneath provides the parallelism.
 //
 // Scenario contexts come from the process-wide ScenarioContextCache,
 // whose byte-budgeted retention is what turns the second request for a

@@ -22,7 +22,10 @@
 #include <vector>
 
 #include "psn/core/dataset.hpp"
+#include "psn/engine/path_sweep.hpp"
+#include "psn/engine/run_spec.hpp"
 #include "psn/engine/scenario_context.hpp"
+#include "psn/engine/sweep.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/forward/algorithm.hpp"
 #include "psn/forward/algorithm_registry.hpp"
@@ -288,6 +291,70 @@ TEST(ThreadPoolStress, ParallelForRethrowLeavesPoolHealthy) {
       after.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(after.load(), 16) << "round " << round;
+  }
+}
+
+// Two sweeps sharing one pool: a forwarding sweep and a path sweep run
+// at the same time, round after round, from two outside threads. Each
+// fan-out waits for its own shards only, so neither waits on the other,
+// and each result must equal its solo run. Under TSan this sweeps the
+// pool's queue, parallel_for's per-call state and the cache's per-entry
+// locks with two independent fan-outs interleaved on the same workers.
+TEST(SweepStress, ConcurrentSweepsShareOnePool) {
+  const auto scenario = owned_scenario(401, "stress-shared-pool");
+  engine::PlanConfig config;
+  config.runs = 2;
+  config.message_rate = 0.02;
+  const auto plan =
+      engine::make_plan({scenario}, {"Epidemic", "PRoPHET"}, config);
+  engine::PathSweepPlan path_plan;
+  path_plan.scenarios = {scenario};
+  path_plan.config.messages = 16;
+  path_plan.config.k = 40;
+
+  engine::ThreadPool pool(4);
+  engine::SweepOptions options;
+  options.pool = &pool;
+  engine::PathSweepOptions path_options;
+  path_options.pool = &pool;
+  const auto solo = engine::run_sweep(plan, options);
+  const auto solo_paths = engine::run_path_sweep(path_plan, path_options);
+
+  constexpr int kRounds = 4;
+  std::vector<engine::SweepResult> sweeps(kRounds);
+  std::vector<engine::PathSweepResult> path_sweeps(kRounds);
+  std::barrier start(2);
+  std::thread forwarding([&] {
+    start.arrive_and_wait();
+    for (auto& sweep : sweeps) sweep = engine::run_sweep(plan, options);
+  });
+  std::thread paths([&] {
+    start.arrive_and_wait();
+    for (auto& sweep : path_sweeps)
+      sweep = engine::run_path_sweep(path_plan, path_options);
+  });
+  forwarding.join();
+  paths.join();
+
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_EQ(sweeps[round].cells.size(), solo.cells.size());
+    for (std::size_t c = 0; c < solo.cells.size(); ++c) {
+      const auto& got = sweeps[round].cells[c];
+      const auto& want = solo.cells[c];
+      EXPECT_EQ(got.overall.delivered, want.overall.delivered) << round;
+      EXPECT_EQ(got.overall.average_delay, want.overall.average_delay)
+          << round;
+      EXPECT_EQ(got.cost_per_message, want.cost_per_message) << round;
+      EXPECT_EQ(got.delays, want.delays) << round;
+    }
+    const auto& got = path_sweeps[round].cells.at(0).records;
+    const auto& want = solo_paths.cells.at(0).records;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t m = 0; m < want.size(); ++m) {
+      EXPECT_EQ(got[m].delivered, want[m].delivered) << round;
+      EXPECT_EQ(got[m].optimal_duration, want[m].optimal_duration) << round;
+      EXPECT_EQ(got[m].total_paths, want[m].total_paths) << round;
+    }
   }
 }
 

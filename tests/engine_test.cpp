@@ -1,22 +1,28 @@
-// Tests for psn::engine: the thread pool, plan expansion / seed streams,
-// the result store, and — the load-bearing property — determinism of the
-// sweep under parallelism: the same plan must produce bit-identical
-// aggregated metrics at 1, 2, and 8 threads.
+// Tests for psn::engine: the thread pool and parallel_for's contract,
+// plan expansion / seed streams, sweeps entered from a task of their own
+// pool, and — the load-bearing property — determinism of the sweep under
+// parallelism: the same plan must produce bit-identical aggregated
+// metrics at 1, 2, and 8 threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "psn/core/dataset.hpp"
 #include "psn/core/forwarding_study.hpp"
-#include "psn/engine/result_store.hpp"
+#include "psn/engine/model_sweep.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/engine/run_spec.hpp"
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/scenario_registry.hpp"
@@ -73,6 +79,31 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
   EXPECT_EQ(counter.load(), 1);
 }
 
+// The pool-only rule: a caller from outside the pool never takes a lane,
+// so every shard (and any thread_local workspace it warms) runs on a pool
+// worker — exactly once, at any pool and shard count.
+TEST(ParallelFor, OutsideCallerRunsEveryShardOnceOnThePool) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const util::ParallelFor parallel = parallel_for(pool);
+    for (const std::size_t shards : {1u, 4u, 64u}) {
+      std::vector<std::atomic<int>> runs(shards);
+      std::vector<std::thread::id> ran_on(shards);
+      parallel(shards, [&](std::size_t shard) {
+        runs[shard].fetch_add(1, std::memory_order_relaxed);
+        ran_on[shard] = std::this_thread::get_id();
+      });
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        EXPECT_EQ(runs[shard].load(), 1)
+            << threads << " threads, shard " << shard << "/" << shards;
+        EXPECT_NE(ran_on[shard], caller)
+            << threads << " threads, shard " << shard << "/" << shards;
+      }
+    }
+  }
+}
+
 TEST(RunSpec, PlanExpandsFullCrossProduct) {
   const auto ds = small_dataset(11);
   PlanConfig config;
@@ -93,52 +124,24 @@ TEST(RunSpec, PlanExpandsFullCrossProduct) {
 
 TEST(RunSpec, SharedModeReproducesLegacyStudyStreams) {
   // The pre-engine forwarding study used seed + r*1000003 (workload) and
-  // seed + r*7919 (simulator); the shared mode must preserve both so old
+  // seed + r*7919 (simulator); the engine must preserve both so old
   // results stay reproducible.
   const std::uint64_t master = 7;
   for (std::size_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(workload_stream_seed(master, 0, r,
-                                   SeedMode::kSharedAcrossScenarios),
-              master + r * 1000003ULL);
-    EXPECT_EQ(sim_stream_seed(master, 0, r, SeedMode::kSharedAcrossScenarios),
-              master + r * 7919ULL);
-    // And scenario index must not matter in shared mode.
-    EXPECT_EQ(workload_stream_seed(master, 3, r,
-                                   SeedMode::kSharedAcrossScenarios),
-              workload_stream_seed(master, 0, r,
-                                   SeedMode::kSharedAcrossScenarios));
+    EXPECT_EQ(workload_stream_seed(master, r), master + r * 1000003ULL);
+    EXPECT_EQ(sim_stream_seed(master, r), master + r * 7919ULL);
   }
-}
-
-TEST(RunSpec, PerScenarioModeSeparatesStreams) {
-  const std::uint64_t master = 7;
-  EXPECT_EQ(workload_stream_seed(master, 0, 0, SeedMode::kPerScenario),
-            master);  // scenario 0 keeps the legacy stream.
-  EXPECT_NE(workload_stream_seed(master, 1, 0, SeedMode::kPerScenario),
-            workload_stream_seed(master, 0, 0, SeedMode::kPerScenario));
-  EXPECT_NE(workload_stream_seed(master, 1, 0, SeedMode::kPerScenario),
-            workload_stream_seed(master, 2, 0, SeedMode::kPerScenario));
-}
-
-TEST(ResultStore, SlotAddressedAndComplete) {
-  ResultStore store(3);
-  EXPECT_FALSE(store.complete());
-  for (std::size_t slot : {2u, 0u, 1u}) {  // out-of-order completion.
-    RunRecord record;
-    record.spec.run = slot;
-    store.put(slot, std::move(record));
+  // And every scenario of a plan replays the same streams.
+  PlanConfig config;
+  config.runs = 3;
+  config.master_seed = master;
+  const auto plan = make_plan({Scenario{}, Scenario{}}, {"Epidemic"}, config);
+  for (std::size_t r = 0; r < config.runs; ++r) {
+    EXPECT_EQ(plan.runs[plan.slot(1, 0, r)].workload_seed,
+              workload_stream_seed(master, r));
+    EXPECT_EQ(plan.runs[plan.slot(1, 0, r)].sim_seed,
+              sim_stream_seed(master, r));
   }
-  EXPECT_TRUE(store.complete());
-  const auto records = store.records();
-  for (std::size_t slot = 0; slot < 3; ++slot)
-    EXPECT_EQ(records[slot].spec.run, slot);
-}
-
-TEST(ResultStore, DoubleWriteThrows) {
-  ResultStore store(2);
-  store.put(0, RunRecord{});
-  EXPECT_THROW(store.put(0, RunRecord{}), std::logic_error);
-  EXPECT_THROW(store.put(7, RunRecord{}), std::out_of_range);
 }
 
 TEST(Sweep, UnknownAlgorithmPropagatesError) {
@@ -197,16 +200,14 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
   }
 }
 
-// Multi-scenario sweeps must be deterministic too, and per-scenario seed
-// mode must actually change the workloads of later scenarios.
-TEST(Sweep, MultiScenarioDeterminismAndSeedModes) {
+// Multi-scenario sweeps must be deterministic too.
+TEST(Sweep, MultiScenarioDeterministicAcrossThreadCounts) {
   const auto ds_a = small_dataset(19);
   const auto ds_b = small_dataset(23);
 
   PlanConfig config;
   config.runs = 2;
   config.message_rate = 0.02;
-  config.seed_mode = SeedMode::kPerScenario;
   const auto plan =
       make_plan({make_scenario(ds_a), make_scenario(ds_b)},
                 {"Epidemic", "Greedy"}, config);
@@ -887,6 +888,118 @@ TEST(Sweep, CallerOwnedPoolMatchesPrivatePool) {
     const auto got = run_sweep(plan, shared_pool);
     EXPECT_EQ(got.threads, 3u);
     expect_cells_identical(expected, got);
+  }
+}
+
+// Runs `sweep` as a task of a fresh heap-allocated pool of `threads`
+// workers and returns its result. A sweep that deadlocks fails the test
+// instead of hanging it: after the bounded wait the pool, with its stuck
+// worker, is leaked on purpose (destroying it would join that worker).
+template <typename Result>
+std::optional<Result> run_in_pool_task(
+    std::size_t threads, std::function<Result(ThreadPool&)> sweep) {
+  auto* pool = new ThreadPool(threads);
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> future = promise->get_future();
+  pool->submit([pool, promise, sweep = std::move(sweep)] {
+    try {
+      promise->set_value(sweep(*pool));
+    } catch (...) {
+      promise->set_exception(std::current_exception());
+    }
+  });
+  if (future.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << "sweep entered from a task of its own " << threads
+                  << "-thread pool did not return (deadlock)";
+    return std::nullopt;  // `pool` leaked: see above.
+  }
+  delete pool;
+  return future.get();
+}
+
+// Every sweep may be entered from a task of the pool it runs on (each
+// phase waits for its own shards only, and the entering worker takes a
+// lane), and returns exactly what a top-level call returns.
+TEST(Sweep, EverySweepRunsFromATaskOfItsOwnPool) {
+  const auto ds = small_dataset(47);
+  PlanConfig config;
+  config.runs = 2;
+  config.message_rate = 0.02;
+  const auto plan =
+      make_plan({make_scenario(ds)}, {"Epidemic", "PRoPHET"}, config);
+
+  PathSweepPlan path_plan;
+  path_plan.scenarios = {make_scenario(ds)};
+  path_plan.config.messages = 12;
+  path_plan.config.k = 40;
+
+  ModelSweepPlan model_plan;
+  ModelScenario model_scenario;
+  model_scenario.name = "nested";
+  model_scenario.jump.population = 200;
+  model_scenario.jump.t_end = 60.0;
+  model_scenario.jump.samples = 5;
+  model_scenario.mc.population = 60;
+  model_scenario.mc.max_rate = 0.15;
+  model_scenario.mc.t_end = 800.0;
+  model_scenario.mc.k = 50;
+  model_scenario.mc.messages = 12;
+  model_plan.scenarios = {model_scenario};
+  model_plan.config.jump_replicas = 3;
+
+  const SweepResult expected = run_sweep(plan);
+  const PathSweepResult expected_paths = run_path_sweep(path_plan);
+  const ModelSweepResult expected_model = run_model_sweep(model_plan);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const auto got = run_in_pool_task<SweepResult>(
+        threads, [&](ThreadPool& pool) {
+          SweepOptions options;
+          options.pool = &pool;
+          return run_sweep(plan, options);
+        });
+    if (got) expect_cells_identical(expected, *got);
+
+    const auto paths = run_in_pool_task<PathSweepResult>(
+        threads, [&](ThreadPool& pool) {
+          PathSweepOptions options;
+          options.pool = &pool;
+          return run_path_sweep(path_plan, options);
+        });
+    if (paths) {
+      const auto& want = expected_paths.cells.at(0).records;
+      const auto& have = paths->cells.at(0).records;
+      ASSERT_EQ(have.size(), want.size());
+      for (std::size_t m = 0; m < want.size(); ++m) {
+        EXPECT_EQ(have[m].delivered, want[m].delivered) << m;
+        EXPECT_EQ(have[m].exploded, want[m].exploded) << m;
+        EXPECT_EQ(have[m].optimal_duration, want[m].optimal_duration) << m;
+        EXPECT_EQ(have[m].time_to_explosion, want[m].time_to_explosion) << m;
+        EXPECT_EQ(have[m].total_paths, want[m].total_paths) << m;
+      }
+    }
+
+    const auto model = run_in_pool_task<ModelSweepResult>(
+        threads, [&](ThreadPool& pool) {
+          ModelSweepOptions options;
+          options.pool = &pool;
+          return run_model_sweep(model_plan, options);
+        });
+    if (model) {
+      const ModelCell& want = expected_model.cells.at(0);
+      const ModelCell& have = model->cells.at(0);
+      EXPECT_EQ(have.jump_events, want.jump_events);
+      ASSERT_EQ(have.trajectory.size(), want.trajectory.size());
+      for (std::size_t i = 0; i < want.trajectory.size(); ++i)
+        EXPECT_EQ(have.trajectory[i].mean_paths, want.trajectory[i].mean_paths);
+      ASSERT_EQ(have.messages.size(), want.messages.size());
+      for (std::size_t m = 0; m < want.messages.size(); ++m) {
+        EXPECT_EQ(have.messages[m].delivered, want.messages[m].delivered);
+        EXPECT_EQ(have.messages[m].exploded, want.messages[m].exploded);
+      }
+      EXPECT_EQ(have.quadrants.delivered, want.quadrants.delivered);
+    }
   }
 }
 

@@ -427,8 +427,7 @@ TEST(ModelSweep, HalvesAreIndependentlyOptional) {
 
 // Multi-scenario sweeps aggregate in plan order and stay deterministic
 // at any thread count. (A scenario's substreams are keyed by its plan
-// index — like SeedMode::kPerScenario — so reordering scenarios is, by
-// design, a different experiment.)
+// index, so reordering scenarios is, by design, a different experiment.)
 TEST(ModelSweep, MultiScenarioDeterministicAcrossThreadCounts) {
   ModelSweepPlan plan = small_plan();
   ModelScenario second = plan.scenarios[0];
