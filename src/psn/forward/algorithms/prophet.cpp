@@ -47,7 +47,8 @@ double ProphetTable::read(NodeId x, NodeId c, Step s) const {
          decay(s / params_.aging_unit - cell->w / params_.aging_unit);
 }
 
-void ProphetTable::observe(NodeId a, NodeId b, Step s, History* history) {
+void ProphetTable::observe(NodeId a, NodeId b, Step s,
+                           std::vector<Write>* log) {
   const std::vector<Cell>& ra = rows_[a];
   const std::vector<Cell>& rb = rows_[b];
   const Step unit = params_.aging_unit;
@@ -59,10 +60,10 @@ void ProphetTable::observe(NodeId a, NodeId b, Step s, History* history) {
   const auto aged = [gamma_pow, now, unit](const Cell* cell) {
     return cell == nullptr ? 0.0 : cell->v * gamma_pow[now - cell->w / unit];
   };
-  const auto write = [s, history](std::vector<Cell>& row, NodeId x, NodeId c,
-                                  double v) {
+  const auto write = [s, log](std::vector<Cell>& row, NodeId x, NodeId c,
+                              double v) {
     row.push_back(Cell{c, s, v});
-    if (history != nullptr) (*history)[x].push_back(Cell{c, s, v});
+    if (log != nullptr) log->push_back(Write{x, c, v});
   };
 
   // Direct encounter updates, both directions, always stored. A fresh
@@ -136,60 +137,51 @@ ProphetSnapshot::ProphetSnapshot(const graph::SpaceTimeGraph& graph,
                                  const ProphetParams& params)
     : aging_unit_(params.aging_unit) {
   const NodeId n = graph.num_nodes();
+  columns_.resize(n);
 
   // Replay the trace's new-contact events through the same table the
   // per-run algorithm uses, in the same order the simulator feeds
-  // observe_contact, appending every write to its node's buffer. The
-  // table is freed before the grouping below allocates.
-  ProphetTable::History history(n);
+  // observe_contact. Each step's writes collect in one flat log, then go
+  // to their destination columns in log order; scattering after the step
+  // keeps the appends out of the merge walk's way. Counting the step's
+  // writes per column first lets a column's first write open its run with
+  // the run's end already known.
   {
     ProphetTable table;
     table.init(n, params);
+    std::vector<ProphetTable::Write> log;
+    std::vector<std::uint32_t> pending(n, 0);  // this step's, per column.
     for (const graph::Step s : graph.active_steps()) {
       const auto edges = graph.edges(s);
       const auto flags = graph.new_edge_flags(s);
+      log.clear();
       for (std::size_t i = 0; i < edges.size(); ++i) {
         if (flags[i] == 0) continue;
-        table.observe(edges[i].a, edges[i].b, s, &history);
+        table.observe(edges[i].a, edges[i].b, s, &log);
+      }
+      for (const ProphetTable::Write& w : log) ++pending[w.c];
+      for (const ProphetTable::Write& w : log) {
+        Column& column = columns_[w.c];
+        if (pending[w.c] != 0) {
+          column.steps.push_back(s);
+          column.ends.push_back(
+              static_cast<std::uint32_t>(column.x.size() + pending[w.c]));
+          pending[w.c] = 0;
+        }
+        column.x.push_back(w.x);
+        column.v.push_back(w.v);
       }
     }
   }
-
-  // Group each buffer by peer into exact-size arrays, node by node,
-  // freeing the buffer before the next node. Writes were appended in
-  // nondecreasing step order, so a stable sort on the peer alone keeps
-  // each group chronological.
-  nodes_.resize(n);
-  for (NodeId x = 0; x < n; ++x) {
-    std::vector<ProphetTable::Cell>& writes = history[x];
-    std::stable_sort(
-        writes.begin(), writes.end(),
-        [](const ProphetTable::Cell& l, const ProphetTable::Cell& r) {
-          return l.c < r.c;
-        });
-    std::size_t groups = 0;
-    for (std::size_t i = 0; i < writes.size(); ++i)
-      if (i == 0 || writes[i].c != writes[i - 1].c) ++groups;
-    NodeWrites& node = nodes_[x];
-    node.peers.resize(groups);
-    node.starts.resize(groups + 1);
-    node.steps.resize(writes.size());
-    node.values.resize(writes.size());
-    std::size_t g = 0;
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (i == 0 || writes[i].c != writes[i - 1].c) {
-        node.peers[g] = writes[i].c;
-        node.starts[g++] = static_cast<std::uint32_t>(i);
-      }
-      node.steps[i] = writes[i].w;
-      node.values[i] = writes[i].v;
-    }
-    node.starts[groups] = static_cast<std::uint32_t>(writes.size());
-    std::vector<ProphetTable::Cell>().swap(writes);
+  for (Column& column : columns_) {
+    column.steps.shrink_to_fit();
+    column.ends.shrink_to_fit();
+    column.x.shrink_to_fit();
+    column.v.shrink_to_fit();
   }
 
   // Precompute the whole decay table (the iterated product the per-run
-  // table grows lazily) so queries are lock-free across sweep threads.
+  // table grows lazily) so reads are lock-free across sweep threads.
   const Step max_units =
       graph.num_steps() == 0
           ? 0
@@ -200,32 +192,46 @@ ProphetSnapshot::ProphetSnapshot(const graph::SpaceTimeGraph& graph,
     decay_[k] = decay_[k - 1] * params.gamma;
 }
 
-double ProphetSnapshot::query(NodeId x, NodeId c, Step s) const {
-  const NodeWrites& node = nodes_[x];
-  const auto peer = std::lower_bound(node.peers.begin(), node.peers.end(), c);
-  if (peer == node.peers.end() || *peer != c) return 0.0;
-  const auto g = static_cast<std::size_t>(peer - node.peers.begin());
-  const auto first = node.steps.begin() + node.starts[g];
-  const auto last = node.steps.begin() + node.starts[g + 1];
-  const auto it = std::upper_bound(first, last, s);
-  if (it == first) return 0.0;
-  const auto wi = static_cast<std::size_t>(it - node.steps.begin()) - 1;
-  const Step units = s / aging_unit_ - node.steps[wi] / aging_unit_;
-  // Simulation steps never leave the precomputed window; a query decayed
-  // past it is vanishingly small either way.
-  const double d = units < decay_.size() ? decay_[units] : 0.0;
-  return node.values[wi] * d;
+std::uint64_t ProphetSnapshot::bytes() const {
+  std::uint64_t total = columns_.size() * sizeof(Column) +
+                        decay_.size() * sizeof(double);
+  for (const Column& column : columns_)
+    total += column.steps.size() * sizeof(Step) +
+             column.ends.size() * sizeof(std::uint32_t) +
+             column.x.size() * sizeof(NodeId) +
+             column.v.size() * sizeof(double);
+  return total;
 }
 
-std::uint64_t ProphetSnapshot::bytes() const {
-  std::uint64_t total = nodes_.size() * sizeof(NodeWrites) +
-                        decay_.size() * sizeof(double);
-  for (const NodeWrites& node : nodes_)
-    total += node.peers.size() * sizeof(NodeId) +
-             node.starts.size() * sizeof(std::uint32_t) +
-             node.steps.size() * sizeof(Step) +
-             node.values.size() * sizeof(double);
-  return total;
+ProphetSnapshot::Cursor::Cursor(const ProphetSnapshot& snapshot)
+    : snapshot_(&snapshot), dense_(snapshot.columns_.size()) {}
+
+double ProphetSnapshot::Cursor::read(NodeId x, NodeId c, Step s) {
+  const Column& column = snapshot_->columns_[c];
+  const Step unit = snapshot_->aging_unit_;
+  Dense& dense = dense_[c];
+  if (dense.v.empty()) {
+    dense.unit.assign(dense_.size(), 0);
+    dense.v.assign(dense_.size(), 0.0);
+  }
+  // Catch up: every run at or before s, in order, so the last write of a
+  // node wins — within a step too.
+  for (; dense.run < column.steps.size() && column.steps[dense.run] <= s;
+       ++dense.run) {
+    const Step written = column.steps[dense.run] / unit;
+    for (; dense.write < column.ends[dense.run]; ++dense.write) {
+      const NodeId node = column.x[dense.write];
+      dense.unit[node] = written;
+      dense.v[node] = column.v[dense.write];
+    }
+  }
+  // A node never written reads 0 * decay = 0. Simulation steps never
+  // leave the precomputed window; a read decayed past it is vanishingly
+  // small either way.
+  const Step units = s / unit - dense.unit[x];
+  const std::vector<double>& decay = snapshot_->decay_;
+  const double d = units < decay.size() ? decay[units] : 0.0;
+  return dense.v[x] * d;
 }
 
 // ------------------------------------------------------------ algorithm ---
@@ -238,7 +244,10 @@ void ProphetForwarding::prepare(const graph::SpaceTimeGraph& graph,
 
 void ProphetForwarding::reset() {
   current_step_ = 0;
-  if (snapshot_ != nullptr) return;
+  if (snapshot_ != nullptr) {
+    cursor_ = ProphetSnapshot::Cursor(*snapshot_);
+    return;
+  }
   table_.init(n_, params_);
 }
 
@@ -253,7 +262,7 @@ bool ProphetForwarding::should_forward(NodeId holder, NodeId peer, NodeId dest,
                                        Step s, std::uint32_t /*copies*/) {
   current_step_ = std::max(current_step_, s);
   if (snapshot_ != nullptr)
-    return snapshot_->query(peer, dest, s) > snapshot_->query(holder, dest, s);
+    return cursor_.read(peer, dest, s) > cursor_.read(holder, dest, s);
   return table_.read(peer, dest, s) > table_.read(holder, dest, s);
 }
 
@@ -276,10 +285,11 @@ void ProphetForwarding::adopt_shared_snapshot(
     std::shared_ptr<const ObservationSnapshot> snapshot) {
   snapshot_ =
       std::dynamic_pointer_cast<const ProphetSnapshot>(std::move(snapshot));
+  reset();
 }
 
-double ProphetForwarding::predictability(NodeId from, NodeId to) const {
-  if (snapshot_ != nullptr) return snapshot_->query(from, to, current_step_);
+double ProphetForwarding::predictability(NodeId from, NodeId to) {
+  if (snapshot_ != nullptr) return cursor_.read(from, to, current_step_);
   return table_.read(from, to, current_step_);
 }
 

@@ -32,15 +32,24 @@
 // (swapping the scratch in would let every row grow to the largest one).
 //
 // The same ProphetTable drives both the per-run algorithm and the
-// ProphetSnapshot builder. The builder hands observe() one buffer per node
-// and the table appends each write to its node's buffer; after the replay
-// the table is freed and each buffer, in node order, is grouped by peer
-// into exact-size arrays (the peer once, then its chronological run of
-// (step, value) writes) and freed before the next node, so the build never
-// holds a whole-trace log or grows global arrays beside the buffers. A
-// query answers "value of P(x, c) as of step s" from the last write at or
-// before s. Identical code making identical write decisions is what makes
-// adopted (snapshot-backed) runs bit-identical to per-run replay.
+// ProphetSnapshot builder. The builder hands observe() one flat log per
+// step, and the table appends each write (x, c, v) to it; after each step
+// the log is scattered onto destination columns, opening one run per
+// touched column, so the build never holds a whole-trace log. Column c
+// holds every write P(x, c) := v in chronological order, as runs of one
+// step each, and every column is shrunk to exact size once the replay
+// ends.
+//
+// An adopted ProphetForwarding reads the snapshot through a per-run
+// Cursor. Every query a message makes names its destination, so the
+// first query for c unpacks a dense per-node (aging unit, value) array
+// for column c, and each query at step s first applies c's runs with
+// step <= s. P(x, c) is then one array read times the decay since the
+// write: O(1) per query, and n * 12 B per distinct destination queried
+// (at most n^2 * 12 B per run). Cursor steps must not decrease between
+// resets, as in any replay of a trace. Identical code making identical
+// write decisions is what makes adopted (snapshot-backed) runs
+// bit-identical to per-run replay.
 
 #pragma once
 
@@ -75,18 +84,22 @@ class ProphetTable {
     Step w;
     double v;
   };
-  /// Per-node write buffers: observe() appends Cell{c, s, v} to
-  /// history[x] for every write P(x, c) := v it makes at step s.
-  using History = std::vector<std::vector<Cell>>;
+  /// One write P(x, c) := v, as observe() logs it.
+  struct Write {
+    NodeId x;
+    NodeId c;
+    double v;
+  };
 
   void init(NodeId n, const ProphetParams& params);
   /// Clears all rows (capacity retained) for another run.
   void clear();
 
   /// Applies one new-contact event between distinct nodes a and b at step
-  /// s, appending every write to `history` when one is given. Steps must
-  /// not decrease across calls (as in any replay of a trace).
-  void observe(NodeId a, NodeId b, Step s, History* history = nullptr);
+  /// s, appending every write, in the order made, to `log` when one is
+  /// given. Steps must not decrease across calls (as in any replay of a
+  /// trace).
+  void observe(NodeId a, NodeId b, Step s, std::vector<Write>* log = nullptr);
 
   /// P(x, c) as of step s (lazily decayed from the last write).
   [[nodiscard]] double read(NodeId x, NodeId c, Step s) const;
@@ -106,32 +119,55 @@ class ProphetTable {
 };
 
 /// Immutable step-indexed PRoPHET predictabilities for one scenario: the
-/// full write history of a ProphetTable replay of the trace, grouped per
-/// node by peer, queryable as of any step. Thread-safe after construction
-/// (the decay table is precomputed over the whole window).
+/// full write history of a ProphetTable replay of the trace, laid out by
+/// destination column and read through a Cursor. Thread-safe after
+/// construction (the decay table is precomputed over the whole window);
+/// each reader owns its cursor.
 class ProphetSnapshot final : public ObservationSnapshot {
  public:
   ProphetSnapshot(const graph::SpaceTimeGraph& graph,
                   const ProphetParams& params);
 
-  /// P(x, c) as of step s: the last recorded write at or before s,
-  /// decayed to s. Matches ProphetTable::read after the same events.
-  [[nodiscard]] double query(NodeId x, NodeId c, Step s) const;
+  /// One run's reader: P(x, c) as of step s is the last write at or
+  /// before s, decayed to s, matching ProphetTable::read after the same
+  /// events. Steps must not decrease across reads; a fresh cursor starts
+  /// before the first write. The snapshot must outlive the cursor.
+  class Cursor {
+   public:
+    Cursor() = default;
+    explicit Cursor(const ProphetSnapshot& snapshot);
+
+    [[nodiscard]] double read(NodeId x, NodeId c, Step s);
+
+   private:
+    /// Column c unpacked up to its first `run` runs (`write` writes):
+    /// per node, the aging unit of its last write and the value, or
+    /// empty until the first query for c.
+    struct Dense {
+      std::uint32_t run = 0;
+      std::uint32_t write = 0;
+      std::vector<Step> unit;
+      std::vector<double> v;
+    };
+
+    const ProphetSnapshot* snapshot_ = nullptr;
+    std::vector<Dense> dense_;  ///< indexed by destination.
+  };
 
   [[nodiscard]] std::uint64_t bytes() const override;
 
  private:
-  /// One node's writes, each array allocated at its exact size. Peer
-  /// peers[g]'s writes occupy [starts[g], starts[g + 1]) of steps/values,
-  /// chronological.
-  struct NodeWrites {
-    std::vector<NodeId> peers;  ///< distinct, ascending.
-    std::vector<std::uint32_t> starts;
-    std::vector<Step> steps;
-    std::vector<double> values;
+  /// One destination's writes, each array allocated at its exact size.
+  /// Run r is every write of step steps[r], at [ends[r - 1], ends[r]) of
+  /// x/v (from 0 for r = 0), in the order the replay made them.
+  struct Column {
+    std::vector<Step> steps;  ///< strictly ascending.
+    std::vector<std::uint32_t> ends;
+    std::vector<NodeId> x;
+    std::vector<double> v;
   };
 
-  std::vector<NodeWrites> nodes_;
+  std::vector<Column> columns_;
   std::vector<double> decay_;  ///< gamma^k for every reachable k.
   Step aging_unit_ = 1;
 };
@@ -165,12 +201,14 @@ class ProphetForwarding final : public ForwardingAlgorithm {
 
   /// P(from, to) as of the latest step this instance has seen (through
   /// either observe_contact or should_forward) — test/diagnostic surface.
-  [[nodiscard]] double predictability(NodeId from, NodeId to) const;
+  /// An adopted instance reads through its cursor, like should_forward.
+  [[nodiscard]] double predictability(NodeId from, NodeId to);
 
  private:
   ProphetParams params_;
   ProphetTable table_;
   std::shared_ptr<const ProphetSnapshot> snapshot_;
+  ProphetSnapshot::Cursor cursor_;  ///< rewound by reset().
   Step current_step_ = 0;
   NodeId n_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "psn/engine/model_sweep.hpp"
@@ -106,10 +108,11 @@ ForwardingRequest parse_forwarding(const Json& json) {
   out.master_seed = get_u64(json, "master_seed", 7);
   out.message_rate = get_number(json, "message_rate", 0.01);
   if (!(out.message_rate > 0)) fail("field 'message_rate' must be positive");
-  out.message_size_bytes =
-      static_cast<std::uint32_t>(get_u64(json, "message_size_bytes", 1));
-  if (out.message_size_bytes == 0)
-    fail("field 'message_size_bytes' must be at least 1");
+  const std::uint64_t size_bytes = get_u64(json, "message_size_bytes", 1);
+  if (size_bytes == 0) fail("field 'message_size_bytes' must be at least 1");
+  if (size_bytes > std::numeric_limits<std::uint32_t>::max())
+    fail("field 'message_size_bytes' must be at most 4294967295");
+  out.message_size_bytes = static_cast<std::uint32_t>(size_bytes);
   out.message_ttl = get_number(json, "message_ttl", -1.0);
   out.contact_budget_bytes = get_u64(json, "contact_budget_bytes",
                                      forward::TrafficConfig::kUnlimited);

@@ -496,37 +496,65 @@ std::vector<Contact> random_prophet_contacts(std::mt19937_64& rng, NodeId n,
   return contacts;
 }
 
-/// Replays the fixture's contacts through the reference, a snapshot and a
-/// per-run instance; all three must agree bit for bit on every P(x, c) at
-/// every step, contact-free steps included.
+/// Replays the fixture's contacts through the reference, a per-run
+/// instance and two instances adopting one snapshot; all must agree with
+/// the reference bit for bit. The per-run and `adopted` instances read
+/// every P(x, c) at every step, contact-free steps included. `late` reads
+/// column c for the first time at step floor(c * steps / n), so its
+/// cursor catches up through every earlier run at once, then reads every
+/// column again at the last step.
 void expect_prophet_matches_reference(const Fixture& f,
                                       const ProphetParams& params,
                                       const std::string& label) {
   const NodeId n = f.graph.num_nodes();
+  const Step steps = f.graph.num_steps();
   ReferenceProphet reference(n, params);
-  const ProphetSnapshot snapshot(f.graph, params);
   ProphetForwarding per_run(params);
   per_run.prepare(f.graph, f.trace);
-  for (Step s = 0; s < f.graph.num_steps(); ++s) {
+  const auto snapshot = std::make_shared<ProphetSnapshot>(f.graph, params);
+  ProphetForwarding adopted(params);
+  ProphetForwarding late(params);
+  for (ProphetForwarding* prophet : {&adopted, &late}) {
+    prophet->adopt_shared_snapshot(snapshot);
+    prophet->prepare(f.graph, f.trace);
+    ASSERT_FALSE(prophet->observes_contacts()) << label;
+  }
+  // Every P(x, c) of `prophet`, whose clock is at s, against the reference.
+  const auto column_matches = [&](ProphetForwarding& prophet, NodeId c,
+                                  Step s, const char* leg) {
+    for (NodeId x = 0; x < n; ++x) {
+      const double want = reference.read(x, c, s);
+      if (std::bit_cast<std::uint64_t>(prophet.predictability(x, c)) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        ADD_FAILURE() << label << ": " << leg << " P(" << x << ", " << c
+                      << ") at step " << s;
+        return false;
+      }
+    }
+    return true;
+  };
+  for (Step s = 0; s < steps; ++s) {
     const auto edges = f.graph.edges(s);
     const auto flags = f.graph.new_edge_flags(s);
     for (std::size_t i = 0; i < edges.size(); ++i) {
       per_run.observe_contact(edges[i].a, edges[i].b, s, flags[i] != 0);
       if (flags[i] != 0) reference.observe(edges[i].a, edges[i].b, s);
     }
-    (void)per_run.should_forward(0, 1, 1, s, 1);  // advances its clock.
-    for (NodeId x = 0; x < n; ++x) {
-      for (NodeId c = 0; c < n; ++c) {
-        const auto want =
-            std::bit_cast<std::uint64_t>(reference.read(x, c, s));
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(snapshot.query(x, c, s)), want)
-            << label << ": snapshot P(" << x << ", " << c << ") at step " << s;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(per_run.predictability(x, c)),
-                  want)
-            << label << ": per-run P(" << x << ", " << c << ") at step " << s;
-      }
+    // Advance the clocks.
+    (void)per_run.should_forward(0, 1, 1, s, 1);
+    (void)adopted.should_forward(0, 1, 1, s, 1);
+    for (NodeId c = 0; c < n; ++c) {
+      if (!column_matches(per_run, c, s, "per-run") ||
+          !column_matches(adopted, c, s, "adopted"))
+        return;
+      if (static_cast<std::uint64_t>(c) * steps / n != s) continue;
+      (void)late.should_forward(0, 1, c, s, 1);  // column c's first read.
+      if (!column_matches(late, c, s, "late")) return;
     }
   }
+  (void)late.should_forward(0, 1, 0, steps - 1, 1);
+  for (NodeId c = 0; c < n; ++c)
+    if (!column_matches(late, c, steps - 1, "late, at the last step")) return;
 }
 
 TEST(Prophet, SnapshotAndPerRunMatchIndependentReference) {

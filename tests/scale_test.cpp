@@ -12,10 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "psn/core/workload.hpp"
@@ -160,14 +160,15 @@ TEST(ScaleTiers, CityNonFloodFastPathMatchesScalarOracleAcrossThreads) {
 }
 
 TEST(ScaleTiers, CityProphetSnapshotStaysUnderByteCeiling) {
-  // city_2048's PRoPHET snapshot stores each of its ~10M writes as a
-  // (step, value) pair with the peer id kept once per (node, peer) group:
-  // 145,391,656 B when this ceiling was set, which sits 5 % above that
-  // (the floor at half of it catches a snapshot that lost its writes).
-  // Byte counts are a function of the trace alone, so this holds on any
-  // machine. Acquired through the cache so the sweep above, when it ran
-  // first in this process, has already built it.
-  constexpr std::uint64_t kCeilingBytes = 152'700'000;
+  // city_2048's PRoPHET snapshot lays its ~10M writes out by destination
+  // column: each write is a (node, value) pair, and each run of one
+  // column's writes at one step adds its (step, end) once: 135,380,200 B
+  // when this ceiling was set, which sits 5 % above that (the floor at
+  // half of it catches a snapshot that lost its writes). Byte counts are
+  // a function of the trace alone, so this holds on any machine. Acquired
+  // through the cache so the sweep above, when it ran first in this
+  // process, has already built it.
+  constexpr std::uint64_t kCeilingBytes = 142'150'000;
   auto& cache = ScenarioContextCache::instance();
   const auto context = cache.acquire(make_scenario_by_name("city_2048"));
   const auto prophet = forward::make_algorithm("PRoPHET");
@@ -278,22 +279,49 @@ TEST(ScaleTiers, GraphArenasStayUnderByteCeilings) {
 
 TEST(ScaleTiers, SeededDeliveriesArePinned) {
   // Two runs per cell at 0.01 msg/s from master seed 7: 121 messages per
-  // cell on every tier, and these delivered counts. They depend only on
-  // the traces, the seeds and the algorithms' parameters, so they hold on
-  // any machine and thread count. The fast-vs-oracle tests cannot see a
+  // cell on every tier, and these delivered counts and transmissions
+  // (cost_per_message x messages offered). They depend only on the
+  // traces, the seeds and the algorithms' parameters, so they hold on any
+  // machine and thread count. The fast-vs-oracle tests cannot see a
   // change that moves both sides in lockstep (an algorithm default, the
-  // workload stream, a generator); this pin does. Not pinned: metro_16k
-  // PRoPHET (84), whose snapshot build alone is minutes and GiB, and
-  // megacity_65k, whose Epidemic runs are seconds each.
+  // workload stream, a generator, a snapshot read); this pin does — a
+  // PRoPHET read that misses its step's own writes still delivers the
+  // same counts here, but not with the same transmissions. Not pinned:
+  // metro_16k PRoPHET (84 delivered), whose snapshot build alone is
+  // minutes and GiB, and megacity_65k, whose Epidemic runs are seconds
+  // each.
+  struct Pin {
+    const char* algorithm;
+    std::size_t delivered;
+    long long transmissions;
+  };
   struct Tier {
     const char* name;
-    std::vector<std::pair<std::string, std::size_t>> delivered;
+    std::vector<Pin> pins;
   };
   const Tier tiers[] = {
-      {"town_128", {{"Epidemic", 121}, {"FRESH", 108}, {"PRoPHET", 121}}},
-      {"campus_512", {{"Epidemic", 119}, {"FRESH", 68}, {"PRoPHET", 119}}},
-      {"city_2048", {{"Epidemic", 120}, {"FRESH", 22}, {"PRoPHET", 114}}},
-      {"metro_16k", {{"Epidemic", 119}, {"FRESH", 1}}},
+      {"town_128",
+       {{"Epidemic", 121, 10'882},
+        {"FRESH", 108, 655},
+        {"PRoPHET", 121, 1'862},
+        {"Greedy", 93, 362},
+        {"Greedy Total", 103, 548},
+        {"Greedy Online", 101, 555}}},
+      {"campus_512",
+       {{"Epidemic", 119, 38'341},
+        {"FRESH", 68, 644},
+        {"PRoPHET", 119, 4'663},
+        {"Greedy", 43, 251},
+        {"Greedy Total", 57, 671},
+        {"Greedy Online", 52, 756}}},
+      {"city_2048",
+       {{"Epidemic", 120, 139'462},
+        {"FRESH", 22, 303},
+        {"PRoPHET", 114, 11'112},
+        {"Greedy", 13, 135},
+        {"Greedy Total", 16, 551},
+        {"Greedy Online", 19, 636}}},
+      {"metro_16k", {{"Epidemic", 119, 1'109'951}, {"FRESH", 1, 63}}},
   };
   const util::ParallelFor pooled = parallel_for(shared_pool());
   for (const Tier& tier : tiers) {
@@ -302,16 +330,19 @@ TEST(ScaleTiers, SeededDeliveriesArePinned) {
     config.master_seed = 7;
     config.message_rate = 0.01;
     std::vector<std::string> algorithms;
-    for (const auto& [algorithm, count] : tier.delivered)
-      algorithms.push_back(algorithm);
+    for (const Pin& pin : tier.pins) algorithms.emplace_back(pin.algorithm);
     const auto plan = make_plan({make_scenario_by_name(tier.name, pooled)},
                                 algorithms, config);
     const auto result = run_sweep(plan);
-    ASSERT_EQ(result.cells.size(), tier.delivered.size()) << tier.name;
+    ASSERT_EQ(result.cells.size(), tier.pins.size()) << tier.name;
     for (std::size_t a = 0; a < result.cells.size(); ++a) {
       const auto& cell = result.cells[a];
       EXPECT_EQ(cell.overall.messages, 121u) << tier.name;
-      EXPECT_EQ(cell.overall.delivered, tier.delivered[a].second)
+      EXPECT_EQ(cell.overall.delivered, tier.pins[a].delivered)
+          << tier.name << " / " << cell.algorithm;
+      EXPECT_EQ(std::llround(cell.cost_per_message *
+                             static_cast<double>(cell.messages_offered)),
+                tier.pins[a].transmissions)
           << tier.name << " / " << cell.algorithm;
     }
   }

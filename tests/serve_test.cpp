@@ -107,6 +107,22 @@ TEST(Request, ValidationErrors) {
   expect_rejected(
       R"({"id":"x","family":"forwarding","scenario":"conference_small",
           "algorithm":["Epidemic"]})");  // typoed field name
+  // Message sizes are 32-bit: anything larger is rejected as too large
+  // rather than narrowed (2^32 + 1 used to run as a 1-byte message).
+  for (const char* size : {"4294967296", "4294967297"}) {
+    const std::string text =
+        std::string(R"({"id":"x","family":"forwarding",)"
+                    R"("scenario":"conference_small","message_size_bytes":)") +
+        size + "}";
+    expect_rejected(text.c_str());
+    try {
+      (void)parse_request(request_json(text));
+    } catch (const RequestError& e) {
+      EXPECT_NE(std::string(e.what()).find("at most 4294967295"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   expect_rejected(R"({"id":"x","family":"path","scenario":"conference_small",
                       "messages":0})");
   expect_rejected(R"({"id":"x","family":"model","scenario":"nope"})");
