@@ -73,8 +73,9 @@ enum class ObservationMode {
   /// qualify for the simulator's holder-incident fast path.
   kShared,
   /// Every run rebuilds its observation tables online, replaying each
-  /// contact through observe_contact — the permanent oracle the
-  /// equivalence tests pin kShared against.
+  /// contact through observe_contact, and flood runs extract each step's
+  /// components themselves — the permanent oracle the equivalence tests
+  /// pin kShared against.
   kPerRun,
 };
 
@@ -99,7 +100,7 @@ struct SweepOptions {
   forward::ReplayMode replay = forward::ReplayMode::kSparse;
   /// Epidemic-closure kernel handed to every run (bit-identical options;
   /// kScalar exists for the equivalence harness).
-  forward::FloodKernel flood_kernel = forward::FloodKernel::kWordParallel;
+  forward::FloodKernel flood_kernel = forward::FloodKernel::kComponentIndex;
   /// Simulator contact-scan mode handed to every run. kHolderIncident
   /// (default) lets eligible non-flood runs visit only holder-incident
   /// contacts; kFull is the scalar full-replay oracle. Bit-identical

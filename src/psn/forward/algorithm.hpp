@@ -37,17 +37,22 @@
 #include "psn/graph/space_time_graph.hpp"
 #include "psn/trace/contact_trace.hpp"
 
+namespace psn::graph {
+class StepComponents;
+}  // namespace psn::graph
+
 namespace psn::forward {
 
 using graph::NodeId;
 using graph::Step;
 
-/// An immutable, step-indexed precomputation of the observation state an
-/// algorithm would otherwise rebuild from observe_contact() every run —
-/// for FRESH and PRoPHET that state is a pure function of the trace,
-/// independent of the message and the run, so one snapshot per scenario
-/// serves every run. Built by ForwardingAlgorithm::build_shared_snapshot,
-/// owned by engine::ScenarioContext (cached alongside the graph and
+/// An immutable, step-indexed precomputation of state an algorithm would
+/// otherwise rebuild every run — FRESH's and PRoPHET's observation
+/// histories, Epidemic's per-step contact components. That state is a
+/// pure function of the trace, independent of the message and the run,
+/// so one snapshot per scenario serves every run. Built by
+/// ForwardingAlgorithm::build_shared_snapshot, owned by
+/// engine::ScenarioContext (cached alongside the graph and
 /// counted against the cache byte budget), and handed back to fresh
 /// algorithm instances via adopt_shared_snapshot. Concrete types are
 /// private to the algorithm family that builds them.
@@ -106,8 +111,10 @@ class ForwardingAlgorithm {
   /// override; 1 means pure single-copy, 0 means unbounded replication).
   [[nodiscard]] virtual std::uint32_t initial_copies() const { return 1; }
 
-  /// Non-empty iff this algorithm's observation state is a pure function
-  /// of the trace and can be shared across runs as an ObservationSnapshot.
+  /// Non-empty iff state this algorithm's runs would otherwise rebuild
+  /// (its observation history, or Epidemic's per-step components) is a
+  /// pure function of the trace and can be shared across runs as an
+  /// ObservationSnapshot.
   /// The key identifies the snapshot in the scenario's store — include
   /// every parameter the snapshot depends on (e.g. PRoPHET's constants),
   /// so differently-parameterized instances never share state.
@@ -133,6 +140,15 @@ class ForwardingAlgorithm {
   virtual void adopt_shared_snapshot(
       std::shared_ptr<const ObservationSnapshot> snapshot) {
     (void)snapshot;
+  }
+
+  /// The adopted whole-graph contact-component index the simulator's
+  /// flooding fast path reads (entry i describes the graph's i-th active
+  /// step), or null — the default, and every un-adopted instance — in
+  /// which case the flood path extracts each step's components itself.
+  [[nodiscard]] virtual const graph::StepComponents* step_components()
+      const {
+    return nullptr;
   }
 };
 

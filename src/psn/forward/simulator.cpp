@@ -41,6 +41,13 @@ SimulationResult simulate(const SimulationRequest& request,
       throw std::invalid_argument("simulate: message ttl must be >= 0");
     if (m.ttl != kNoTtl) has_ttl = true;
   }
+  // An adopted component index is read by step position and member id:
+  // one built over another graph would index out of bounds.
+  if (const graph::StepComponents* index = algorithm.step_components();
+      index != nullptr && (index->num_steps() != graph.num_active_steps() ||
+                           index->num_nodes() != n))
+    throw std::invalid_argument(
+        "simulate: adopted component index is from another graph");
 
   algorithm.reset();
   algorithm.prepare(graph, *request.trace);
@@ -271,7 +278,8 @@ SimulationResult simulate(const SimulationRequest& request,
     }
   };
 
-  const bool word_kernel = request.flood_kernel == FloodKernel::kWordParallel;
+  const bool index_kernel =
+      request.flood_kernel == FloodKernel::kComponentIndex;
 
   // Scratch for the scalar oracle kernel's hop-level computation: a lazy
   // Dijkstra over one contact component with unit-weight edges and
@@ -280,7 +288,7 @@ SimulationResult simulate(const SimulationRequest& request,
   // (monotone, never reset), so a warm workspace needs no re-zeroing.
   auto& level = ws.level;
   auto& mark = ws.mark;
-  if (flooding && !word_kernel && level.size() < n) {
+  if (flooding && !index_kernel && level.size() < n) {
     level.resize(n, 0);
     mark.resize(n, 0);
   }
@@ -346,165 +354,140 @@ SimulationResult simulate(const SimulationRequest& request,
     return 0;
   };
 
-  // Word-parallel hop settle: a level-synchronous BFS over one component
-  // with frontier masks, seeded by the message's holders at their current
-  // hop counts (bucketed relative to the minimum seed level, so the
-  // frontier array stays short however large absolute hop counts grow).
-  // Per level the fresh frontier is `seeded & ~visited`, computed
-  // wordwise over the component's nonzero words only. Levels settled are
-  // minimal over all holder-to-node chains within the step — the same
-  // values the scalar kernel's Dial queue computes, since both are
-  // multi-source unit-weight shortest paths. If `stop_at` is given,
-  // returns its (absolute) level as soon as it settles; otherwise settles
-  // the whole component, leaving sc.level[] valid for every member. All
-  // scratch is cleared sparsely (component words only) before returning.
-  auto& sc = ws.settle;
-  const auto settle_word =
-      [&](const graph::StepComponent& comp,
-          const detail::SimulatorState::MessageState& st, NodeId stop_at,
-          bool has_stop) -> std::uint32_t {
-    if (sc.level.size() < n) sc.level.resize(n, 0);
-    sc.visited.ensure_capacity(n);
+  // The component-index kernel's step source: the algorithm's adopted
+  // whole-graph index (validated against the graph above), or null, in
+  // which case each flood step is extracted into ws.step_index.
+  const graph::StepComponents* const adopted_index =
+      algorithm.step_components();
+  constexpr std::uint32_t kUnsettled =
+      std::numeric_limits<std::uint32_t>::max();
+  auto& slot_level = ws.slot_level;
+  auto& slot_queue = ws.slot_queue;
 
-    // Seed pass 1: the minimum holder level in this component.
-    std::uint32_t base = std::numeric_limits<std::uint32_t>::max();
-    for (const std::uint32_t w : comp.words) {
-      std::uint64_t bits = comp.mask.word(w) & st.holders.word(w);
-      while (bits != 0) {
-        const auto v = static_cast<NodeId>(
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        base = std::min(base, static_cast<std::uint32_t>(st.hops[v]));
-      }
+  // Component-index hop settle: a multi-source BFS over member
+  // positions, so its scratch is sized by the component rather than the
+  // population. Holders seed it at their hop counts relative to `base`
+  // (their minimum in the component), which keeps the seed buckets short
+  // however large absolute hop counts grow; a seed joins the FIFO queue
+  // when the BFS reaches its level. Levels never decrease along the
+  // queue, so a member's level is final when it is first reached, and it
+  // is minimal over all holder-to-node chains within the step — the
+  // scalar kernel's values. If `stop` is a position, returns its
+  // absolute level as soon as it is reached; with kUnsettled, settles
+  // every member, leaving slot_level[p] as member p's level relative to
+  // `base`.
+  const auto settle_index =
+      [&](const graph::StepComponents::Component& comp,
+          const detail::SimulatorState::MessageState& st, std::uint32_t base,
+          std::uint32_t stop) -> std::uint32_t {
+    const auto k = static_cast<std::uint32_t>(comp.members.size());
+    if (slot_level.size() < k) {
+      slot_level.resize(k);
+      slot_queue.resize(k);  // each member is queued at most once.
     }
-    // Seed pass 2: bucket holders at their level relative to `base`.
-    std::uint32_t top = 0;
-    const auto frontier_at = [&](std::uint32_t lvl) -> util::NodeSet& {
-      while (lvl >= sc.frontier.size()) {
-        sc.frontier.emplace_back();
-        sc.frontier.back().ensure_capacity(n);
-      }
-      return sc.frontier[lvl];
-    };
-    for (const std::uint32_t w : comp.words) {
-      std::uint64_t bits = comp.mask.word(w) & st.holders.word(w);
-      while (bits != 0) {
-        const auto v = static_cast<NodeId>(
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        const std::uint32_t rel = st.hops[v] - base;
-        frontier_at(rel).set(v);
-        top = std::max(top, rel);
-      }
+    std::uint32_t top = 0;  // highest seed bucket in use.
+    for (std::uint32_t p = 0; p < k; ++p) {
+      slot_level[p] = kUnsettled;
+      const NodeId v = comp.members[p];
+      if (!st.holders.test(v)) continue;
+      const std::uint32_t rel = st.hops[v] - base;
+      if (rel >= buckets.size()) buckets.resize(rel + 1);
+      buckets[rel].push_back(p);
+      top = std::max(top, rel);
     }
-
-    std::uint32_t found = std::numeric_limits<std::uint32_t>::max();
-    for (std::uint32_t lvl = 0; lvl <= top; ++lvl) {
-      // Materialize level lvl+1 first: growing the frontier vector later
-      // would invalidate the references taken below.
-      frontier_at(lvl + 1);
-      util::NodeSet& f = sc.frontier[lvl];
-      // Keep only nodes not already settled at a smaller level.
-      bool any = false;
-      for (const std::uint32_t w : comp.words) {
-        const std::uint64_t fresh = f.word(w) & ~sc.visited.word(w);
-        f.set_word(w, fresh);
-        if (fresh != 0) any = true;
-      }
-      if (!any) continue;
-      for (const std::uint32_t w : comp.words) {
-        std::uint64_t fresh = f.word(w);
-        sc.visited.or_word(w, fresh);
-        while (fresh != 0) {
-          const auto v = static_cast<NodeId>(
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(fresh)));
-          fresh &= fresh - 1;
-          sc.level[v] = base + lvl;
-          if (has_stop && v == stop_at) found = base + lvl;
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    for (std::uint32_t lvl = 0; lvl <= top || head < tail; ++lvl) {
+      if (lvl <= top) {
+        for (const std::uint32_t p : buckets[lvl]) {
+          if (slot_level[p] != kUnsettled) continue;  // reached at <= lvl.
+          slot_level[p] = lvl;
+          slot_queue[tail++] = p;
         }
+        buckets[lvl].clear();
       }
-      if (found != std::numeric_limits<std::uint32_t>::max()) break;
-      // Expand the settled frontier one hop; next level's `& ~visited`
-      // filters re-reached nodes.
-      util::NodeSet& nf = sc.frontier[lvl + 1];
-      bool expanded = false;
-      for (const std::uint32_t w : comp.words) {
-        std::uint64_t fresh = f.word(w);
-        while (fresh != 0) {
-          const auto v = static_cast<NodeId>(
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(fresh)));
-          fresh &= fresh - 1;
-          // Same contract as the scalar kernel: ws.components carries
-          // step s's adjacency.
-          for (const NodeId nb : ws.components.step_neighbors(v)) {
-            nf.set(nb);
-            expanded = true;
+      for (const std::uint32_t end = tail; head < end;) {
+        for (const std::uint32_t q : comp.neighbors(slot_queue[head++])) {
+          if (slot_level[q] != kUnsettled) continue;
+          if (q == stop) {
+            for (std::uint32_t l = lvl + 1; l <= top; ++l) buckets[l].clear();
+            return base + lvl + 1;
           }
+          slot_level[q] = lvl + 1;
+          slot_queue[tail++] = q;
         }
       }
-      if (expanded) top = std::max(top, lvl + 1);
     }
-
-    // Sparse teardown: only the component's words were ever touched.
-    for (std::uint32_t lvl = 0; lvl <= top && lvl < sc.frontier.size();
-         ++lvl)
-      for (const std::uint32_t w : comp.words) sc.frontier[lvl].set_word(w, 0);
-    for (const std::uint32_t w : comp.words) sc.visited.set_word(w, 0);
-    return found != std::numeric_limits<std::uint32_t>::max() ? found : 0;
+    return 0;
   };
 
   // One flooding step: spread every live flood through the step's contact
-  // components and deliver where the destination is reached. Components
-  // (masks + nonzero-word lists, canonical order) are extracted once and
-  // shared by both kernels and every message.
+  // components, in canonical order, and deliver where the destination is
+  // reached. Components are read (or extracted) once per step and shared
+  // by every message.
   const auto flood_step = [&](graph::Step s) {
-    const std::size_t num_comps =
-        graph::step_components_at(graph, s, ws.components);
-    if (word_kernel) {
+    if (index_kernel) {
+      const graph::StepComponents* index = adopted_index;
+      std::size_t entry = 0;
+      if (index != nullptr) {
+        const auto active = graph.active_steps();
+        entry = static_cast<std::size_t>(
+            std::lower_bound(active.begin(), active.end(), s) -
+            active.begin());
+      } else {
+        ws.step_index.clear(n);
+        ws.step_index.append(graph, s, ws.components);
+        index = &ws.step_index;
+      }
+      const auto [first, last] = index->step_range(entry);
       for (const std::uint32_t id : active_msgs) {
         auto& st = state[id];
         if (st.delivered || st.expired) continue;
         const NodeId dest = messages[id].destination;
-        for (std::size_t ci = 0; ci < num_comps; ++ci) {
-          const graph::StepComponent& comp = ws.components.pool[ci];
+        for (std::uint32_t c = first; c < last; ++c) {
+          const graph::StepComponents::Component comp = index->component(c);
+          const auto size = static_cast<unsigned>(comp.members.size());
           unsigned held = 0;
-          for (const std::uint32_t w : comp.words)
-            held += static_cast<unsigned>(
-                std::popcount(comp.mask.word(w) & st.holders.word(w)));
+          std::uint32_t base = kUnsettled;  // lowest holder hop count.
+          for (const NodeId v : comp.members) {
+            if (!st.holders.test(v)) continue;
+            ++held;
+            base = std::min<std::uint32_t>(base, st.hops[v]);
+          }
           if (held == 0) continue;
-          if (comp.mask.test(dest)) {
+          const auto dest_it = std::lower_bound(comp.members.begin(),
+                                                comp.members.end(), dest);
+          if (dest_it != comp.members.end() && *dest_it == dest) {
             // Copies made inside the component before reaching the
             // destination are part of the flood's cost too.
-            result.transmissions += comp.size - held - 1;
-            const std::uint32_t hops = settle_word(comp, st, dest, true);
+            result.transmissions += size - held - 1;
+            const std::uint32_t hops = settle_index(
+                comp, st, base,
+                static_cast<std::uint32_t>(dest_it - comp.members.begin()));
             deliver(id, s, static_cast<std::uint16_t>(
                                std::min<std::uint32_t>(hops, 0xFFFF)));
             break;
           }
           // Fully flooded components have nothing left to spread; skipping
           // them also skips the (comparatively expensive) hop settle.
-          if (held == comp.size) continue;
-          settle_word(comp, st, 0, false);
-          for (const std::uint32_t w : comp.words) {
-            const std::uint64_t mask_word = comp.mask.word(w);
-            std::uint64_t fresh = mask_word & ~st.holders.word(w);
-            while (fresh != 0) {
-              const auto v = static_cast<NodeId>(
-                  w * 64 +
-                  static_cast<std::uint32_t>(std::countr_zero(fresh)));
-              fresh &= fresh - 1;
-              st.hops[v] = static_cast<std::uint16_t>(
-                  std::min<std::uint32_t>(sc.level[v], 0xFFFF));
-            }
-            st.holders.or_word(w, mask_word);
+          if (held == size) continue;
+          settle_index(comp, st, base, kUnsettled);
+          for (std::uint32_t p = 0; p < size; ++p) {
+            const NodeId v = comp.members[p];
+            if (st.holders.test(v)) continue;
+            st.hops[v] = static_cast<std::uint16_t>(
+                std::min<std::uint32_t>(base + slot_level[p], 0xFFFF));
+            st.holders.set(v);
           }
-          result.transmissions += comp.size - held;
+          result.transmissions += size - held;
         }
       }
       return;
     }
-    // Scalar oracle kernel: the pre-word-kernel per-node implementation,
-    // full-width mask scans and the Dial hop settle, kept verbatim.
+    // Scalar oracle kernel: step_components_at() masks, full-width mask
+    // scans and the Dial hop settle, independent of the component index.
+    const std::size_t num_comps =
+        graph::step_components_at(graph, s, ws.components);
     for (const std::uint32_t id : active_msgs) {
       auto& st = state[id];
       if (st.delivered || st.expired) continue;
@@ -578,8 +561,8 @@ SimulationResult simulate(const SimulationRequest& request,
       }
       st.active = true;
       st.holders.clear();
-      // Pre-size flood holder sets so the word kernel's or_word() spreads
-      // never reallocate mid-flood (capacity is invisible to results).
+      // Pre-size flood holder sets so the kernels' spreads never
+      // reallocate mid-flood (capacity is invisible to results).
       if (flooding) st.holders.ensure_capacity(n);
       st.holders.set(m.source);
       st.hops.assign(n, 0);

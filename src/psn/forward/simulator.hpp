@@ -84,14 +84,16 @@ enum class ContactScan : std::uint8_t {
 /// transmissions); the scalar kernel exists as the validation oracle,
 /// exactly as ReplayMode::kDense does for the sparse timeline.
 enum class FloodKernel : std::uint8_t {
-  /// Word-parallel closure (the default): per-component nonzero-word
-  /// lists drive 64-nodes-per-instruction AND/OR/popcount loops for
-  /// holder counting and spreading, and a frontier-mask BFS
-  /// (frontier = reached & ~visited, wordwise) settles hop levels.
-  kWordParallel,
-  /// Per-node reference kernel: full-width mask scans and a per-node
-  /// Dial bucket queue (the pre-word-kernel implementation, retained
-  /// verbatim as the equivalence oracle).
+  /// Component-index closure (the default): reads each step's components
+  /// from a graph::StepComponents — the algorithm's adopted whole-graph
+  /// index (ForwardingAlgorithm::step_components()) or, failing that, a
+  /// one-step index extracted into the workspace — counts holders member
+  /// by member, and settles hop levels with a multi-source BFS over
+  /// member positions.
+  kComponentIndex,
+  /// Per-node reference kernel: step_components_at() masks, full-width
+  /// mask scans and a per-node Dial bucket queue, retained as the
+  /// equivalence oracle (it never reads the component index).
   kScalar,
 };
 
@@ -123,7 +125,7 @@ struct SimulationRequest {
   ContactScan contact_scan = ContactScan::kHolderIncident;
   /// Epidemic-closure implementation (see FloodKernel). Only consulted on
   /// the flooding fast path; the generic relay path has one kernel.
-  FloodKernel flood_kernel = FloodKernel::kWordParallel;
+  FloodKernel flood_kernel = FloodKernel::kComponentIndex;
 };
 
 namespace detail {
@@ -184,23 +186,22 @@ struct SimulatorState {
   std::vector<std::uint32_t> level;
   std::vector<std::uint64_t> mark;
   std::uint64_t mark_gen = 0;
-  /// Bucket queue for the scalar hop settle (levels are small, so Dial's
-  /// algorithm beats a binary heap); buckets[l] holds the level-l
-  /// frontier and is left empty between settles.
+  /// Bucket queue of the scalar hop settle (levels are small, so Dial's
+  /// algorithm beats a binary heap): buckets[l] holds the level-l
+  /// frontier. The component-index settle parks its holder seeds here by
+  /// level, as member positions. Left empty between settles.
   std::vector<std::vector<NodeId>> buckets;
-  /// Per-step contact components (masks + nonzero-word lists), shared by
-  /// both flood kernels.
+  /// Component extraction scratch: step_components_at()'s masks for the
+  /// scalar kernel, StepComponents::append()'s marks for the index
+  /// kernel, and the step-local adjacency both read.
   graph::StepComponentScratch components;
-
-  /// Word-kernel hop-settle scratch. Frontier/visited masks are cleared
-  /// sparsely via the component's word list, so a settle costs
-  /// O(component), never O(population).
-  struct SettleScratch {
-    std::vector<std::uint32_t> level;    ///< absolute hop level per node.
-    util::NodeSet visited;               ///< settled nodes, this settle.
-    std::vector<util::NodeSet> frontier; ///< per-relative-level seed masks.
-  };
-  SettleScratch settle;
+  /// The one-step index the component-index kernel extracts each flood
+  /// step into when the algorithm adopted no whole-graph index.
+  graph::StepComponents step_index;
+  /// Component-index settle: relative hop level per member position,
+  /// and the BFS queue of positions.
+  std::vector<std::uint32_t> slot_level;
+  std::vector<std::uint32_t> slot_queue;
 };
 
 }  // namespace detail

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 namespace psn::graph {
 
@@ -62,19 +63,16 @@ std::vector<std::pair<NodeId, NodeId>> component_sizes_at(
   return {sizes.begin(), sizes.end()};
 }
 
-std::size_t step_components_at(const SpaceTimeGraph& graph, Step s,
-                               StepComponentScratch& scratch) {
-  const NodeId n = graph.num_nodes();
-  if (scratch.stamp.size() < n) scratch.stamp.resize(n, 0);
-  const std::uint64_t gen = ++scratch.stamp_gen;
-  const auto edges = graph.edges(s);
+namespace {
 
-  // Rebuild the step-local adjacency (three passes over the edge list:
-  // degree count, prefix sum, fill). Because edges are (a, b)-sorted with
-  // a < b, node v's partners smaller than v (its b-side edges, ascending
-  // by a) are all appended before its partners larger than v (its a-side
-  // edges, ascending by b), so each list comes out fully ascending —
-  // exactly the order graph.neighbors(s, v) yields.
+// Rebuilds scratch's step-local adjacency for step s (three passes over
+// the edge list: degree count, prefix sum, fill). Because edges are
+// (a, b)-sorted with a < b, node v's partners smaller than v (its b-side
+// edges, ascending by a) are all appended before its partners larger
+// than v (its a-side edges, ascending by b), so each list comes out fully
+// ascending — exactly the order graph.neighbors(s, v) yields.
+void rebuild_step_adjacency(std::span<const StepEdge> edges, NodeId n,
+                            StepComponentScratch& scratch) {
   if (scratch.adj_stamp.size() < n) {
     scratch.adj_stamp.resize(n, 0);
     scratch.adj_begin.resize(n, 0);
@@ -105,6 +103,25 @@ std::size_t step_components_at(const SpaceTimeGraph& graph, Step s,
     scratch.adj_nbr[scratch.adj_end[e.a]++] = e.b;
     scratch.adj_nbr[scratch.adj_end[e.b]++] = e.a;
   }
+}
+
+// Narrows an index array offset, refusing (rather than wrapping) past the
+// 32-bit range the layout addresses.
+std::uint32_t offset32(std::size_t v) {
+  if (v > 0xFFFFFFFFu)
+    throw std::length_error("StepComponents: index exceeds 2^32 entries");
+  return static_cast<std::uint32_t>(v);
+}
+
+}  // namespace
+
+std::size_t step_components_at(const SpaceTimeGraph& graph, Step s,
+                               StepComponentScratch& scratch) {
+  const NodeId n = graph.num_nodes();
+  if (scratch.stamp.size() < n) scratch.stamp.resize(n, 0);
+  const std::uint64_t gen = ++scratch.stamp_gen;
+  const auto edges = graph.edges(s);
+  rebuild_step_adjacency(edges, n, scratch);
 
   std::size_t k = 0;
   // Edges are (a, b)-sorted with a < b, so the first edge touching a
@@ -119,11 +136,10 @@ std::size_t step_components_at(const SpaceTimeGraph& graph, Step s,
     }
     StepComponent& comp = scratch.pool[k];
     ++k;
-    // Sparse reset: zero only the words the component's previous tenant
-    // occupied. Full-width clears would cost O(population / 64) per
-    // component and dominate at megacity scale.
-    for (const std::uint32_t w : comp.words) comp.mask.set_word(w, 0);
-    comp.words.clear();
+    // Sparse reset: clear only the bits the component's previous tenant
+    // set. Full-width clears would cost O(population / 64) per component
+    // and dominate at megacity scale.
+    for (const NodeId v : comp.members) comp.mask.reset(v);
     comp.members.clear();
     comp.mask.ensure_capacity(n);  // no-op once the pool slot is warm.
 
@@ -139,13 +155,82 @@ std::size_t step_components_at(const SpaceTimeGraph& graph, Step s,
         }
       }
     }
-    comp.size = static_cast<unsigned>(comp.members.size());
-    for (const NodeId v : comp.members) comp.words.push_back(v >> 6);
-    std::sort(comp.words.begin(), comp.words.end());
-    comp.words.erase(std::unique(comp.words.begin(), comp.words.end()),
-                     comp.words.end());
   }
   return k;
+}
+
+StepComponents::StepComponents(const SpaceTimeGraph& graph) {
+  // Every (step, node) contact pair is one member slot, and every edge
+  // lists each endpoint as the other's neighbour once.
+  std::size_t slots = 0;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v)
+    slots += graph.contact_steps(v).size();
+  clear(graph.num_nodes());
+  step_begin_.reserve(graph.num_active_steps() + 1);
+  members_.reserve(slots);
+  nbr_begin_.reserve(slots + 1);
+  nbr_.reserve(2 * graph.total_edges());
+  StepComponentScratch scratch;
+  for (const Step s : graph.active_steps()) append(graph, s, scratch);
+  member_begin_.shrink_to_fit();  // the one array sized by growth.
+}
+
+void StepComponents::clear(NodeId n) {
+  num_nodes_ = n;
+  step_begin_.assign(1, 0);
+  member_begin_.assign(1, 0);
+  members_.clear();
+  nbr_begin_.assign(1, 0);
+  nbr_.clear();
+}
+
+void StepComponents::append(const SpaceTimeGraph& graph, Step s,
+                            StepComponentScratch& scratch) {
+  const NodeId n = graph.num_nodes();
+  if (scratch.stamp.size() < n) scratch.stamp.resize(n, 0);
+  if (scratch.position.size() < n) scratch.position.resize(n, 0);
+  const std::uint64_t gen = ++scratch.stamp_gen;
+  const auto edges = graph.edges(s);
+  rebuild_step_adjacency(edges, n, scratch);
+
+  // Components in canonical order (first-edge discovery, as in
+  // step_components_at()); each BFS appends its members straight into
+  // members_, which a sort then puts in ascending order.
+  const std::size_t step_first = members_.size();
+  for (const StepEdge& e : edges) {
+    if (scratch.stamp[e.a] == gen) continue;  // component already built.
+    const std::size_t first = members_.size();
+    members_.push_back(e.a);
+    scratch.stamp[e.a] = gen;
+    for (std::size_t head = first; head < members_.size(); ++head) {
+      for (const NodeId w : scratch.step_neighbors(members_[head])) {
+        if (scratch.stamp[w] != gen) {
+          scratch.stamp[w] = gen;
+          members_.push_back(w);
+        }
+      }
+    }
+    const auto begin = members_.begin() + static_cast<std::ptrdiff_t>(first);
+    std::sort(begin, members_.end());
+    for (std::size_t i = first; i < members_.size(); ++i)
+      scratch.position[members_[i]] = static_cast<std::uint32_t>(i - first);
+    member_begin_.push_back(offset32(members_.size()));
+  }
+  // Neighbour positions: ascending node ids within a component map to
+  // ascending positions, so each list keeps the adjacency's order.
+  for (std::size_t i = step_first; i < members_.size(); ++i) {
+    for (const NodeId w : scratch.step_neighbors(members_[i]))
+      nbr_.push_back(scratch.position[w]);
+    nbr_begin_.push_back(offset32(nbr_.size()));
+  }
+  step_begin_.push_back(offset32(member_begin_.size() - 1));
+}
+
+std::uint64_t StepComponents::bytes() const noexcept {
+  return (step_begin_.capacity() + member_begin_.capacity() +
+          nbr_begin_.capacity() + nbr_.capacity()) *
+             sizeof(std::uint32_t) +
+         members_.capacity() * sizeof(NodeId);
 }
 
 }  // namespace psn::graph

@@ -134,46 +134,9 @@ class NodeSet {
   }
 
   /// Grows the backing storage to cover node ids in [0, capacity) without
-  /// changing membership. The word-parallel kernels pre-size their sets
-  /// with this so subsequent word writes never reallocate mid-loop.
+  /// changing membership. The flood kernels pre-size their sets with this
+  /// so subsequent writes never reallocate mid-loop.
   void ensure_capacity(std::uint32_t capacity) { reserve_bit(capacity); }
-
-  /// Overwrites word i (bits [64 i, 64 i + 64)) with `value`, growing the
-  /// backing storage if needed. The bulk primitive of the word-parallel
-  /// flood kernels: one call updates 64 nodes' membership.
-  void set_word(std::uint32_t i, std::uint64_t value) {
-    if (i >= num_words_) {
-      if (value == 0) return;  // trailing zero words are implicit.
-      grow(i + 1);
-    }
-    if (num_words_ <= kInlineWords)
-      inline_[i & (kInlineWords - 1)] = value;
-    else
-      heap_[i] = value;
-  }
-
-  /// ORs `value` into word i, growing the backing storage if needed.
-  void or_word(std::uint32_t i, std::uint64_t value) {
-    if (i >= num_words_) {
-      if (value == 0) return;
-      grow(i + 1);
-    }
-    if (num_words_ <= kInlineWords)
-      inline_[i & (kInlineWords - 1)] |= value;
-    else
-      heap_[i] |= value;
-  }
-
-  /// Removes o's members from this set (this &= ~o), wordwise. Never
-  /// grows: bits beyond this set's storage are already absent.
-  NodeSet& and_not_assign(const NodeSet& o) noexcept {
-    std::uint64_t* d = data();
-    const std::uint64_t* od = o.data();
-    const std::uint32_t n = num_words_ < o.num_words_ ? num_words_
-                                                      : o.num_words_;
-    for (std::uint32_t i = 0; i < n; ++i) d[i] &= ~od[i];
-    return *this;
-  }
 
   NodeSet& operator|=(const NodeSet& o) {
     // Grow only as far as o's highest nonzero word.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -984,9 +985,71 @@ TEST(SharedSnapshots, ContactHistoryKeyIsSharedAcrossAdopters) {
   EXPECT_NE(ProphetForwarding(ProphetParams{}).shared_snapshot_key(),
             ProphetForwarding(ProphetParams{.p_init = 0.5})
                 .shared_snapshot_key());
-  // History-free algorithms publish no key (nothing to share).
-  EXPECT_TRUE(make_algorithm("Epidemic")->shared_snapshot_key().empty());
+  // Epidemic shares its per-step contact components; Direct has nothing
+  // to share and publishes no key.
+  EXPECT_EQ(make_algorithm("Epidemic")->shared_snapshot_key(),
+            ComponentIndexSnapshot::kKey);
   EXPECT_TRUE(make_algorithm("Direct")->shared_snapshot_key().empty());
+}
+
+TEST(SharedSnapshots, EpidemicAdoptedIndexMatchesPerStepExtraction) {
+  // An adopted whole-graph component index must flood exactly as the
+  // un-adopted run's per-step extraction and the scalar oracle do, under
+  // both replay modes (dense replay visits gap steps the index has no
+  // entry for).
+  const Fixture f(burst_gap_contacts(), 7, 1100.0);
+  const auto msgs = burst_gap_messages();
+  EpidemicForwarding plain;
+  EpidemicForwarding adopted;
+  const auto snapshot = adopted.build_shared_snapshot(f.graph, f.trace);
+  ASSERT_TRUE(snapshot != nullptr);
+  EXPECT_GT(snapshot->bytes(), 0u);
+  adopted.adopt_shared_snapshot(snapshot);
+  ASSERT_EQ(plain.step_components(), nullptr);
+  ASSERT_NE(adopted.step_components(), nullptr);
+  EXPECT_EQ(adopted.step_components()->num_steps(),
+            f.graph.num_active_steps());
+
+  auto oracle = f.request(plain, msgs);
+  oracle.flood_kernel = FloodKernel::kScalar;
+  oracle.replay = ReplayMode::kDense;
+  const auto reference = simulate(oracle);
+  EXPECT_GT(reference.delivered_count(), 0u);
+  for (const auto replay : {ReplayMode::kSparse, ReplayMode::kDense}) {
+    for (EpidemicForwarding* alg : {&plain, &adopted}) {
+      auto request = f.request(*alg, msgs);
+      request.replay = replay;
+      expect_results_identical(reference, simulate(request),
+                               alg == &adopted ? "adopted" : "per-step");
+    }
+  }
+}
+
+TEST(SharedSnapshots, ComponentIndexFromAnotherGraphIsRejected) {
+  // The flood kernel reads an adopted index by step position and member
+  // id; simulate() refuses one built over a different graph instead of
+  // indexing out of bounds — whether the step count or the population
+  // differs.
+  const Fixture town(burst_gap_contacts(), 7, 1100.0);
+  const Fixture fewer_steps({Contact::make(0, 1, 5.0, 12.0)}, 7, 300.0);
+  const Fixture more_nodes(burst_gap_contacts(), 9, 1100.0);
+  ASSERT_NE(fewer_steps.graph.num_active_steps(),
+            town.graph.num_active_steps());
+  ASSERT_EQ(more_nodes.graph.num_active_steps(),
+            town.graph.num_active_steps());
+  EpidemicForwarding adopted;
+  adopted.adopt_shared_snapshot(
+      adopted.build_shared_snapshot(town.graph, town.trace));
+  const std::vector<Message> msgs = {msg(0, 0, 1, 0.0)};
+  EXPECT_EQ(simulate(town.request(adopted, msgs)).delivered_count(), 1u);
+  for (const Fixture* other : {&fewer_steps, &more_nodes}) {
+    for (const auto kernel :
+         {FloodKernel::kComponentIndex, FloodKernel::kScalar}) {
+      auto request = other->request(adopted, msgs);
+      request.flood_kernel = kernel;
+      EXPECT_THROW((void)simulate(request), std::invalid_argument);
+    }
+  }
 }
 
 TEST(SharedSnapshots, AdoptedRunsAreReusableAcrossSimulations) {
@@ -1049,10 +1112,11 @@ TEST(Simulator, WorkspaceReuseIsBitIdentical) {
 }
 
 TEST(Simulator, FloodKernelsMatchBitForBit) {
-  // The word-parallel flood kernel must reproduce the scalar oracle
-  // kernel bit-for-bit: outcomes, delays, hop counts, and transmission
-  // totals. Non-flooding algorithms never enter the flood path, so for
-  // them this doubles as a no-op knob check.
+  // The component-index flood kernel (here un-adopted: each step is
+  // extracted into the workspace's one-step index) must reproduce the
+  // scalar oracle kernel bit-for-bit: outcomes, delays, hop counts, and
+  // transmission totals. Non-flooding algorithms never enter the flood
+  // path, so for them this doubles as a no-op knob check.
   std::vector<Contact> cs;
   for (int i = 0; i < 30; ++i)
     cs.push_back(Contact::make(static_cast<NodeId>(i % 5),
@@ -1071,20 +1135,20 @@ TEST(Simulator, FloodKernelsMatchBitForBit) {
   for (auto& alg : make_extended_algorithms()) {
     auto request = f.request(*alg, msgs);
     request.seed = 11;
-    request.flood_kernel = FloodKernel::kWordParallel;
-    const auto word = simulate(request);
+    request.flood_kernel = FloodKernel::kComponentIndex;
+    const auto index = simulate(request);
     request.flood_kernel = FloodKernel::kScalar;
     const auto scalar = simulate(request);
-    ASSERT_EQ(word.outcomes.size(), scalar.outcomes.size()) << alg->name();
-    for (std::size_t i = 0; i < word.outcomes.size(); ++i) {
-      EXPECT_EQ(word.outcomes[i].delivered, scalar.outcomes[i].delivered)
+    ASSERT_EQ(index.outcomes.size(), scalar.outcomes.size()) << alg->name();
+    for (std::size_t i = 0; i < index.outcomes.size(); ++i) {
+      EXPECT_EQ(index.outcomes[i].delivered, scalar.outcomes[i].delivered)
           << alg->name();
-      EXPECT_EQ(word.outcomes[i].delay, scalar.outcomes[i].delay)
+      EXPECT_EQ(index.outcomes[i].delay, scalar.outcomes[i].delay)
           << alg->name();
-      EXPECT_EQ(word.outcomes[i].hops, scalar.outcomes[i].hops)
+      EXPECT_EQ(index.outcomes[i].hops, scalar.outcomes[i].hops)
           << alg->name();
     }
-    EXPECT_EQ(word.transmissions, scalar.transmissions) << alg->name();
+    EXPECT_EQ(index.transmissions, scalar.transmissions) << alg->name();
   }
 }
 

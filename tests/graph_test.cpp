@@ -262,18 +262,27 @@ TEST(SpaceTimeGraph, ShardedBuildMatchesSerialOnDegenerateTraces) {
 }
 
 TEST(Components, StepComponentsMatchUnionFindOracle) {
-  // The word-parallel flood kernel consumes step_components_at; its
-  // masks, member lists, and word lists must describe exactly the
-  // non-singleton components the UnionFind oracle labels.
+  // Both component extractors are checked against the UnionFind oracle:
+  // step_components_at (the scalar flood kernel's masks and member
+  // lists) and the whole-graph StepComponents index the default flood
+  // kernel reads. Each must describe exactly the non-singleton
+  // components the oracle labels, in canonical order, and the index's
+  // neighbour positions must map back to exactly graph.neighbors(s, v).
   const auto trace = random_contacts(200, 3000, 600.0, 17);
   const SpaceTimeGraph g(trace, 10.0);
+  const StepComponents index(g);
+  ASSERT_EQ(index.num_steps(), g.num_active_steps());
+  EXPECT_EQ(index.num_nodes(), g.num_nodes());
+  EXPECT_GT(index.bytes(), 0u);
   StepComponentScratch scratch;
-  for (const Step s : g.active_steps()) {
+  for (std::size_t i = 0; i < g.num_active_steps(); ++i) {
+    const Step s = g.active_steps()[i];
     const std::size_t count = step_components_at(g, s, scratch);
     const auto labels = components_at(g, s);
 
-    // Oracle: label -> members, non-singleton only (step_components_at
-    // never materializes isolated nodes).
+    // Oracle: label -> members (ascending), non-singleton only — neither
+    // extractor materializes isolated nodes. std::map iterates labels
+    // ascending: the canonical component order.
     std::map<NodeId, std::vector<NodeId>> oracle;
     for (NodeId v = 0; v < g.num_nodes(); ++v)
       oracle[labels[v]].push_back(v);
@@ -282,26 +291,60 @@ TEST(Components, StepComponentsMatchUnionFindOracle) {
     });
 
     ASSERT_EQ(count, oracle.size()) << "step " << s;
-    for (std::size_t c = 0; c < count; ++c) {
-      const StepComponent& comp = scratch.pool[c];
+    const auto [first, last] = index.step_range(i);
+    ASSERT_EQ(last - first, oracle.size()) << "step " << s;
+    std::uint32_t c = first;
+    std::size_t k = 0;
+    for (const auto& [label, members] : oracle) {
+      const StepComponent& comp = scratch.pool[k++];
       ASSERT_FALSE(comp.members.empty());
       // The discovery-order front is the canonical (smallest) label.
-      const NodeId label = comp.members.front();
-      ASSERT_EQ(label, *std::min_element(comp.members.begin(),
-                                         comp.members.end()));
-      const auto it = oracle.find(label);
-      ASSERT_NE(it, oracle.end()) << "step " << s;
+      EXPECT_EQ(comp.members.front(), label) << "step " << s;
       std::vector<NodeId> sorted_members = comp.members;
       std::sort(sorted_members.begin(), sorted_members.end());
-      EXPECT_EQ(sorted_members, it->second);
-      EXPECT_EQ(comp.size, it->second.size());
-      EXPECT_EQ(comp.mask.count(), comp.size);
-      for (const NodeId v : it->second) EXPECT_TRUE(comp.mask.test(v));
-      // words lists exactly the nonzero mask words, ascending.
-      std::vector<std::uint32_t> expected_words;
-      for (std::uint32_t w = 0; w < comp.mask.num_words(); ++w)
-        if (comp.mask.word(w) != 0) expected_words.push_back(w);
-      EXPECT_EQ(comp.words, expected_words);
+      EXPECT_EQ(sorted_members, members);
+      EXPECT_EQ(comp.mask.count(), members.size());
+      for (const NodeId v : members) EXPECT_TRUE(comp.mask.test(v));
+
+      const StepComponents::Component entry = index.component(c++);
+      ASSERT_EQ(std::vector<NodeId>(entry.members.begin(),
+                                    entry.members.end()),
+                members)
+          << "step " << s;
+      for (std::uint32_t p = 0; p < entry.members.size(); ++p) {
+        std::vector<NodeId> mapped;
+        for (const std::uint32_t q : entry.neighbors(p)) {
+          ASSERT_LT(q, entry.members.size());
+          mapped.push_back(entry.members[q]);
+        }
+        const auto nbrs = g.neighbors(s, entry.members[p]);
+        EXPECT_EQ(mapped, std::vector<NodeId>(nbrs.begin(), nbrs.end()))
+            << "step " << s << " node " << entry.members[p];
+      }
+    }
+  }
+
+  // Appending one step to a cleared index reproduces that step's entry —
+  // the per-step extraction un-adopted flood runs use.
+  StepComponents one;
+  for (const std::size_t i : {std::size_t{0}, g.num_active_steps() / 2,
+                              g.num_active_steps() - 1}) {
+    one.clear(g.num_nodes());
+    one.append(g, g.active_steps()[i], scratch);
+    ASSERT_EQ(one.num_steps(), 1u);
+    const auto [first, last] = index.step_range(i);
+    const auto [one_first, one_last] = one.step_range(0);
+    ASSERT_EQ(one_last - one_first, last - first);
+    for (std::uint32_t c = 0; c < last - first; ++c) {
+      const auto a = index.component(first + c);
+      const auto b = one.component(one_first + c);
+      ASSERT_TRUE(std::equal(a.members.begin(), a.members.end(),
+                             b.members.begin(), b.members.end()));
+      for (std::uint32_t p = 0; p < a.members.size(); ++p) {
+        const auto na = a.neighbors(p);
+        const auto nb = b.neighbors(p);
+        EXPECT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()));
+      }
     }
   }
 }

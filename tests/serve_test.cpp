@@ -314,9 +314,9 @@ TEST(Service, SnapshotWallIsTheSnapshotShareOfRunWall) {
     return telemetry.at("snapshot_wall_seconds").as_number();
   };
 
-  // Epidemic publishes no snapshot, so no snapshot wave runs.
-  const Json epidemic = service.execute(forwarding_request("e", {"Epidemic"}));
-  EXPECT_EQ(snapshot_wall(epidemic), 0.0);
+  // Direct publishes no snapshot, so no snapshot wave runs.
+  const Json direct = service.execute(forwarding_request("d", {"Direct"}));
+  EXPECT_EQ(snapshot_wall(direct), 0.0);
 
   // After an evict the context and its PRoPHET snapshot are rebuilt, and
   // the rebuild shows up as the snapshot share of the run wall.
