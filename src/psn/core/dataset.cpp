@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "psn/synth/conference.hpp"
-#include "psn/synth/homogeneous.hpp"
 #include "psn/synth/random_waypoint.hpp"
 
 namespace psn::core {
@@ -62,33 +61,6 @@ std::vector<Dataset> DatasetFactory::paper_datasets() {
   for (std::size_t i = 0; i < std::size(kWindows); ++i)
     out.push_back(paper_dataset(i));
   return out;
-}
-
-Dataset DatasetFactory::replication_dataset() {
-  synth::ConferenceConfig config;
-  config.mobile_nodes = 41;  // Infocom'05 had a smaller deployment.
-  config.stationary_nodes = 0;
-  config.t_max = 3.0 * 3600.0;
-  config.mean_node_rate = 0.016;
-  config.scan_interval = 120.0;
-  config.modulation = synth::default_conference_modulation(config.t_max);
-  config.seed = 0x05;
-  return from_generated("infocom05-repl", synth::generate_conference(config));
-}
-
-Dataset DatasetFactory::homogeneous_dataset() {
-  synth::HomogeneousConfig config;
-  config.num_nodes = 100;
-  config.t_max = 3.0 * 3600.0;
-  config.node_rate = 0.05;
-  config.seed = 0x99;
-
-  Dataset ds;
-  ds.name = "homogeneous-control";
-  ds.trace = synth::generate_homogeneous(config);
-  ds.rates = trace::classify_rates(ds.trace);
-  ds.ground_truth_rates.assign(config.num_nodes, config.node_rate);
-  return ds;
 }
 
 Dataset DatasetFactory::random_waypoint_dataset() {

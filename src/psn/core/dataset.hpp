@@ -1,8 +1,7 @@
 // Datasets: named contact traces playing the role of the paper's four
 // 3-hour windows (Infocom'06 9-12 / 3-6, CoNEXT'06 9-12 / 3-6) plus a
-// robustness set standing in for the Infocom'05 replication. All are
-// synthetic (see DESIGN.md §2 for the substitution rationale) and fully
-// deterministic in their seeds.
+// random-waypoint control. All are synthetic (see DESIGN.md §2 for the
+// substitution rationale) and fully deterministic in their seeds.
 
 #pragma once
 
@@ -36,13 +35,6 @@ class DatasetFactory {
 
   /// One window by index (0..3) without building the others.
   [[nodiscard]] static Dataset paper_dataset(std::size_t index);
-
-  /// A smaller fifth dataset (different N, density) standing in for the
-  /// paper's Infocom'05 replication check.
-  [[nodiscard]] static Dataset replication_dataset();
-
-  /// A homogeneous-population control dataset (for §5.1 validation).
-  [[nodiscard]] static Dataset homogeneous_dataset();
 
   /// A random-waypoint mobility dataset (related-work control).
   [[nodiscard]] static Dataset random_waypoint_dataset();

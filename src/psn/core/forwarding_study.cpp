@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "psn/engine/run_spec.hpp"
-#include "psn/engine/sweep.hpp"
 
 namespace psn::core {
 
@@ -29,24 +28,7 @@ ForwardingStudyResult run_forwarding_study(
 
   engine::SweepOptions options;
   options.threads = config.threads;
-  auto sweep = engine::run_sweep(plan, options);
-
-  ForwardingStudyResult result;
-  result.algorithms.reserve(sweep.cells.size());
-  for (auto& cell : sweep.cells) {
-    AlgorithmStudy study;
-    study.overall = std::move(cell.overall);
-    study.by_pair_type = std::move(cell.by_pair_type);
-    study.delays = std::move(cell.delays);
-    study.cost_per_message = cell.cost_per_message;
-    study.truncated_relay_steps = cell.truncated_relay_steps;
-    study.expirations = cell.expirations;
-    study.evictions = cell.evictions;
-    study.drops = cell.drops;
-    study.budget_blocked = cell.budget_blocked;
-    result.algorithms.push_back(std::move(study));
-  }
-  return result;
+  return {engine::run_sweep(plan, options).cells};
 }
 
 OfferedLoadStudy run_offered_load_study(const Dataset& dataset,

@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "psn/core/dataset.hpp"
+#include "psn/engine/sweep.hpp"
 #include "psn/forward/algorithm_registry.hpp"
-#include "psn/forward/metrics.hpp"
 #include "psn/forward/simulator.hpp"
 
 namespace psn::core {
@@ -38,27 +38,9 @@ struct ForwardingStudyConfig {
   trace::Seconds message_ttl = forward::kNoTtl;
 };
 
-/// Per-algorithm study output.
-struct AlgorithmStudy {
-  forward::Performance overall;
-  forward::PairTypePerformance by_pair_type;
-  std::vector<double> delays;  ///< pooled delivered delays (Fig. 10).
-  /// Mean transmissions per generated message — the forwarding-cost
-  /// extension (paper §7 leaves cost as an open question).
-  double cost_per_message = 0.0;
-  /// Steps whose relay fixpoint was truncated (summed over runs); the
-  /// integration tests assert this stays zero at paper scale.
-  std::uint64_t truncated_relay_steps = 0;
-  /// Traffic-model event counters, summed over runs (all zero for
-  /// unconstrained, no-TTL studies).
-  std::uint64_t expirations = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t budget_blocked = 0;
-};
-
 struct ForwardingStudyResult {
-  std::vector<AlgorithmStudy> algorithms;
+  /// One cell per algorithm, in suite order.
+  std::vector<engine::CellSummary> algorithms;
 };
 
 [[nodiscard]] ForwardingStudyResult run_forwarding_study(

@@ -13,9 +13,8 @@ std::vector<forward::Message> generate_workload(trace::NodeId num_nodes,
   util::Rng rng(config.seed);
 
   std::vector<forward::Message> out;
-  // Draw orders are load-bearing: each branch reproduces its legacy
-  // generator's RNG stream exactly, so historical seeds keep meaning the
-  // same workload.
+  // Draw orders are load-bearing: reordering a branch's draws changes the
+  // workload every historical seed means (core_test pins both streams).
   if (config.mode == WorkloadMode::kPoissonRate) {
     if (!(config.message_rate > 0.0))
       throw std::invalid_argument("poisson workload needs a positive rate");
@@ -50,13 +49,6 @@ std::vector<forward::Message> generate_workload(trace::NodeId num_nodes,
     m.ttl = config.ttl;
   }
   return out;
-}
-
-std::vector<forward::Message> poisson_workload(trace::NodeId num_nodes,
-                                               const WorkloadConfig& config) {
-  WorkloadConfig c = config;
-  c.mode = WorkloadMode::kPoissonRate;
-  return generate_workload(num_nodes, c);
 }
 
 std::vector<paths::MessageSpec> uniform_message_sample(trace::NodeId num_nodes,

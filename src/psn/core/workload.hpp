@@ -2,14 +2,12 @@
 // process (one message per 4 seconds) over the first two hours of each
 // window, with source and destination drawn uniformly at random.
 //
-// Both historical generators — the Poisson-rate process and the
-// fixed-count uniform sample used by path enumeration — now live behind
-// one config-driven entry point, generate_workload(), selected by
-// WorkloadConfig::mode. The per-mode RNG draw sequences are the legacy
-// ones, unchanged: a given (mode, seed) pair yields exactly the message
-// stream the old poisson_workload / uniform_message_sample produced
-// (pinned by core_test's stream-equality tests), with the traffic
-// dimensions (size, TTL) stamped on afterwards.
+// Both generators — the Poisson-rate process and the fixed-count uniform
+// sample used by path enumeration — live behind one config-driven entry
+// point, generate_workload(), selected by WorkloadConfig::mode. A given
+// (mode, seed) pair always yields the same message stream (pinned by
+// core_test), with the traffic dimensions (size, TTL) stamped on
+// afterwards.
 
 #pragma once
 
@@ -49,13 +47,7 @@ struct WorkloadConfig {
 [[nodiscard]] std::vector<forward::Message> generate_workload(
     trace::NodeId num_nodes, const WorkloadConfig& config);
 
-/// Legacy entry point: generate_workload with mode forced to
-/// kPoissonRate. Deprecated — new code sets WorkloadConfig::mode.
-[[nodiscard]] std::vector<forward::Message> poisson_workload(
-    trace::NodeId num_nodes, const WorkloadConfig& config);
-
-/// Legacy entry point: the kFixedCount mode projected onto
-/// paths::MessageSpec. Deprecated — new code calls generate_workload.
+/// The kFixedCount mode projected onto paths::MessageSpec.
 [[nodiscard]] std::vector<paths::MessageSpec> uniform_message_sample(
     trace::NodeId num_nodes, std::size_t count, trace::Seconds horizon,
     std::uint64_t seed);

@@ -9,47 +9,4 @@ std::size_t SimulationResult::delivered_count() const noexcept {
   return n;
 }
 
-double SimulationResult::success_rate() const noexcept {
-  if (outcomes.empty()) return 0.0;
-  return static_cast<double>(delivered_count()) /
-         static_cast<double>(outcomes.size());
-}
-
-double SimulationResult::average_delay() const noexcept {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& o : outcomes) {
-    if (o.delivered) {
-      sum += o.delay;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-double SimulationResult::transmissions_per_message() const noexcept {
-  if (outcomes.empty()) return 0.0;
-  return static_cast<double>(transmissions) /
-         static_cast<double>(outcomes.size());
-}
-
-double SimulationResult::expiry_rate() const noexcept {
-  if (outcomes.empty()) return 0.0;
-  return static_cast<double>(expirations) /
-         static_cast<double>(outcomes.size());
-}
-
-double SimulationResult::drop_rate() const noexcept {
-  if (outcomes.empty()) return 0.0;
-  return static_cast<double>(drops) / static_cast<double>(outcomes.size());
-}
-
-std::vector<double> SimulationResult::delivered_delays() const {
-  std::vector<double> out;
-  out.reserve(outcomes.size());
-  for (const auto& o : outcomes)
-    if (o.delivered) out.push_back(o.delay);
-  return out;
-}
-
 }  // namespace psn::forward

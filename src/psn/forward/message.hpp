@@ -76,17 +76,6 @@ struct SimulationResult {
   std::uint64_t buffer_rejections = 0;
 
   [[nodiscard]] std::size_t delivered_count() const noexcept;
-  [[nodiscard]] double success_rate() const noexcept;
-  /// Mean delay over delivered messages (the paper's D); 0 if none.
-  [[nodiscard]] double average_delay() const noexcept;
-  /// Delays of delivered messages, for distribution plots (Fig. 10).
-  [[nodiscard]] std::vector<double> delivered_delays() const;
-  /// Transmissions per generated message; the cost metric.
-  [[nodiscard]] double transmissions_per_message() const noexcept;
-  /// Fraction of messages that died undelivered to TTL expiry.
-  [[nodiscard]] double expiry_rate() const noexcept;
-  /// Fraction of messages that lost every copy to buffer eviction.
-  [[nodiscard]] double drop_rate() const noexcept;
 };
 
 }  // namespace psn::forward

@@ -38,21 +38,6 @@ std::vector<double> pooled_delays(std::span<const Run> runs) {
   return out;
 }
 
-const char* pair_type_label(std::size_t index) noexcept {
-  switch (index) {
-    case 0:
-      return "in-in";
-    case 1:
-      return "in-out";
-    case 2:
-      return "out-in";
-    case 3:
-      return "out-out";
-    default:
-      return "?";
-  }
-}
-
 std::size_t pair_type_of(const Message& message,
                          const trace::RateClassification& rc) {
   const bool src_in = rc.is_in(message.source);

@@ -45,8 +45,6 @@ struct PairTypePerformance {
   Performance per_type[4];
 };
 
-[[nodiscard]] const char* pair_type_label(std::size_t index) noexcept;
-
 /// Pair-type index of a message under a rate classification.
 [[nodiscard]] std::size_t pair_type_of(const Message& message,
                                        const trace::RateClassification& rc);

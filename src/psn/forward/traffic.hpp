@@ -70,14 +70,4 @@ struct TrafficConfig {
   }
 };
 
-[[nodiscard]] constexpr const char* eviction_policy_name(
-    EvictionPolicy policy) noexcept {
-  switch (policy) {
-    case EvictionPolicy::kDropOldest: return "drop-oldest";
-    case EvictionPolicy::kDropLargestHop: return "drop-largest-hop";
-    case EvictionPolicy::kRandom: return "random";
-  }
-  return "unknown";
-}
-
 }  // namespace psn::forward

@@ -1,7 +1,6 @@
 #include "psn/graph/components.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace psn::graph {
@@ -53,14 +52,6 @@ void components_at(const SpaceTimeGraph& graph, Step s,
     scratch.smallest[root] = std::min(scratch.smallest[root], v);
   }
   for (NodeId v = 0; v < n; ++v) labels[v] = scratch.smallest[uf.find(v)];
-}
-
-std::vector<std::pair<NodeId, NodeId>> component_sizes_at(
-    const SpaceTimeGraph& graph, Step s) {
-  const auto labels = components_at(graph, s);
-  std::map<NodeId, NodeId> sizes;
-  for (const NodeId label : labels) ++sizes[label];
-  return {sizes.begin(), sizes.end()};
 }
 
 namespace {

@@ -51,11 +51,6 @@ struct ComponentScratch {
 void components_at(const SpaceTimeGraph& graph, Step s,
                    ComponentScratch& scratch, std::vector<NodeId>& labels);
 
-/// Sizes of the components at step s, keyed by canonical label, returned as
-/// (label, size) pairs sorted by label.
-[[nodiscard]] std::vector<std::pair<NodeId, NodeId>> component_sizes_at(
-    const SpaceTimeGraph& graph, Step s);
-
 /// One contact component of a step, as a full-width bitmask (the scalar
 /// flood kernel's oracle input; the default kernel reads StepComponents).
 struct StepComponent {

@@ -37,32 +37,6 @@ double EmpiricalCdf::max() const {
   return sorted_.back();
 }
 
-std::vector<CdfPoint> EmpiricalCdf::evaluate(std::size_t points) const {
-  std::vector<CdfPoint> out;
-  if (sorted_.empty() || points == 0) return out;
-  out.reserve(points);
-  const double lo = sorted_.front();
-  const double hi = sorted_.back();
-  if (points == 1 || hi == lo) {
-    out.push_back({lo, at(lo)});
-    return out;
-  }
-  const double step = (hi - lo) / static_cast<double>(points - 1);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x = lo + step * static_cast<double>(i);
-    out.push_back({x, at(x)});
-  }
-  return out;
-}
-
-std::vector<CdfPoint> EmpiricalCdf::evaluate_at(
-    const std::vector<double>& xs) const {
-  std::vector<CdfPoint> out;
-  out.reserve(xs.size());
-  for (const double x : xs) out.push_back({x, at(x)});
-  return out;
-}
-
 double ks_statistic(const EmpiricalCdf& a, const EmpiricalCdf& b) {
   double d = 0.0;
   for (const double x : a.sorted_sample())

@@ -11,12 +11,6 @@
 
 namespace psn::stats {
 
-/// One (x, P[X <= x]) evaluation point of a CDF.
-struct CdfPoint {
-  double x = 0.0;
-  double p = 0.0;
-};
-
 /// Immutable empirical CDF over a real-valued sample.
 class EmpiricalCdf {
  public:
@@ -38,14 +32,6 @@ class EmpiricalCdf {
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double median() const { return quantile(0.5); }
-
-  /// `points` evaluation points evenly spaced over [min, max]; the series a
-  /// plotting tool would draw and the series our benches print.
-  [[nodiscard]] std::vector<CdfPoint> evaluate(std::size_t points) const;
-
-  /// Evaluation at caller-chosen x positions.
-  [[nodiscard]] std::vector<CdfPoint> evaluate_at(
-      const std::vector<double>& xs) const;
 
   /// Access to the sorted sample (e.g. for two-sample statistics).
   [[nodiscard]] const std::vector<double>& sorted_sample() const noexcept {

@@ -27,10 +27,6 @@ double Histogram::bin_center(std::size_t i) const noexcept {
   return bin_left(i) + width_ / 2.0;
 }
 
-double Histogram::total() const noexcept {
-  return std::accumulate(counts_.begin(), counts_.end(), 0.0);
-}
-
 std::vector<double> Histogram::cumulative() const {
   std::vector<double> out(counts_.size());
   std::partial_sum(counts_.begin(), counts_.end(), out.begin());

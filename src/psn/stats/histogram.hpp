@@ -33,8 +33,6 @@ class Histogram {
     return counts_[i];
   }
 
-  [[nodiscard]] double total() const noexcept;
-
   /// Cumulative weights: out[i] = sum of counts in bins 0..i.
   [[nodiscard]] std::vector<double> cumulative() const;
 

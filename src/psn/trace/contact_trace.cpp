@@ -26,33 +26,6 @@ ContactTrace::ContactTrace(std::vector<Contact> contacts, NodeId num_nodes,
     contacts_.push_back(c);
   }
   std::sort(contacts_.begin(), contacts_.end(), contact_before);
-
-  prefix_max_end_.resize(contacts_.size());
-  Seconds running_max = 0.0;
-  for (std::size_t i = 0; i < contacts_.size(); ++i) {
-    running_max = std::max(running_max, contacts_[i].end);
-    prefix_max_end_[i] = running_max;
-  }
-}
-
-std::vector<Contact> ContactTrace::contacts_overlapping(Seconds lo,
-                                                        Seconds hi) const {
-  std::vector<Contact> out;
-  // Everything before `first` has ended by lo (the running max of end
-  // times is non-decreasing); everything from `last` on starts at or
-  // after hi (contacts are sorted by start). Only [first, last) can
-  // overlap, and within it only the end > lo check remains.
-  const auto first = static_cast<std::size_t>(
-      std::partition_point(prefix_max_end_.begin(), prefix_max_end_.end(),
-                           [lo](Seconds e) { return e <= lo; }) -
-      prefix_max_end_.begin());
-  const auto last = static_cast<std::size_t>(
-      std::partition_point(contacts_.begin(), contacts_.end(),
-                           [hi](const Contact& c) { return c.start < hi; }) -
-      contacts_.begin());
-  for (std::size_t i = first; i < last; ++i)
-    if (contacts_[i].end > lo) out.push_back(contacts_[i]);
-  return out;
 }
 
 std::vector<std::size_t> ContactTrace::contact_counts() const {

@@ -40,12 +40,6 @@ class ContactTrace {
     return contacts_[i];
   }
 
-  /// All contacts overlapping the half-open window [lo, hi). Resolved by
-  /// binary search over the time-sorted contacts (plus a cached running
-  /// maximum of end times), not a full scan.
-  [[nodiscard]] std::vector<Contact> contacts_overlapping(Seconds lo,
-                                                          Seconds hi) const;
-
   /// Number of contacts each node participates in (Fig. 7's quantity).
   [[nodiscard]] std::vector<std::size_t> contact_counts() const;
 
@@ -63,11 +57,6 @@ class ContactTrace {
 
  private:
   std::vector<Contact> contacts_;
-  /// prefix_max_end_[i] = max end time over contacts_[0..i]. Non-decreasing
-  /// by construction, so a binary search finds the first contact that can
-  /// still overlap a window starting at lo (everything before it has
-  /// already ended); built once in the constructor.
-  std::vector<Seconds> prefix_max_end_;
   NodeId num_nodes_ = 0;
   Seconds t_max_ = 0.0;
 };

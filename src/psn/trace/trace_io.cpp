@@ -1,5 +1,7 @@
 #include "psn/trace/trace_io.hpp"
 
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,6 +16,21 @@ namespace {
 [[noreturn]] void fail(std::size_t line_no, const std::string& why) {
   throw std::runtime_error("trace parse error at line " +
                            std::to_string(line_no) + ": " + why);
+}
+
+constexpr auto kMaxNodeId =
+    static_cast<long long>(std::numeric_limits<NodeId>::max());
+
+// Streams a time in the shortest form that reads back as the same double,
+// so a trace round-trips exactly; whole seconds print without a fraction.
+struct Exact {
+  Seconds s;
+};
+
+std::ostream& operator<<(std::ostream& out, Exact t) {
+  std::array<char, 32> buf{};
+  const auto result = std::to_chars(buf.data(), buf.data() + buf.size(), t.s);
+  return out.write(buf.data(), result.ptr - buf.data());
 }
 
 }  // namespace
@@ -36,8 +53,7 @@ ContactTrace read_trace(std::istream& in) {
       if (key == "nodes") {
         long long n = -1;
         hs >> n;
-        if (!hs || n <= 0 ||
-            n > static_cast<long long>(std::numeric_limits<NodeId>::max()))
+        if (!hs || n <= 0 || n > kMaxNodeId)
           fail(line_no, "bad '# nodes' directive");
         num_nodes = static_cast<NodeId>(n);
         saw_nodes = true;
@@ -55,6 +71,7 @@ ContactTrace read_trace(std::istream& in) {
     ls >> a >> b >> start >> end;
     if (!ls) fail(line_no, "expected '<a> <b> <start> <end>'");
     if (a < 0 || b < 0) fail(line_no, "negative node id");
+    if (a > kMaxNodeId || b > kMaxNodeId) fail(line_no, "node id too large");
     if (a == b) fail(line_no, "self contact");
     if (end < start) fail(line_no, "contact ends before it starts");
     contacts.push_back(Contact::make(static_cast<NodeId>(a),
@@ -75,9 +92,10 @@ ContactTrace read_trace_file(const std::string& path) {
 void write_trace(std::ostream& out, const ContactTrace& trace) {
   out << "# psn-trace v1\n";
   out << "# nodes " << trace.num_nodes() << '\n';
-  out << "# tmax " << trace.t_max() << '\n';
+  out << "# tmax " << Exact{trace.t_max()} << '\n';
   for (const Contact& c : trace.contacts())
-    out << c.a << ' ' << c.b << ' ' << c.start << ' ' << c.end << '\n';
+    out << c.a << ' ' << c.b << ' ' << Exact{c.start} << ' ' << Exact{c.end}
+        << '\n';
 }
 
 void write_trace_file(const std::string& path, const ContactTrace& trace) {

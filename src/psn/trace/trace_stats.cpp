@@ -43,20 +43,6 @@ stats::EmpiricalCdf contact_count_cdf(const ContactTrace& trace) {
   return stats::EmpiricalCdf(std::move(sample));
 }
 
-std::vector<Seconds> inter_contact_times(const ContactTrace& trace, NodeId a,
-                                         NodeId b) {
-  if (a > b) std::swap(a, b);
-  std::vector<Seconds> gaps;
-  Seconds last_end = -1.0;
-  for (const Contact& c : trace.contacts()) {
-    if (c.a != a || c.b != b) continue;
-    if (last_end >= 0.0 && c.start > last_end)
-      gaps.push_back(c.start - last_end);
-    last_end = std::max(last_end, c.end);
-  }
-  return gaps;
-}
-
 std::vector<Seconds> all_inter_contact_times(const ContactTrace& trace) {
   // One pass: remember the last contact end per pair.
   std::map<std::pair<NodeId, NodeId>, Seconds> last_end;

@@ -43,12 +43,9 @@ struct RateClassification {
 /// CDF of per-node total contact counts; Fig. 7's series.
 [[nodiscard]] stats::EmpiricalCdf contact_count_cdf(const ContactTrace& trace);
 
-/// Inter-contact times of a node pair: gaps between the end of one contact
-/// and the start of the next between the same two nodes.
-[[nodiscard]] std::vector<Seconds> inter_contact_times(
-    const ContactTrace& trace, NodeId a, NodeId b);
-
-/// All inter-contact times aggregated over every pair with >= 2 contacts.
+/// Inter-contact times aggregated over every pair with >= 2 contacts: the
+/// gaps between the end of one contact and the start of the next between
+/// the same two nodes.
 [[nodiscard]] std::vector<Seconds> all_inter_contact_times(
     const ContactTrace& trace);
 

@@ -33,16 +33,4 @@ void NodeSet::steal(NodeSet&& o) noexcept {
   o.inline_[0] = o.inline_[1] = 0;
 }
 
-std::string NodeSet::to_string() const {
-  std::string out = "{";
-  bool first = true;
-  for_each([&](std::uint32_t bit) {
-    if (!first) out += ", ";
-    out += std::to_string(bit);
-    first = false;
-  });
-  out += "}";
-  return out;
-}
-
 }  // namespace psn::util

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 
 namespace psn::util {
@@ -168,17 +167,6 @@ class NodeSet {
     return r;
   }
 
-  /// True if the two sets share any member (no temporary allocated).
-  [[nodiscard]] bool intersects(const NodeSet& o) const noexcept {
-    const std::uint64_t* a = data();
-    const std::uint64_t* b = o.data();
-    const std::uint32_t n = num_words_ < o.num_words_ ? num_words_
-                                                      : o.num_words_;
-    for (std::uint32_t i = 0; i < n; ++i)
-      if (a[i] & b[i]) return true;
-    return false;
-  }
-
   /// |this & o| without allocating the intersection.
   [[nodiscard]] unsigned intersect_count(const NodeSet& o) const noexcept {
     const std::uint64_t* a = data();
@@ -213,9 +201,6 @@ class NodeSet {
       }
     }
   }
-
-  /// Member listing ("{3, 17, 96}") for diagnostics.
-  [[nodiscard]] std::string to_string() const;
 
  private:
   [[nodiscard]] const std::uint64_t* data() const noexcept {

@@ -67,30 +67,6 @@ double Rng::exponential(double rate) noexcept {
   return -std::log1p(-uniform()) / rate;
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Inversion by sequential search.
-    const double l = std::exp(-mean);
-    std::uint64_t k = 0;
-    double p = uniform();
-    double cumulative = l;
-    double term = l;
-    while (p > cumulative) {
-      ++k;
-      term *= mean / static_cast<double>(k);
-      cumulative += term;
-      if (term < 1e-18 && p > cumulative) break;  // numeric tail guard
-    }
-    return k;
-  }
-  // Normal approximation with continuity correction is adequate for the
-  // large-mean draws psn makes (binned contact counts), and is monotone in
-  // the underlying uniform which keeps experiments stable across platforms.
-  const double x = normal(mean, std::sqrt(mean));
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
 double Rng::normal() noexcept {
   // Box-Muller; draw both uniforms every call so the stream is predictable.
   const double u1 = 1.0 - uniform();  // (0, 1]
@@ -107,17 +83,6 @@ bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 double Rng::pareto(double scale, double shape) noexcept {
   return scale / std::pow(1.0 - uniform(), 1.0 / shape);
-}
-
-double Rng::lognormal(double mu, double sigma) noexcept {
-  return std::exp(normal(mu, sigma));
-}
-
-Rng Rng::split() noexcept {
-  // A fresh engine seeded from this stream; streams do not overlap in any
-  // practically observable way.
-  std::uint64_t sm = (*this)();
-  return Rng{splitmix64(sm)};
 }
 
 }  // namespace psn::util

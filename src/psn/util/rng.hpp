@@ -3,8 +3,7 @@
 // All stochastic components in psn (trace generators, workload generators,
 // simulators) draw their randomness through Rng so that every experiment is
 // reproducible from a single 64-bit seed. Rng wraps a SplitMix64-seeded
-// xoshiro256** engine: tiny state, excellent statistical quality, and cheap
-// stream splitting for per-run / per-node substreams.
+// xoshiro256** engine: tiny state and excellent statistical quality.
 
 #pragma once
 
@@ -50,10 +49,6 @@ class Rng {
   /// Exponentially distributed value with the given rate (mean 1/rate).
   [[nodiscard]] double exponential(double rate) noexcept;
 
-  /// Poisson-distributed count with the given mean (inversion for small
-  /// means, PTRS rejection for large means).
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
-
   /// Standard normal via Box-Muller (no cached spare: deterministic order).
   [[nodiscard]] double normal() noexcept;
 
@@ -65,12 +60,6 @@ class Rng {
 
   /// Pareto(x_m, alpha) draw; heavy-tailed inter-contact times.
   [[nodiscard]] double pareto(double scale, double shape) noexcept;
-
-  /// Log-normal draw with the given parameters of the underlying normal.
-  [[nodiscard]] double lognormal(double mu, double sigma) noexcept;
-
-  /// A statistically independent child stream (for per-run / per-node use).
-  [[nodiscard]] Rng split() noexcept;
 
   /// Fisher-Yates shuffle of a vector, driven by this engine.
   template <typename T>

@@ -52,11 +52,7 @@ TEST(DatasetFactoryTest, InOutSplitIsBalanced) {
   EXPECT_NEAR(static_cast<double>(in), 49.0, 3.0);
 }
 
-TEST(DatasetFactoryTest, ReplicationAndControls) {
-  const auto repl = DatasetFactory::replication_dataset();
-  EXPECT_EQ(repl.trace.num_nodes(), 41u);
-  const auto hom = DatasetFactory::homogeneous_dataset();
-  EXPECT_EQ(hom.trace.num_nodes(), 100u);
+TEST(DatasetFactoryTest, RandomWaypointControl) {
   const auto rwp = DatasetFactory::random_waypoint_dataset();
   EXPECT_EQ(rwp.trace.num_nodes(), 40u);
   EXPECT_GT(rwp.trace.size(), 0u);
@@ -67,7 +63,7 @@ TEST(Workload, PoissonRateApproximatelyHonored) {
   config.message_rate = 0.25;
   config.horizon = 7200.0;
   config.seed = 3;
-  const auto msgs = poisson_workload(98, config);
+  const auto msgs = generate_workload(98, config);
   // Expected ~1800 messages; Poisson sd ~42.
   EXPECT_NEAR(static_cast<double>(msgs.size()), 1800.0, 150.0);
   for (const auto& m : msgs) {
@@ -98,8 +94,8 @@ TEST(Workload, UniformSampleRespectsBounds) {
 TEST(Workload, DeterministicInSeed) {
   WorkloadConfig config;
   config.seed = 42;
-  const auto a = poisson_workload(20, config);
-  const auto b = poisson_workload(20, config);
+  const auto a = generate_workload(20, config);
+  const auto b = generate_workload(20, config);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].source, b[i].source);
@@ -108,37 +104,40 @@ TEST(Workload, DeterministicInSeed) {
   }
 }
 
-TEST(Workload, GenerateWorkloadReproducesLegacyPoissonStream) {
-  // The unified generator must replay the legacy Poisson draw sequence
-  // bit-for-bit for a given seed — sweeps that migrate to
-  // generate_workload keep their historical workloads.
+TEST(Workload, GenerateWorkloadPinsSeededPoissonStream) {
+  // A seed must keep meaning the same workload: every sweep draws its
+  // messages from this stream. The literals were captured from the
+  // generator; a change to its draw order shows up here.
   WorkloadConfig config;
   config.message_rate = 0.1;
   config.horizon = 3600.0;
   config.seed = 11;
-  const auto legacy = poisson_workload(30, config);
+  config.size_bytes = 16;
+  config.ttl = 900.0;
+  const auto msgs = generate_workload(30, config);
 
-  WorkloadConfig unified = config;
-  unified.mode = WorkloadMode::kPoissonRate;
-  unified.size_bytes = 16;
-  unified.ttl = 900.0;
-  const auto msgs = generate_workload(30, unified);
-
-  ASSERT_EQ(msgs.size(), legacy.size());
-  ASSERT_GT(msgs.size(), 0u);
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(msgs[i].id, legacy[i].id);
-    EXPECT_EQ(msgs[i].source, legacy[i].source);
-    EXPECT_EQ(msgs[i].destination, legacy[i].destination);
-    EXPECT_EQ(msgs[i].created, legacy[i].created);  // bit-identical.
-    // The traffic dimensions are stamped on after generation.
-    EXPECT_EQ(msgs[i].size_bytes, 16u);
-    EXPECT_DOUBLE_EQ(msgs[i].ttl, 900.0);
+  ASSERT_EQ(msgs.size(), 347u);
+  struct Head {
+    std::uint32_t id;
+    trace::NodeId source;
+    trace::NodeId destination;
+    double created;
+  };
+  const Head head[] = {
+      {0, 2, 8, 2.526679080436951},
+      {1, 2, 9, 8.3925026113083145},
+      {2, 29, 18, 15.575782690029182},
+  };
+  for (std::size_t i = 0; i < std::size(head); ++i) {
+    EXPECT_EQ(msgs[i].id, head[i].id);
+    EXPECT_EQ(msgs[i].source, head[i].source);
+    EXPECT_EQ(msgs[i].destination, head[i].destination);
+    EXPECT_EQ(msgs[i].created, head[i].created);  // bit-identical.
   }
-  // The legacy entry point itself stays unconstrained.
-  for (const auto& m : legacy) {
-    EXPECT_EQ(m.size_bytes, 1u);
-    EXPECT_TRUE(std::isinf(m.ttl));
+  // The traffic dimensions are stamped on after generation.
+  for (const auto& m : msgs) {
+    EXPECT_EQ(m.size_bytes, 16u);
+    EXPECT_DOUBLE_EQ(m.ttl, 900.0);
   }
 }
 

@@ -389,7 +389,7 @@ TEST(ScenarioRegistry, DiurnalTierHasQuietHours) {
 }
 
 // The flood-kernel choice run_sweep forwards must never change results,
-// only walls: the scalar kernel is the word kernel's oracle.
+// only walls: the scalar kernel is the component-index kernel's oracle.
 TEST(Sweep, FloodKernelsAreBitIdentical) {
   const auto scenario = make_scenario_by_name("town_128");
   PlanConfig config;
@@ -398,15 +398,15 @@ TEST(Sweep, FloodKernelsAreBitIdentical) {
   config.message_rate = 0.01;
   const auto plan = make_plan({scenario}, {"Epidemic", "FRESH"}, config);
 
-  SweepOptions word;
-  word.threads = 2;
-  SweepOptions scalar = word;
+  SweepOptions indexed;
+  indexed.threads = 2;
+  SweepOptions scalar = indexed;
   scalar.flood_kernel = forward::FloodKernel::kScalar;
 
-  const auto w = run_sweep(plan, word);
-  const auto s = run_sweep(plan, scalar);
-  expect_cells_identical(w, s);
-  EXPECT_GT(w.cells[0].overall.delivered, 0u);
+  const auto fast = run_sweep(plan, indexed);
+  const auto oracle = run_sweep(plan, scalar);
+  expect_cells_identical(fast, oracle);
+  EXPECT_GT(fast.cells[0].overall.delivered, 0u);
 }
 
 // Contention does not break the parallel determinism guarantee: a sweep

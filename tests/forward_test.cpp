@@ -668,7 +668,6 @@ TEST(Simulator, TransmissionCostAccounting) {
   const auto r = f.run(epidemic, {msg(0, 0, 2, 0.0)});
   ASSERT_TRUE(r.outcomes[0].delivered);
   EXPECT_EQ(r.transmissions, 2u);
-  EXPECT_DOUBLE_EQ(r.transmissions_per_message(), 2.0);
 }
 
 TEST(Simulator, DirectDeliveryCostsOneTransmission) {
@@ -1169,13 +1168,6 @@ TEST(SimulationResultTest, Aggregates) {
   SimulationResult r;
   r.outcomes = {{true, 10.0, 1}, {false, 0.0, 0}, {true, 30.0, 2}};
   EXPECT_EQ(r.delivered_count(), 2u);
-  EXPECT_NEAR(r.success_rate(), 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(r.average_delay(), 20.0);
-  EXPECT_EQ(r.delivered_delays().size(), 2u);
-  r.expirations = 1;
-  r.drops = 2;
-  EXPECT_NEAR(r.expiry_rate(), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(r.drop_rate(), 2.0 / 3.0, 1e-12);
 }
 
 }  // namespace

@@ -375,20 +375,6 @@ TEST(Components, LabelsAreCanonicalSmallestMember) {
   EXPECT_EQ(labels[5], 5u);
 }
 
-TEST(Components, SizesSumToPopulation) {
-  const auto trace = make_trace(
-      {
-          Contact::make(0, 1, 0.0, 5.0),
-          Contact::make(2, 3, 0.0, 5.0),
-      },
-      5, 10.0);
-  const SpaceTimeGraph g(trace, 10.0);
-  const auto sizes = component_sizes_at(g, 0);
-  NodeId total = 0;
-  for (const auto& [label, size] : sizes) total += size;
-  EXPECT_EQ(total, 5u);
-}
-
 TEST(Reachability, DirectContactDelivers) {
   const auto trace = make_trace({Contact::make(0, 1, 15.0, 18.0)}, 2, 60.0);
   const SpaceTimeGraph g(trace, 10.0);

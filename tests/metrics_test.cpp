@@ -64,13 +64,6 @@ TEST(Metrics, PairTypeOfQuadrants) {
   EXPECT_EQ(pair_type_of({0, 2, 3, 0.0}, rc), 3u);  // out-out
 }
 
-TEST(Metrics, PairTypeLabels) {
-  EXPECT_STREQ(pair_type_label(0), "in-in");
-  EXPECT_STREQ(pair_type_label(1), "in-out");
-  EXPECT_STREQ(pair_type_label(2), "out-in");
-  EXPECT_STREQ(pair_type_label(3), "out-out");
-}
-
 TEST(Metrics, SplitByPairType) {
   const auto rc = fake_rc();
   std::vector<::psn::forward::Run> runs;

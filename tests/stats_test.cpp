@@ -19,7 +19,6 @@ TEST(EmpiricalCdf, EmptyBehaves) {
   EmpiricalCdf cdf;
   EXPECT_TRUE(cdf.empty());
   EXPECT_EQ(cdf.at(0.0), 0.0);
-  EXPECT_TRUE(cdf.evaluate(10).empty());
 }
 
 TEST(EmpiricalCdf, StepFunction) {
@@ -50,29 +49,6 @@ TEST(EmpiricalCdf, QuantileOfEmptyThrows) {
   EXPECT_THROW((void)cdf.quantile(0.5), std::logic_error);
 }
 
-TEST(EmpiricalCdf, EvaluateSeriesIsMonotone) {
-  util::Rng rng(5);
-  std::vector<double> sample;
-  for (int i = 0; i < 1000; ++i) sample.push_back(rng.normal(10.0, 3.0));
-  EmpiricalCdf cdf(std::move(sample));
-  const auto pts = cdf.evaluate(50);
-  ASSERT_EQ(pts.size(), 50u);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_LE(pts[i - 1].x, pts[i].x);
-    EXPECT_LE(pts[i - 1].p, pts[i].p);
-  }
-  EXPECT_DOUBLE_EQ(pts.back().p, 1.0);
-}
-
-TEST(EmpiricalCdf, EvaluateAtChosenPoints) {
-  EmpiricalCdf cdf({1.0, 2.0});
-  const auto pts = cdf.evaluate_at({0.0, 1.5, 3.0});
-  ASSERT_EQ(pts.size(), 3u);
-  EXPECT_DOUBLE_EQ(pts[0].p, 0.0);
-  EXPECT_DOUBLE_EQ(pts[1].p, 0.5);
-  EXPECT_DOUBLE_EQ(pts[2].p, 1.0);
-}
-
 TEST(KsStatistic, IdenticalSamplesZero) {
   EmpiricalCdf a({1.0, 2.0, 3.0});
   EmpiricalCdf b({1.0, 2.0, 3.0});
@@ -101,7 +77,6 @@ TEST(Histogram, AddAndCount) {
   h.add(9.9);
   EXPECT_DOUBLE_EQ(h.count(0), 2.0);
   EXPECT_DOUBLE_EQ(h.count(4), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 3.0);
 }
 
 TEST(Histogram, OutOfRangeClamped) {

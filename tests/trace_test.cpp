@@ -111,52 +111,6 @@ TEST(ContactTrace, WindowShiftsTimes) {
   EXPECT_DOUBLE_EQ(cut.t_max(), 30.0);
 }
 
-TEST(ContactTrace, ContactsOverlappingQuery) {
-  std::vector<Contact> cs{
-      Contact::make(0, 1, 0.0, 10.0),
-      Contact::make(1, 2, 20.0, 30.0),
-      Contact::make(0, 2, 50.0, 60.0),
-  };
-  const ContactTrace trace(cs, 3, 100.0);
-  EXPECT_EQ(trace.contacts_overlapping(0.0, 100.0).size(), 3u);
-  EXPECT_EQ(trace.contacts_overlapping(25.0, 55.0).size(), 2u);
-  EXPECT_EQ(trace.contacts_overlapping(11.0, 19.0).size(), 0u);
-  // Boundary semantics: the window is half-open, a contact touching only
-  // the window edges does not overlap.
-  EXPECT_EQ(trace.contacts_overlapping(10.0, 20.0).size(), 0u);
-  EXPECT_EQ(trace.contacts_overlapping(30.0, 50.0).size(), 0u);
-  EXPECT_EQ(trace.contacts_overlapping(29.999, 50.001).size(), 2u);
-}
-
-TEST(ContactTrace, ContactsOverlappingFindsLongEarlyContacts) {
-  // An early-starting, long-running contact must be found by late windows
-  // even though many later-starting contacts have already ended — the
-  // binary search is over the running maximum of end times, not starts.
-  std::vector<Contact> cs{
-      Contact::make(0, 1, 0.0, 950.0),  // spans almost the whole trace
-      Contact::make(1, 2, 5.0, 6.0),
-      Contact::make(2, 3, 100.0, 110.0),
-      Contact::make(0, 3, 400.0, 410.0),
-      Contact::make(1, 3, 800.0, 820.0),
-  };
-  const ContactTrace trace(cs, 4, 1000.0);
-  const auto late = trace.contacts_overlapping(700.0, 750.0);
-  ASSERT_EQ(late.size(), 1u);
-  EXPECT_EQ(late[0].b, 1u);  // the long 0-1 contact
-  const auto later = trace.contacts_overlapping(790.0, 900.0);
-  EXPECT_EQ(later.size(), 2u);  // long 0-1 plus the 800-820 contact
-  EXPECT_EQ(trace.contacts_overlapping(960.0, 1000.0).size(), 0u);
-  // Agreement with a brute-force scan on every decade window.
-  for (double lo = 0.0; lo < 1000.0; lo += 100.0) {
-    const double hi = lo + 100.0;
-    std::size_t brute = 0;
-    for (const Contact& c : trace.contacts())
-      if (c.overlaps(lo, hi)) ++brute;
-    EXPECT_EQ(trace.contacts_overlapping(lo, hi).size(), brute)
-        << "window [" << lo << ", " << hi << ")";
-  }
-}
-
 TEST(ContactTrace, TotalContactTime) {
   std::vector<Contact> cs{
       Contact::make(0, 1, 0.0, 10.0),
@@ -167,19 +121,29 @@ TEST(ContactTrace, TotalContactTime) {
 }
 
 TEST(TraceIo, RoundTrip) {
+  // Times that need more than the stream default's 6 significant digits
+  // must come back bit-identical, as must t_max.
   std::vector<Contact> cs{
       Contact::make(0, 1, 0.5, 10.25),
       Contact::make(1, 2, 20.0, 25.0),
+      Contact::make(2, 3, 1234.5678, 10799.75),
+      Contact::make(3, 4, 0.1, 1.0 / 3.0),
   };
-  const ContactTrace trace(cs, 5, 100.0);
+  const ContactTrace trace(cs, 5, 10800.125);
   std::stringstream ss;
   write_trace(ss, trace);
   const auto back = read_trace(ss);
   EXPECT_EQ(back.num_nodes(), 5u);
-  EXPECT_DOUBLE_EQ(back.t_max(), 100.0);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0], trace[0]);
-  EXPECT_EQ(back[1], trace[1]);
+  EXPECT_EQ(back.t_max(), trace.t_max());
+  ASSERT_EQ(back.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) EXPECT_EQ(back[i], trace[i]);
+}
+
+TEST(TraceIo, WholeSecondsPrintWithoutFraction) {
+  const ContactTrace trace({Contact::make(0, 1, 20.0, 25.0)}, 2, 100.0);
+  std::stringstream ss;
+  write_trace(ss, trace);
+  EXPECT_EQ(ss.str(), "# psn-trace v1\n# nodes 2\n# tmax 100\n0 1 20 25\n");
 }
 
 TEST(TraceIo, MissingHeaderFails) {
@@ -189,6 +153,12 @@ TEST(TraceIo, MissingHeaderFails) {
 
 TEST(TraceIo, MalformedLineFails) {
   std::stringstream ss("# nodes 3\n# tmax 10\n0 zebra 0.0 1.0\n");
+  EXPECT_THROW((void)read_trace(ss), std::runtime_error);
+}
+
+TEST(TraceIo, NodeIdBeyondNodeIdRangeFails) {
+  // 2^32 must not wrap to node 0 and pass as contact 0-1.
+  std::stringstream ss("# nodes 2\n# tmax 10\n4294967296 1 0 10\n");
   EXPECT_THROW((void)read_trace(ss), std::runtime_error);
 }
 
@@ -247,7 +217,7 @@ TEST(TraceStats, InterContactTimes) {
       Contact::make(0, 1, 100.0, 110.0),
   };
   const ContactTrace trace(cs, 2, 200.0);
-  const auto gaps = inter_contact_times(trace, 1, 0);
+  const auto gaps = all_inter_contact_times(trace);
   ASSERT_EQ(gaps.size(), 2u);
   EXPECT_DOUBLE_EQ(gaps[0], 20.0);
   EXPECT_DOUBLE_EQ(gaps[1], 65.0);
@@ -259,7 +229,7 @@ TEST(TraceStats, OverlappingContactsYieldNoGap) {
       Contact::make(0, 1, 5.0, 20.0),
   };
   const ContactTrace trace(cs, 2, 100.0);
-  EXPECT_TRUE(inter_contact_times(trace, 0, 1).empty());
+  EXPECT_TRUE(all_inter_contact_times(trace).empty());
 }
 
 TEST(TraceStats, AllInterContactTimesAggregates) {

@@ -83,30 +83,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / n, 1.0 / rate, 0.05);
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng(29);
-  const double mean = 3.0;
-  double sum = 0.0;
-  constexpr int n = 100000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(mean));
-  EXPECT_NEAR(sum / n, mean, 0.05);
-}
-
-TEST(Rng, PoissonLargeMean) {
-  Rng rng(31);
-  const double mean = 250.0;
-  double sum = 0.0;
-  constexpr int n = 20000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(mean));
-  EXPECT_NEAR(sum / n, mean, 1.0);
-}
-
-TEST(Rng, PoissonZeroMeanIsZero) {
-  Rng rng(37);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-  EXPECT_EQ(rng.poisson(-1.0), 0u);
-}
-
 TEST(Rng, NormalMoments) {
   Rng rng(41);
   double sum = 0.0;
@@ -133,15 +109,6 @@ TEST(Rng, BernoulliFrequency) {
 TEST(Rng, ParetoAboveScale) {
   Rng rng(47);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
-TEST(Rng, SplitStreamsAreIndependentish) {
-  Rng parent(53);
-  Rng child = parent.split();
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (parent() == child()) ++same;
-  EXPECT_EQ(same, 0);
 }
 
 TEST(Rng, ShufflePreservesElements) {
@@ -211,11 +178,9 @@ TEST(NodeSet, UnionAndIntersection) {
   EXPECT_EQ(i.count(), 2u);
   EXPECT_TRUE(i.test(70));
   EXPECT_TRUE(i.test(200));
-  EXPECT_TRUE(a.intersects(b));
   EXPECT_EQ(a.intersect_count(b), 2u);
   NodeSet c;
   c.set(5);
-  EXPECT_FALSE(a.intersects(c));
   EXPECT_EQ(a.intersect_count(c), 0u);
 }
 
@@ -231,13 +196,6 @@ TEST(NodeSet, EqualityAndHashIgnoreCapacity) {
   EXPECT_EQ(NodeSetHash{}(a), NodeSetHash{}(b));
   b.set(1);
   EXPECT_NE(a, b);
-}
-
-TEST(NodeSet, ToStringListsMembers) {
-  NodeSet s;
-  s.set(2);
-  s.set(64);
-  EXPECT_EQ(s.to_string(), "{2, 64}");
 }
 
 TEST(NodeSet, HashSpreadsOverBuckets) {
@@ -325,7 +283,6 @@ TEST(NodeSet, MatchesReferenceModelUnderRandomOps) {
     ASSERT_EQ(u.count(), uref.size()) << "capacity=" << capacity;
     ASSERT_EQ(i.count(), iref.size()) << "capacity=" << capacity;
     ASSERT_EQ(s.intersect_count(t), iref.size());
-    ASSERT_EQ(s.intersects(t), !iref.empty());
     std::vector<std::uint32_t> umembers;
     u.for_each([&](std::uint32_t b) { umembers.push_back(b); });
     ASSERT_EQ(umembers, std::vector<std::uint32_t>(uref.begin(), uref.end()));
