@@ -1,26 +1,10 @@
 #include "psn/engine/scenario_context.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "psn/trace/contact.hpp"
 
 namespace psn::engine {
-
-namespace {
-
-std::uint64_t default_budget_from_env() {
-  // Read once, before any worker threads exist (first instance() call);
-  // nothing in-process calls setenv. NOLINT(concurrency-mt-unsafe)
-  if (const char* env = std::getenv("PSN_CONTEXT_CACHE_BUDGET_BYTES")) {  // NOLINT(concurrency-mt-unsafe)
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env) return v;
-  }
-  return ScenarioContextCache::kDefaultBudgetBytes;
-}
-
-}  // namespace
 
 std::pair<ObservationStore::SnapshotPtr, bool> ObservationStore::get_or_build(
     const std::string& key, const std::function<SnapshotPtr()>& build) {
@@ -63,9 +47,6 @@ std::uint64_t ObservationStore::bytes() const {
     if (snapshot) total += snapshot->bytes();
   return total;
 }
-
-ScenarioContextCache::ScenarioContextCache()
-    : budget_bytes_(default_budget_from_env()) {}
 
 ScenarioContextCache& ScenarioContextCache::instance() {
   static ScenarioContextCache cache;

@@ -108,9 +108,8 @@ struct ScenarioCacheStats {
 /// Process-wide memoization of ScenarioContexts (see file comment).
 class ScenarioContextCache {
  public:
-  /// Default retention budget: 1 GiB, overridable per process via the
-  /// PSN_CONTEXT_CACHE_BUDGET_BYTES environment variable (read once at
-  /// first use) or at runtime via set_budget_bytes().
+  /// Retention budget at start-up: 1 GiB, changed at runtime via
+  /// set_budget_bytes().
   static constexpr std::uint64_t kDefaultBudgetBytes = 1ull << 30;
 
   /// The process-wide cache instance.
@@ -175,7 +174,7 @@ class ScenarioContextCache {
   ScenarioContextCache& operator=(const ScenarioContextCache&) = delete;
 
  private:
-  ScenarioContextCache();
+  ScenarioContextCache() = default;
 
   /// Identity of a context: the dataset instance and the discretization.
   /// The dataset pointer cannot alias a *different* dataset while its

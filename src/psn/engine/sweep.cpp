@@ -72,34 +72,44 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         core::generate_workload(scenario.dataset->trace.num_nodes(), wc);
   });
 
-  // Phase 1.5: shared observation snapshots. Each algorithm that
-  // publishes a snapshot key gets its snapshot built once per scenario,
-  // here, in parallel across (scenario, key) — not inside phase-2 shards,
-  // where every run of a scenario would serialize on the one build. The
-  // adoption path below still calls get_or_build, so correctness never
-  // depends on this wave (it is purely a scheduling optimization).
+  // Phase 1.5: shared observation snapshots, the sweep's one snapshot
+  // path. Each distinct shared_snapshot_key() among the plan's algorithms
+  // gets its snapshot found or built once per scenario, here, in parallel
+  // across (scenario, key) — not inside phase-2 shards, where every run
+  // of a scenario would serialize on the one build. The sweep holds every
+  // context, and a store never drops a snapshot it has published, so the
+  // slots stay valid for phase 2 to adopt by index.
+  constexpr std::size_t kNoSnapshot = static_cast<std::size_t>(-1);
   std::vector<std::pair<std::string, std::string>> snapshot_jobs;  // key, algo
+  // snapshot_job[a]: algorithm a's index into snapshot_jobs, or
+  // kNoSnapshot when it publishes no key or observation is kPerRun.
+  std::vector<std::size_t> snapshot_job(plan.algorithms.size(), kNoSnapshot);
+  // snapshots[s * snapshot_jobs.size() + j]: job j's snapshot of scenario s.
+  std::vector<ObservationStore::SnapshotPtr> snapshots;
   double snapshot_wall_seconds = 0.0;
   if (options.observation == ObservationMode::kShared) {
     const auto snapshot_start = Clock::now();
-    for (const std::string& name : plan.algorithms) {
-      const std::string key =
-          forward::make_algorithm(name)->shared_snapshot_key();
+    for (std::size_t a = 0; a < plan.algorithms.size(); ++a) {
+      const std::string& name = plan.algorithms[a];
+      std::string key = forward::make_algorithm(name)->shared_snapshot_key();
       if (key.empty()) continue;
-      bool seen = false;
-      for (const auto& [k, a] : snapshot_jobs) seen = seen || k == key;
-      if (!seen) snapshot_jobs.emplace_back(key, name);
+      std::size_t j = 0;
+      while (j < snapshot_jobs.size() && snapshot_jobs[j].first != key) ++j;
+      if (j == snapshot_jobs.size())
+        snapshot_jobs.emplace_back(std::move(key), name);
+      snapshot_job[a] = j;
     }
-    parallel(num_scenarios * snapshot_jobs.size(), [&](std::size_t i) {
+    snapshots.resize(num_scenarios * snapshot_jobs.size());
+    parallel(snapshots.size(), [&](std::size_t i) {
       const ScenarioContext& context = *contexts[i / snapshot_jobs.size()];
       const auto& [key, name] = snapshot_jobs[i % snapshot_jobs.size()];
       const auto proto = forward::make_algorithm(name);
-      const auto [snapshot, built] =
-          context.observations->get_or_build(key, [&] {
-            return proto->build_shared_snapshot(*context.graph,
-                                                context.dataset->trace);
-          });
+      auto [snapshot, built] = context.observations->get_or_build(key, [&] {
+        return proto->build_shared_snapshot(*context.graph,
+                                            context.dataset->trace);
+      });
       if (built) ScenarioContextCache::instance().reaccount(context);
+      snapshots[i] = std::move(snapshot);
     });
     if (!snapshot_jobs.empty())
       snapshot_wall_seconds = seconds_since(snapshot_start);
@@ -120,20 +130,9 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     const auto algorithm =
         forward::make_algorithm(plan.algorithms[spec.algorithm]);
     const ScenarioContext& context = *contexts[spec.scenario];
-    if (options.observation == ObservationMode::kShared) {
-      const std::string key = algorithm->shared_snapshot_key();
-      if (!key.empty()) {
-        // Normally a hit on the phase-1.5 prebuild; builds here only
-        // when the snapshot was evicted since.
-        const auto [snapshot, built] =
-            context.observations->get_or_build(key, [&] {
-              return algorithm->build_shared_snapshot(
-                  *context.graph, context.dataset->trace);
-            });
-        if (built) ScenarioContextCache::instance().reaccount(context);
-        algorithm->adopt_shared_snapshot(snapshot);
-      }
-    }
+    if (const std::size_t j = snapshot_job[spec.algorithm]; j != kNoSnapshot)
+      algorithm->adopt_shared_snapshot(
+          snapshots[spec.scenario * snapshot_jobs.size() + j]);
     forward::SimulationRequest request;
     request.algorithm = algorithm.get();
     request.graph = context.graph.get();

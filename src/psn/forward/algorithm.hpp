@@ -5,10 +5,13 @@
 // consults the algorithm on every contact. Algorithms see three kinds of
 // events:
 //
-//  * prepare()          — once per run, with the whole trace: oracles
-//                         (Greedy Total, Dynamic Programming) precompute
-//                         their future knowledge here; online algorithms
-//                         ignore it.
+//  * prepare()          — once before every run, with the whole trace:
+//                         the one hook that (re)builds per-run state.
+//                         Oracles (Greedy Total, Dynamic Programming)
+//                         precompute their future knowledge here; online
+//                         schemes clear their history (or rewind their
+//                         snapshot reader), and Random re-seeds, so an
+//                         instance can serve any number of runs.
 //  * observe_contact()  — every contact, in trace order, before any
 //                         forwarding decision at that step: online history
 //                         (FRESH, Greedy, Greedy Online, PRoPHET) is built
@@ -73,15 +76,13 @@ class ForwardingAlgorithm {
   /// the message moves.
   [[nodiscard]] virtual bool replicates() const = 0;
 
-  /// Called once before the run. Default: no oracle knowledge needed.
+  /// Called once before every run: builds the run's initial state, so a
+  /// reused instance starts each run afresh. Default: no per-run state.
   virtual void prepare(const graph::SpaceTimeGraph& graph,
                        const trace::ContactTrace& trace) {
     (void)graph;
     (void)trace;
   }
-
-  /// Clears online state so the instance can be reused for another run.
-  virtual void reset() {}
 
   /// Contact observation at step s. `new_contact` is true the first step a
   /// contact interval is active, so count-based histories count contact
@@ -136,7 +137,8 @@ class ForwardingAlgorithm {
   /// answers should_forward() from the snapshot, reports
   /// observes_contacts() == false, and must produce bit-identical
   /// decisions to its un-adopted self — which is what lets the simulator
-  /// skip the per-run contact replay entirely.
+  /// skip the per-run contact replay entirely. Adoption only records the
+  /// snapshot; the next prepare() sets up the run's reader.
   virtual void adopt_shared_snapshot(
       std::shared_ptr<const ObservationSnapshot> snapshot) {
     (void)snapshot;

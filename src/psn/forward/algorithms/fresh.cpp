@@ -5,10 +5,6 @@ namespace psn::forward {
 void FreshForwarding::prepare(const graph::SpaceTimeGraph& graph,
                               const trace::ContactTrace& /*trace*/) {
   n_ = graph.num_nodes();
-  reset();
-}
-
-void FreshForwarding::reset() {
   // Adopted instances answer from the snapshot: no per-run dense table —
   // at 65k nodes the n² last-met matrix alone would be 34 GB.
   if (snapshot_ != nullptr) {
@@ -16,18 +12,6 @@ void FreshForwarding::reset() {
     return;
   }
   last_met_.assign(static_cast<std::size_t>(n_) * n_, -1);
-}
-
-std::shared_ptr<const ObservationSnapshot> FreshForwarding::
-    build_shared_snapshot(const graph::SpaceTimeGraph& graph,
-                          const trace::ContactTrace& /*trace*/) const {
-  return std::make_shared<ContactHistoryIndex>(graph);
-}
-
-void FreshForwarding::adopt_shared_snapshot(
-    std::shared_ptr<const ObservationSnapshot> snapshot) {
-  snapshot_ =
-      std::dynamic_pointer_cast<const ContactHistoryIndex>(std::move(snapshot));
 }
 
 void FreshForwarding::observe_contact(NodeId a, NodeId b, Step s,

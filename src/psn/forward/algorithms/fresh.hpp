@@ -5,45 +5,27 @@
 
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "psn/forward/algorithm.hpp"
 #include "psn/forward/contact_history.hpp"
 
 namespace psn::forward {
 
-class FreshForwarding final : public ForwardingAlgorithm {
+/// Adopted, it answers from the scenario's ContactHistoryIndex
+/// (bit-identical to the online table) and skips the O(n²) per-run table.
+class FreshForwarding final : public ContactHistoryForwarding {
  public:
   [[nodiscard]] std::string name() const override { return "FRESH"; }
-  [[nodiscard]] bool replicates() const override { return false; }
 
   void prepare(const graph::SpaceTimeGraph& graph,
                const trace::ContactTrace& trace) override;
-  void reset() override;
   void observe_contact(NodeId a, NodeId b, Step s, bool new_contact) override;
   [[nodiscard]] bool should_forward(NodeId holder, NodeId peer, NodeId dest,
                                     Step s, std::uint32_t copies) override;
 
-  /// Shared-snapshot protocol: an adopted instance answers from the
-  /// scenario's ContactHistoryIndex (bit-identical to the online table),
-  /// skips the O(n²) per-run allocation, and stops observing contacts.
-  [[nodiscard]] std::string shared_snapshot_key() const override {
-    return ContactHistoryIndex::kKey;
-  }
-  [[nodiscard]] std::shared_ptr<const ObservationSnapshot>
-  build_shared_snapshot(const graph::SpaceTimeGraph& graph,
-                        const trace::ContactTrace& trace) const override;
-  void adopt_shared_snapshot(
-      std::shared_ptr<const ObservationSnapshot> snapshot) override;
-  [[nodiscard]] bool observes_contacts() const override {
-    return snapshot_ == nullptr;
-  }
-
  private:
   /// last_met_[x * n + y]: latest step x and y were in contact, or -1.
   std::vector<std::int64_t> last_met_;
-  std::shared_ptr<const ContactHistoryIndex> snapshot_;
   NodeId n_ = 0;
 };
 

@@ -5,27 +5,11 @@ namespace psn::forward {
 void GreedyForwarding::prepare(const graph::SpaceTimeGraph& graph,
                                const trace::ContactTrace& /*trace*/) {
   n_ = graph.num_nodes();
-  reset();
-}
-
-void GreedyForwarding::reset() {
   if (snapshot_ != nullptr) {
     met_count_.clear();
     return;
   }
   met_count_.assign(static_cast<std::size_t>(n_) * n_, 0);
-}
-
-std::shared_ptr<const ObservationSnapshot> GreedyForwarding::
-    build_shared_snapshot(const graph::SpaceTimeGraph& graph,
-                          const trace::ContactTrace& /*trace*/) const {
-  return std::make_shared<ContactHistoryIndex>(graph);
-}
-
-void GreedyForwarding::adopt_shared_snapshot(
-    std::shared_ptr<const ObservationSnapshot> snapshot) {
-  snapshot_ =
-      std::dynamic_pointer_cast<const ContactHistoryIndex>(std::move(snapshot));
 }
 
 void GreedyForwarding::observe_contact(NodeId a, NodeId b, Step /*s*/,

@@ -4,28 +4,11 @@ namespace psn::forward {
 
 void GreedyOnlineForwarding::prepare(const graph::SpaceTimeGraph& graph,
                                      const trace::ContactTrace& /*trace*/) {
-  n_ = graph.num_nodes();
-  reset();
-}
-
-void GreedyOnlineForwarding::reset() {
   if (snapshot_ != nullptr) {
     contacts_so_far_.clear();
     return;
   }
-  contacts_so_far_.assign(n_, 0);
-}
-
-std::shared_ptr<const ObservationSnapshot> GreedyOnlineForwarding::
-    build_shared_snapshot(const graph::SpaceTimeGraph& graph,
-                          const trace::ContactTrace& /*trace*/) const {
-  return std::make_shared<ContactHistoryIndex>(graph);
-}
-
-void GreedyOnlineForwarding::adopt_shared_snapshot(
-    std::shared_ptr<const ObservationSnapshot> snapshot) {
-  snapshot_ =
-      std::dynamic_pointer_cast<const ContactHistoryIndex>(std::move(snapshot));
+  contacts_so_far_.assign(graph.num_nodes(), 0);
 }
 
 void GreedyOnlineForwarding::observe_contact(NodeId a, NodeId b, Step /*s*/,

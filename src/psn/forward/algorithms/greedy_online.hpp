@@ -5,44 +5,26 @@
 
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "psn/forward/algorithm.hpp"
 #include "psn/forward/contact_history.hpp"
 
 namespace psn::forward {
 
-class GreedyOnlineForwarding final : public ForwardingAlgorithm {
+/// Adopted, it answers per-node contact totals from the scenario's
+/// ContactHistoryIndex.
+class GreedyOnlineForwarding final : public ContactHistoryForwarding {
  public:
   [[nodiscard]] std::string name() const override { return "Greedy Online"; }
-  [[nodiscard]] bool replicates() const override { return false; }
 
   void prepare(const graph::SpaceTimeGraph& graph,
                const trace::ContactTrace& trace) override;
-  void reset() override;
   void observe_contact(NodeId a, NodeId b, Step s, bool new_contact) override;
   [[nodiscard]] bool should_forward(NodeId holder, NodeId peer, NodeId dest,
                                     Step s, std::uint32_t copies) override;
 
-  /// Shared-snapshot protocol (see ContactHistoryIndex): adopted
-  /// instances answer per-node contact totals from the scenario index.
-  [[nodiscard]] std::string shared_snapshot_key() const override {
-    return ContactHistoryIndex::kKey;
-  }
-  [[nodiscard]] std::shared_ptr<const ObservationSnapshot>
-  build_shared_snapshot(const graph::SpaceTimeGraph& graph,
-                        const trace::ContactTrace& trace) const override;
-  void adopt_shared_snapshot(
-      std::shared_ptr<const ObservationSnapshot> snapshot) override;
-  [[nodiscard]] bool observes_contacts() const override {
-    return snapshot_ == nullptr;
-  }
-
  private:
   std::vector<std::uint32_t> contacts_so_far_;
-  std::shared_ptr<const ContactHistoryIndex> snapshot_;
-  NodeId n_ = 0;
 };
 
 }  // namespace psn::forward

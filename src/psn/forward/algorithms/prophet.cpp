@@ -238,17 +238,12 @@ double ProphetSnapshot::Cursor::read(NodeId x, NodeId c, Step s) {
 
 void ProphetForwarding::prepare(const graph::SpaceTimeGraph& graph,
                                 const trace::ContactTrace& /*trace*/) {
-  n_ = graph.num_nodes();
-  reset();
-}
-
-void ProphetForwarding::reset() {
   current_step_ = 0;
   if (snapshot_ != nullptr) {
     cursor_ = ProphetSnapshot::Cursor(*snapshot_);
     return;
   }
-  table_.init(n_, params_);
+  table_.init(graph.num_nodes(), params_);
 }
 
 void ProphetForwarding::observe_contact(NodeId a, NodeId b, Step s,
@@ -285,7 +280,6 @@ void ProphetForwarding::adopt_shared_snapshot(
     std::shared_ptr<const ObservationSnapshot> snapshot) {
   snapshot_ =
       std::dynamic_pointer_cast<const ProphetSnapshot>(std::move(snapshot));
-  reset();
 }
 
 double ProphetForwarding::predictability(NodeId from, NodeId to) {

@@ -41,15 +41,15 @@
 // ends.
 //
 // An adopted ProphetForwarding reads the snapshot through a per-run
-// Cursor. Every query a message makes names its destination, so the
-// first query for c unpacks a dense per-node (aging unit, value) array
-// for column c, and each query at step s first applies c's runs with
-// step <= s. P(x, c) is then one array read times the decay since the
-// write: O(1) per query, and n * 12 B per distinct destination queried
-// (at most n^2 * 12 B per run). Cursor steps must not decrease between
-// resets, as in any replay of a trace. Identical code making identical
-// write decisions is what makes adopted (snapshot-backed) runs
-// bit-identical to per-run replay.
+// Cursor, which prepare() rewinds. Every query a message makes names its
+// destination, so the first query for c unpacks a dense per-node (aging
+// unit, value) array for column c, and each query at step s first
+// applies c's runs with step <= s. P(x, c) is then one array read times
+// the decay since the write: O(1) per query, and n * 12 B per distinct
+// destination queried (at most n^2 * 12 B per run). Cursor steps must
+// not decrease between rewinds, as in any replay of a trace. Identical
+// code making identical write decisions is what makes adopted
+// (snapshot-backed) runs bit-identical to per-run replay.
 
 #pragma once
 
@@ -181,7 +181,6 @@ class ProphetForwarding final : public ForwardingAlgorithm {
 
   void prepare(const graph::SpaceTimeGraph& graph,
                const trace::ContactTrace& trace) override;
-  void reset() override;
   void observe_contact(NodeId a, NodeId b, Step s, bool new_contact) override;
   [[nodiscard]] bool should_forward(NodeId holder, NodeId peer, NodeId dest,
                                     Step s, std::uint32_t copies) override;
@@ -208,9 +207,8 @@ class ProphetForwarding final : public ForwardingAlgorithm {
   ProphetParams params_;
   ProphetTable table_;
   std::shared_ptr<const ProphetSnapshot> snapshot_;
-  ProphetSnapshot::Cursor cursor_;  ///< rewound by reset().
+  ProphetSnapshot::Cursor cursor_;  ///< rewound by prepare().
   Step current_step_ = 0;
-  NodeId n_ = 0;
 };
 
 }  // namespace psn::forward

@@ -20,7 +20,10 @@ class RandomizedForwarding final : public ForwardingAlgorithm {
   [[nodiscard]] bool replicates() const override { return false; }
   [[nodiscard]] bool observes_contacts() const override { return false; }
 
-  void reset() override { rng_ = util::Rng(seed_); }
+  void prepare(const graph::SpaceTimeGraph& /*graph*/,
+               const trace::ContactTrace& /*trace*/) override {
+    rng_ = util::Rng(seed_);
+  }
 
   [[nodiscard]] bool should_forward(NodeId, NodeId, NodeId, Step,
                                     std::uint32_t) override {

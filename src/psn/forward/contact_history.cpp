@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 namespace psn::forward {
 
@@ -142,6 +143,19 @@ std::uint64_t ContactHistoryIndex::bytes() const {
          run_nbr_.size() * sizeof(NodeId) +
          run_start_.size() * sizeof(Step) + run_end_.size() * sizeof(Step) +
          start_times_.size() * sizeof(Step);
+}
+
+std::shared_ptr<const ObservationSnapshot>
+ContactHistoryForwarding::build_shared_snapshot(
+    const graph::SpaceTimeGraph& graph,
+    const trace::ContactTrace& /*trace*/) const {
+  return std::make_shared<const ContactHistoryIndex>(graph);
+}
+
+void ContactHistoryForwarding::adopt_shared_snapshot(
+    std::shared_ptr<const ObservationSnapshot> snapshot) {
+  snapshot_ =
+      std::dynamic_pointer_cast<const ContactHistoryIndex>(std::move(snapshot));
 }
 
 }  // namespace psn::forward

@@ -7,7 +7,9 @@
 // from the graph's new-contact flags and answers them as-of any step, so
 // adopted algorithms skip both the O(n²) per-run state and the per-run
 // contact replay entirely (which is what makes the simulator's
-// holder-incident fast path apply to them).
+// holder-incident fast path apply to them). ContactHistoryForwarding,
+// their common base, carries the snapshot protocol once; each scheme
+// keeps only its per-run table (the kPerRun oracle) and its decision.
 //
 // Representation: contact *runs* — maximal intervals of consecutive
 // steps a pair is in contact, exactly the intervals the graph's
@@ -21,7 +23,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "psn/forward/algorithm.hpp"
@@ -62,6 +66,30 @@ class ContactHistoryIndex final : public ObservationSnapshot {
   /// Node x's incident run starts, ascending with multiplicity, occupy
   /// [run_offsets_[x], run_offsets_[x + 1]) of start_times_.
   std::vector<Step> start_times_;
+};
+
+/// Base of the single-copy schemes that answer from a ContactHistoryIndex
+/// once adopted (FRESH, Greedy, Greedy Online). Subclasses build their
+/// per-run table in prepare() unless snapshot_ is set, and read snapshot_
+/// in should_forward() when it is.
+class ContactHistoryForwarding : public ForwardingAlgorithm {
+ public:
+  [[nodiscard]] bool replicates() const final { return false; }
+  [[nodiscard]] bool observes_contacts() const final {
+    return snapshot_ == nullptr;
+  }
+
+  [[nodiscard]] std::string shared_snapshot_key() const final {
+    return ContactHistoryIndex::kKey;
+  }
+  [[nodiscard]] std::shared_ptr<const ObservationSnapshot>
+  build_shared_snapshot(const graph::SpaceTimeGraph& graph,
+                        const trace::ContactTrace& trace) const final;
+  void adopt_shared_snapshot(
+      std::shared_ptr<const ObservationSnapshot> snapshot) final;
+
+ protected:
+  std::shared_ptr<const ContactHistoryIndex> snapshot_;
 };
 
 }  // namespace psn::forward

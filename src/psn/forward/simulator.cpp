@@ -49,7 +49,6 @@ SimulationResult simulate(const SimulationRequest& request,
     throw std::invalid_argument(
         "simulate: adopted component index is from another graph");
 
-  algorithm.reset();
   algorithm.prepare(graph, *request.trace);
 
   util::Rng rng(request.seed);

@@ -234,8 +234,8 @@ class SimulatorWorkspace {
   detail::SimulatorState state_;
 };
 
-/// Runs the request. The trace is handed to the algorithm's prepare() for
-/// oracle knowledge; the algorithm's reset() is called before the run.
+/// Runs the request. The algorithm's prepare() is called before the run,
+/// with the trace for oracle knowledge.
 [[nodiscard]] SimulationResult simulate(const SimulationRequest& request);
 
 /// As above, reusing the caller's workspace so repeated runs (a sweep's

@@ -1,14 +1,12 @@
-// Transport front-ends of psn_serve: a stdio NDJSON loop and a local
-// AF_UNIX socket server, both feeding one SweepService.
+// Transport front-end of psn_serve: a stdio NDJSON loop feeding one
+// SweepService.
 //
-// Protocol (both transports): one JSON request per line in, one JSON
-// response per line out. Responses may arrive out of request order (the
-// dispatcher batches and coalesces); clients correlate by "id". Malformed
-// lines get an immediate {"ok":false,"error":...} response — the process
-// never dies on bad input. The stdio loop ends at EOF or after an admin
-// shutdown request has been answered (clients send shutdown, then close
-// their end); the socket server additionally serves any number of
-// sequential or concurrent connections until shutdown.
+// Protocol: one JSON request per line in, one JSON response per line
+// out. Responses may arrive out of request order (the dispatcher batches
+// and coalesces); clients correlate by "id". Malformed lines get an
+// immediate {"ok":false,"error":...} response — the process never dies
+// on bad input. The loop ends at EOF or after an admin shutdown request
+// has been answered (clients send shutdown, then close their end).
 
 #pragma once
 
@@ -32,11 +30,5 @@ void process_line(SweepService& service, const std::string& line,
 /// `out`. Returns the process exit code (0).
 int run_stdio_server(SweepService& service, std::istream& in,
                      std::ostream& out);
-
-/// Binds an AF_UNIX stream socket at `path` (unlinking any stale one) and
-/// serves connections — one reader thread each — until an admin shutdown
-/// is answered. Returns the process exit code (nonzero on socket setup
-/// failure).
-int run_socket_server(SweepService& service, const std::string& path);
 
 }  // namespace psn::serve

@@ -604,6 +604,30 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleUnderTraffic) {
   expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
 }
 
+// Phase 2 adopts each run's snapshot from the wave's (scenario, key)
+// slots by index. With two scenarios, three distinct keys and an
+// algorithm that publishes none, every cell must still match the
+// per-run-observation oracle bit for bit.
+TEST(Sweep, MultiScenarioSharedSnapshotsMatchPerRunOracle) {
+  const auto ds_a = small_dataset(19);
+  const auto ds_b = small_dataset(23);
+  PlanConfig config;
+  config.runs = 2;
+  config.master_seed = 17;
+  config.message_rate = 0.03;
+  const auto plan =
+      make_plan({make_scenario(ds_a), make_scenario(ds_b)},
+                {"Direct", "FRESH", "Epidemic", "PRoPHET", "Greedy Online"},
+                config);
+
+  SweepOptions oracle;
+  oracle.threads = 4;
+  oracle.observation = ObservationMode::kPerRun;
+  SweepOptions fast;
+  fast.threads = 4;
+  expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
+}
+
 // The refactored forwarding study rides the engine; its output must not
 // depend on the thread count either.
 TEST(ForwardingStudy, ThreadCountInvariant) {

@@ -616,7 +616,8 @@ TEST(Randomized, DeterministicInSeedAndResets) {
     b.push_back(r2.should_forward(0, 1, 2, 0, 1));
   }
   EXPECT_EQ(a, b);
-  r1.reset();
+  const Fixture f({Contact::make(0, 1, 10.0, 15.0)}, 3, 60.0);
+  r1.prepare(f.graph, f.trace);
   std::vector<bool> c;
   for (int i = 0; i < 50; ++i)
     c.push_back(r1.should_forward(0, 1, 2, 0, 1));
@@ -1053,7 +1054,7 @@ TEST(SharedSnapshots, ComponentIndexFromAnotherGraphIsRejected) {
 
 TEST(SharedSnapshots, AdoptedRunsAreReusableAcrossSimulations) {
   // One adopted instance serving several simulate() calls (the sweep
-  // reuses algorithm instances across runs of a cell): reset() must not
+  // reuses algorithm instances across runs of a cell): prepare() must not
   // disturb the snapshot, and results must stay identical.
   const Fixture f(burst_gap_contacts(), 7, 1100.0);
   const auto adopted = make_algorithm("FRESH");

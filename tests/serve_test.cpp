@@ -356,6 +356,29 @@ TEST(Service, TinyBudgetForcesRebuildEveryRequest) {
   cache.set_budget_bytes(old_budget);
 }
 
+TEST(Service, EngineFailureAnswersErrorAndServiceKeepsServing) {
+  ServiceConfig config;
+  config.threads = 1;
+  config.batch_window_seconds = 0.0;
+  SweepService service(config);
+
+  // parse_request would reject this scenario name; a hand-built request
+  // skips that validation, so the group's engine call throws.
+  Request bad = forwarding_request("bad", {"Epidemic"});
+  bad.forwarding.scenario = "no_such_scenario";
+  const Json error = service.execute(std::move(bad));
+  EXPECT_FALSE(error.at("ok").as_bool());
+  EXPECT_EQ(error.at("id").as_string(), "bad");
+  ASSERT_TRUE(error.at("error").is_string()) << error.dump();
+  EXPECT_NE(error.at("error").as_string().find("no_such_scenario"),
+            std::string::npos);
+  EXPECT_EQ(service.stats().responses_error, 1u);
+
+  const Json next = service.execute(forwarding_request("next", {"Epidemic"}));
+  EXPECT_TRUE(next.at("ok").as_bool()) << next.dump();
+  EXPECT_EQ(service.stats().responses_ok, 1u);
+}
+
 TEST(Service, PathAndModelFamilies) {
   ServiceConfig config;
   config.threads = 2;

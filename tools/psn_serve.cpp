@@ -2,16 +2,14 @@
 //
 // Usage:
 //   psn_serve [--threads N] [--batch-window-ms W] [--cache-budget-bytes B]
-//             [--stats-every N] [--socket PATH]
+//             [--stats-every N]
 //
-// Default transport is stdio: one request per line on stdin, one response
-// per line on stdout (periodic stats lines go to stderr). With --socket
-// the process instead serves an AF_UNIX stream socket at PATH, one
-// NDJSON session per connection. Either way the process stays resident:
-// scenario contexts are cached under a byte budget, concurrent requests
-// for the same scenario coalesce into one engine execution, and every
-// response carries latency/cache telemetry. See DESIGN.md §10 for the
-// request schema.
+// The transport is stdio: one request per line on stdin, one response
+// per line on stdout (periodic stats lines go to stderr). The process
+// stays resident: scenario contexts are cached under a byte budget,
+// concurrent requests for the same scenario coalesce into one engine
+// execution, and every response carries latency/cache telemetry. See
+// DESIGN.md §10 for the request schema.
 
 #include <cstdint>
 #include <cstdlib>
@@ -26,7 +24,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--threads N] [--batch-window-ms W]"
-               " [--cache-budget-bytes B] [--stats-every N] [--socket PATH]\n";
+               " [--cache-budget-bytes B] [--stats-every N]\n";
   return 2;
 }
 
@@ -35,7 +33,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   psn::serve::ServiceConfig config;
   config.stats_every = 64;
-  std::string socket_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -55,8 +52,6 @@ int main(int argc, char** argv) {
         config.cache_budget_bytes = std::stoull(value());
       } else if (arg == "--stats-every") {
         config.stats_every = std::stoul(value());
-      } else if (arg == "--socket") {
-        socket_path = value();
       } else if (arg == "--help" || arg == "-h") {
         usage(argv[0]);
         return 0;
@@ -71,7 +66,5 @@ int main(int argc, char** argv) {
   }
 
   psn::serve::SweepService service(config);
-  if (!socket_path.empty())
-    return psn::serve::run_socket_server(service, socket_path);
   return psn::serve::run_stdio_server(service, std::cin, std::cout);
 }

@@ -3,9 +3,10 @@
 through stdin and validate the responses.
 
 The session exercises one request per family (forwarding, path, admin
-stats) plus the shutdown command, i.e. the full stdio protocol path:
-line parsing, validation, engine execution, telemetry stamping, and the
-clean-exit handshake. Intended for CI (one Release-job step) and local
+stats), one request the validator rejects, and the shutdown command,
+i.e. the full stdio protocol path: line parsing, validation and its
+error envelope, engine execution, telemetry stamping, and the clean-exit
+handshake. Intended for CI (one Release-job step) and local
 checks after touching src/psn/serve/ — it finishes in a couple of
 seconds on the conference_small scenario.
 
@@ -54,6 +55,13 @@ REQUESTS = [
         "k": 64,
     },
     {"id": "smoke-stats", "family": "admin", "command": "stats"},
+    # "algorithm" is not a path-request field: rejected by validation.
+    {
+        "id": "smoke-invalid",
+        "family": "path",
+        "scenario": "conference_small",
+        "algorithm": "Epidemic",
+    },
     {"id": "smoke-shutdown", "family": "admin", "command": "shutdown"},
 ]
 
@@ -245,6 +253,12 @@ def main():
             f"stats: requests {stats['result']['requests']} < 3")
     require(stats["result"]["cache"]["misses"] >= 1,
             "stats: no cache miss recorded for the first scenario build")
+
+    invalid = responses["smoke-invalid"]
+    require(invalid.get("ok") is False,
+            f"smoke-invalid: expected ok == false, got {invalid!r}")
+    require(isinstance(invalid.get("error"), str) and invalid["error"],
+            f"smoke-invalid: missing error string in {invalid!r}")
 
     shutdown = responses["smoke-shutdown"]
     validate_envelope(shutdown)
