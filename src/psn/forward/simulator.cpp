@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -11,6 +10,47 @@
 #include "psn/util/rng.hpp"
 
 namespace psn::forward {
+
+namespace {
+
+using WorkEdge = detail::SimulatorState::WorkEdge;
+
+bool work_less(const WorkEdge& l, const WorkEdge& r) {
+  if (l.key != r.key) return l.key < r.key;
+  if (l.a != r.a) return l.a < r.a;
+  return l.b < r.b;
+}
+
+}  // namespace
+
+void detail::sort_worklist(std::vector<WorkEdge>& work,
+                           std::vector<WorkEdge>& scratch,
+                           std::vector<std::size_t>& bucket_ends) {
+  const std::size_t m = work.size();
+  if (m < 2) return;
+  const int bits = std::clamp(static_cast<int>(std::bit_width(m - 1)), 1, 16);
+  const int shift = 64 - bits;
+  const std::size_t buckets = std::size_t{1} << bits;
+  if (bucket_ends.size() < buckets + 1) bucket_ends.resize(buckets + 1);
+  if (scratch.size() < m) scratch.resize(m);
+  // Counting scatter: bucket_ends[i + 1] counts bucket i, the prefix sum
+  // turns it into bucket i's start, and the scatter advances each start
+  // to its bucket's end.
+  std::fill_n(bucket_ends.begin(), buckets + 1, std::size_t{0});
+  for (const WorkEdge& e : work) ++bucket_ends[(e.key >> shift) + 1];
+  for (std::size_t i = 1; i <= buckets; ++i)
+    bucket_ends[i] += bucket_ends[i - 1];
+  for (const WorkEdge& e : work) scratch[bucket_ends[e.key >> shift]++] = e;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < buckets; ++i) {
+    const std::size_t end = bucket_ends[i];
+    if (end - begin > 1)
+      std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(begin),
+                scratch.begin() + static_cast<std::ptrdiff_t>(end), work_less);
+    begin = end;
+  }
+  std::copy_n(scratch.begin(), m, work.begin());
+}
 
 SimulationResult simulate(const SimulationRequest& request) {
   SimulatorWorkspace workspace;
@@ -124,38 +164,23 @@ SimulationResult simulate(const SimulationRequest& request,
   const bool quota_scheme = quota > 1;
   const bool observes = algorithm.observes_contacts();
 
-  // Holder-incident fast path: only steps where a current holder has a
-  // contact are visited, and only holder-incident edges enter the relay
-  // worklist. Requires sparse replay (the dense oracle visits everything
-  // by definition), a non-flooding algorithm (floods have their own
-  // kernels), no online contact observation (observe_contact must see
-  // every trace contact), and at least one relay pass (a zero-pass run
-  // counts every edge-bearing step as truncated, visited or not).
+  // Holder-incident fast path: each active step's edges pass a holder
+  // filter, and only holder-incident edges enter the relay worklist.
+  // Requires sparse replay (the dense oracle scans everything by
+  // definition), a non-flooding algorithm (floods have their own
+  // kernels) and no online contact observation (observe_contact must see
+  // every trace contact).
   const bool fast_scan =
       request.contact_scan == ContactScan::kHolderIncident &&
-      request.replay == ReplayMode::kSparse && !flooding && !observes &&
-      request.max_relay_passes > 0;
+      request.replay == ReplayMode::kSparse && !flooding && !observes;
 
   auto& holder_count = ws.holder_count;
   std::uint64_t holder_nodes = 0;  // nodes with holder_count > 0.
-  auto& heap = ws.heap;
-  heap.clear();
   if (fast_scan) {
     if (holder_count.size() < n) holder_count.resize(n);
     std::fill_n(holder_count.begin(), n, std::uint32_t{0});
     if (ws.node_stamp.size() < n) ws.node_stamp.resize(n, 0);
   }
-
-  // Schedules node v's next contact after step s (if any) as a visit.
-  // Entries are lazily discarded when v no longer holds anything by the
-  // time they surface; duplicates are harmless (visits coalesce).
-  const auto arm_node = [&](NodeId v, graph::Step s) {
-    const auto steps = graph.contact_steps(v);
-    const auto it = std::upper_bound(steps.begin(), steps.end(), s);
-    if (it == steps.end()) return;
-    heap.push_back((static_cast<std::uint64_t>(*it) << 32) | v);
-    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-  };
 
   const auto deliver = [&](std::uint32_t id, graph::Step s,
                            std::uint16_t hops) {
@@ -571,12 +596,7 @@ SimulationResult simulate(const SimulationRequest& request,
       }
       if (!flooding) at_node[m.source].push_back(id);
       active_msgs.push_back(id);
-      if (fast_scan) {
-        if (holder_count[m.source]++ == 0) ++holder_nodes;
-        // The source's contact at this very step (if any) is picked up by
-        // the worklist build below; future contacts need an armed visit.
-        arm_node(m.source, s);
-      }
+      if (fast_scan && holder_count[m.source]++ == 0) ++holder_nodes;
     }
 
     // History observation, in deterministic trace order, consuming the
@@ -626,12 +646,6 @@ SimulationResult simulate(const SimulationRequest& request,
             step_salt ^ ((static_cast<std::uint64_t>(a) << 32) | b);
         return util::splitmix64(h);
       };
-      using WorkEdge = detail::SimulatorState::WorkEdge;
-      const auto work_less = [](const WorkEdge& l, const WorkEdge& r) {
-        if (l.key != r.key) return l.key < r.key;
-        if (l.a != r.a) return l.a < r.a;
-        return l.b < r.b;
-      };
       // When most nodes hold something the filtered scan saves nothing —
       // fall back to the complete edge list (same keys, same sort, so the
       // step's decisions are unchanged either way).
@@ -653,7 +667,7 @@ SimulationResult simulate(const SimulationRequest& request,
         }
         work.push_back({key_of(a, b), a, b, traffic.contact_budget_bytes});
       }
-      std::sort(work.begin(), work.end(), work_less);
+      detail::sort_worklist(work, ws.work_scratch, ws.bucket_ends);
 
       const auto relay = [&](NodeId x, NodeId y, std::size_t ei) -> bool {
         bool changed = false;
@@ -798,22 +812,6 @@ SimulationResult simulate(const SimulationRequest& request,
       }
       // Surface truncation instead of silently cutting forwarding chains.
       if (!converged) ++result.truncated_relay_steps;
-
-      // Re-arm every endpoint that still holds something for its next
-      // contact. Worklist endpoints cover all candidates: a node that
-      // holds anything here either held it entering the step (its edges
-      // were filtered in) or received it across a worklist edge.
-      if (fast_scan) {
-        const std::uint64_t armed_stamp = ++ws.stamp_gen;
-        for (const WorkEdge& e : work) {
-          for (const NodeId v : {e.a, e.b}) {
-            if (holder_count[v] == 0 || ws.node_stamp[v] == armed_stamp)
-              continue;
-            ws.node_stamp[v] = armed_stamp;
-            arm_node(v, s);
-          }
-        }
-      }
     }
 
     // Compact the active list occasionally.
@@ -826,49 +824,11 @@ SimulationResult simulate(const SimulationRequest& request,
 
   if (request.replay == ReplayMode::kDense) {
     for (graph::Step s = 0; s < graph.num_steps(); ++s) process_step(s);
-  } else if (!fast_scan) {
+  } else {
     // Sparse event timeline: only steps carrying contact edges are
     // visited. Messages created after the last contact simply never
     // activate — nothing could happen to them anyway.
     for (const graph::Step s : graph.active_steps()) process_step(s);
-  } else {
-    // Holder-incident schedule: visit the earlier of (a) the next armed
-    // holder contact and (b) the next pending activation's first active
-    // step — the exact step the full sparse replay would activate it at.
-    // Every skipped step is one where no holder has a contact and
-    // nothing activates, i.e. a step the full scan runs as a pure no-op
-    // (expiry is applied at the next visited step, before any contact;
-    // the trailing sweep below catches the rest — see DESIGN.md §11).
-    const auto pending_activation_step = [&]() -> graph::Step {
-      if (next_activation >= order.size()) return graph.num_steps();
-      return graph.next_active_step(
-          graph.step_of(messages[order[next_activation]].created));
-    };
-    const auto heap_pop = [&] {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-      heap.pop_back();
-    };
-    graph::Step next_act = pending_activation_step();
-    while (true) {
-      // Lazily discard visits whose node no longer holds anything: if it
-      // regains a copy later, that transfer's step re-arms it.
-      while (!heap.empty() &&
-             holder_count[static_cast<NodeId>(heap.front() &
-                                              0xFFFFFFFFULL)] == 0)
-        heap_pop();
-      const graph::Step heap_step =
-          heap.empty() ? graph.num_steps()
-                       : static_cast<graph::Step>(heap.front() >> 32);
-      const graph::Step s = std::min(heap_step, next_act);
-      if (s >= graph.num_steps()) break;
-      // Drain every entry for this step; its contacts are found by the
-      // worklist build, and endpoints still holding re-arm afterwards.
-      while (!heap.empty() &&
-             static_cast<graph::Step>(heap.front() >> 32) == s)
-        heap_pop();
-      process_step(s);
-      next_act = pending_activation_step();
-    }
   }
 
   // Expiry sweep over the rest of the trace window: a TTL elapsing after

@@ -42,6 +42,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -65,14 +66,15 @@ enum class ReplayMode : std::uint8_t {
 /// Results are bit-identical; the full scan exists as the validation
 /// oracle, exactly as ReplayMode::kDense does for the sparse timeline.
 enum class ContactScan : std::uint8_t {
-  /// Holder-incident fast path (the default): a per-node contact-timeline
-  /// index schedules only steps where a current message holder has a
-  /// contact, and the per-step worklist carries only edges incident to
-  /// holders (expanded mid-pass as transfers mint new holders), so
-  /// per-run cost is proportional to holder contacts rather than to the
-  /// trace's total contacts. Applies when the algorithm keeps no online
-  /// contact history (observes_contacts() == false) under sparse replay;
-  /// flooding runs use their own closure kernels either way.
+  /// Holder-incident fast path (the default): every active step's edges
+  /// pass one holder filter, and the relay worklist carries only edges
+  /// incident to holders (expanded mid-pass as transfers mint new
+  /// holders), so relay and ordering cost follow holder contacts rather
+  /// than the trace's total contacts. A step with no holder-incident edge
+  /// costs the filter pass and stays a no-op. Applies when the algorithm
+  /// keeps no online contact history (observes_contacts() == false) under
+  /// sparse replay; flooding runs use their own closure kernels either
+  /// way.
   kHolderIncident,
   /// Scan every step edge at every active step (the pre-index reference
   /// semantics, retained verbatim as the equivalence oracle).
@@ -151,7 +153,7 @@ struct SimulatorState {
   /// both directions and all relay passes). Endpoints are normalized
   /// a < b; the worklist sorts by (key, a, b) — a strict total order, so
   /// the holder-incident subset sorts into exactly the relative order it
-  /// has inside the full scan's list.
+  /// has inside the full scan's list (see sort_worklist()).
   struct WorkEdge {
     std::uint64_t key;
     NodeId a;
@@ -166,19 +168,20 @@ struct SimulatorState {
   std::vector<std::uint32_t> active_msgs;
   /// Per-node buffer occupancy in bytes (bounded-buffer runs only).
   std::vector<std::uint64_t> store_bytes;
-  /// The generic relay path's per-step edge worklist (see WorkEdge).
+  /// The generic relay path's per-step edge worklist (see WorkEdge), and
+  /// the bucket pass's scatter target and bucket boundaries
+  /// (sort_worklist()).
   std::vector<WorkEdge> work;
-  /// Holder-incident scheduling state (ContactScan::kHolderIncident
-  /// only). `holder_count[v]` counts live message copies node v holds;
-  /// `node_stamp` is a generation-stamped per-node flag reused for both
-  /// the worklist-membership and once-per-step-arming marks (two
-  /// generations per processed step, monotone across runs — a warm
-  /// workspace needs no re-zeroing); `heap` is the min-heap of packed
-  /// (step << 32 | node) next-contact visits.
+  std::vector<WorkEdge> work_scratch;
+  std::vector<std::size_t> bucket_ends;
+  /// Holder-filter state (ContactScan::kHolderIncident only).
+  /// `holder_count[v]` counts live message copies node v holds;
+  /// `node_stamp` is a generation-stamped per-node worklist-membership
+  /// mark (one generation per processed step, monotone across runs — a
+  /// warm workspace needs no re-zeroing).
   std::vector<std::uint32_t> holder_count;
   std::vector<std::uint64_t> node_stamp;
   std::uint64_t stamp_gen = 0;
-  std::vector<std::uint64_t> heap;
   /// Scalar-kernel hop-settle scratch. `mark` entries equal `mark_gen`
   /// only for nodes settled in the current generation; the generation
   /// counter is never reset, so stale runs can't alias (64-bit: no
@@ -204,14 +207,26 @@ struct SimulatorState {
   std::vector<std::uint32_t> slot_queue;
 };
 
+/// Sorts `work` by (key, a, b), the worklist's strict total order, with a
+/// bucket pass: the keys are splitmix64 outputs, uniform over 64 bits, so
+/// scattering the m edges by the key's top ceil(log2 m) bits (clamped to
+/// 1..16) into `scratch` leaves about one edge per bucket, and std::sort
+/// orders each bucket. Expected linear time, O(m log m) worst case, and
+/// the same order as std::sort under that comparator for any keys.
+/// `scratch` and `bucket_ends` are grown, never shrunk.
+void sort_worklist(std::vector<SimulatorState::WorkEdge>& work,
+                   std::vector<SimulatorState::WorkEdge>& scratch,
+                   std::vector<std::size_t>& bucket_ends);
+
 }  // namespace detail
 
 /// Reusable simulator scratch: per-message holder sets and hop arrays,
 /// per-node message lists and buffer occupancy, the flooding path's
-/// hop-settle and component scratch, and the per-step edge shuffle and
-/// budget buffers. A workspace warmed by one run lets subsequent runs
-/// execute without heap allocation (capacities are retained, never
-/// shrunk), which is why the sweep engine owns one per worker thread.
+/// hop-settle and component scratch, and the relay path's per-step edge
+/// worklist with its bucket scratch. A workspace warmed by one run lets
+/// subsequent runs execute without heap allocation (capacities are
+/// retained, never shrunk), which is why the sweep engine owns one per
+/// worker thread.
 ///
 /// Not thread-safe: one workspace serves one simulate() call at a time.
 /// Any population/workload size is accepted — the workspace grows to the

@@ -18,8 +18,8 @@
 // three-word escape), addressed through a per-node contact timeline
 // (DESIGN.md §11). Versus the earlier dense per-(step, node) offset table
 // the encoding cuts megacity_65k's arena from 272 to well under
-// 230 bytes/contact, and the timeline doubles as the index the forwarding
-// simulator's holder-incident scheduler jumps through. There is no
+// 230 bytes/contact; the timeline also serves neighbors(s, v) point
+// lookups and sizes the contact-component index. There is no
 // architectural node-count ceiling: membership sets are dynamic
 // (util::NodeSet), and populations up to the registry's megacity_65k tier
 // are exercised in tests and benches.
@@ -217,9 +217,8 @@ class SpaceTimeGraph {
   }
 
   /// The contact timeline of `node`: every step during which it has at
-  /// least one contact edge, ascending. The forwarding simulator's
-  /// holder-incident scheduler binary-searches this to find a holder's
-  /// next potential forwarding opportunity without scanning gap steps.
+  /// least one contact edge, ascending. neighbors() binary-searches it,
+  /// and graph::StepComponents sums its lengths to size its arrays.
   [[nodiscard]] std::span<const Step> contact_steps(
       NodeId node) const noexcept {
     return {node_steps_.data() + node_offsets_[node],

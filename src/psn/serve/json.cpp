@@ -145,7 +145,7 @@ class Parser {
         case 'n': out.push_back('\n'); break;
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
-        case 'u': append_utf8(out, parse_hex4()); break;
+        case 'u': append_utf8(out, parse_code_point()); break;
         default: fail("invalid escape sequence");
       }
     }
@@ -165,17 +165,37 @@ class Parser {
     return value;
   }
 
+  /// The code point of the \u escape whose hex digits start at pos_. A
+  /// high surrogate followed by a \u low surrogate is one code point past
+  /// U+FFFF; otherwise the second escape is left to decode on its own.
+  unsigned parse_code_point() {
+    const unsigned cp = parse_hex4();
+    if (cp < 0xD800 || cp > 0xDBFF || text_.substr(pos_, 2) != "\\u")
+      return cp;
+    const std::size_t second = pos_;
+    pos_ += 2;
+    const unsigned low = parse_hex4();
+    if (low >= 0xDC00 && low <= 0xDFFF)
+      return 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    pos_ = second;
+    return cp;
+  }
+
   static void append_utf8(std::string& out, unsigned cp) {
-    // Lone surrogates are passed through as replacement characters; the
-    // serving protocol is ASCII in practice (ids, scenario names).
+    // Lone or reversed surrogates become replacement characters.
     if (cp >= 0xD800 && cp <= 0xDFFF) cp = 0xFFFD;
     if (cp < 0x80) {
       out.push_back(static_cast<char>(cp));
     } else if (cp < 0x800) {
       out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
       out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
+    } else if (cp < 0x10000) {
       out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
       out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
       out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
     }

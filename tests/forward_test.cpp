@@ -10,6 +10,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -852,7 +853,7 @@ TEST(SimulatorTimeline, GapSpanningScenarioMatchesDenseForAllAlgorithms) {
 }
 
 // --- Holder-incident contact scan vs the full-replay scalar oracle. ---
-// ContactScan::kHolderIncident lets eligible runs visit only steps and
+// ContactScan::kHolderIncident lets eligible runs relay only across
 // contacts incident to current message holders; ContactScan::kFull scans
 // every contact of every active step and is retained as the permanent
 // oracle. The two must be bit-identical for every algorithm — outcomes,
@@ -882,15 +883,16 @@ std::vector<Message> burst_gap_messages() {
   return msgs;
 }
 
-void expect_fast_matches_full(const Fixture& f,
-                              const std::vector<Message>& msgs,
-                              const TrafficConfig& traffic = {}) {
+void expect_fast_matches_full(
+    const Fixture& f, const std::vector<Message>& msgs,
+    const TrafficConfig& traffic = {},
+    std::uint32_t max_relay_passes = SimulationRequest{}.max_relay_passes) {
   for (auto& alg : make_extended_algorithms()) {
     auto full = f.request(*alg, msgs);
     full.traffic = traffic;
+    full.max_relay_passes = max_relay_passes;
     full.contact_scan = ContactScan::kFull;
-    auto fast = f.request(*alg, msgs);
-    fast.traffic = traffic;
+    auto fast = full;
     fast.contact_scan = ContactScan::kHolderIncident;
     expect_results_identical(simulate(full), simulate(fast), alg->name());
   }
@@ -900,6 +902,9 @@ TEST(SimulatorHolderIncident, GapTraceMatchesFullOracleForAllAlgorithms) {
   const Fixture f(burst_gap_contacts(), 7, 1100.0);
   ASSERT_LT(f.graph.num_active_steps(), f.graph.num_steps());
   expect_fast_matches_full(f, burst_gap_messages());
+  // With no relay pass allowed, every edge-bearing step truncates,
+  // whether or not a holder has a contact in it.
+  expect_fast_matches_full(f, burst_gap_messages(), {}, 0);
 }
 
 TEST(SimulatorHolderIncident, MidGapActivationMatchesFullOracle) {
@@ -938,6 +943,82 @@ TEST(SimulatorHolderIncident, ConstrainedTrafficMatchesFullOracle) {
     traffic.eviction = policy;
     expect_fast_matches_full(f, msgs, traffic);
   }
+}
+
+// --- The worklist's bucket pass vs std::sort. ---
+// Every scan mode orders its worklist with detail::sort_worklist, so an
+// ordering bug would move the fast path and its oracles together. Here
+// the pass is checked against std::sort under this test's own (key, a, b)
+// comparator. Budgets carry each entry's input position, so a payload
+// separated from its key shows too.
+
+using WorkEdge = detail::SimulatorState::WorkEdge;
+
+void expect_bucket_pass_matches_std_sort(std::vector<WorkEdge> work,
+                                         const std::string& label) {
+  for (std::size_t i = 0; i < work.size(); ++i) work[i].budget = i;
+  auto expected = work;
+  std::sort(expected.begin(), expected.end(),
+            [](const WorkEdge& l, const WorkEdge& r) {
+              return std::tie(l.key, l.a, l.b) < std::tie(r.key, r.a, r.b);
+            });
+  std::vector<WorkEdge> scratch;
+  std::vector<std::size_t> bucket_ends;
+  detail::sort_worklist(work, scratch, bucket_ends);
+  ASSERT_EQ(work.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    ASSERT_EQ(work[i].key, expected[i].key) << label << " at " << i;
+    ASSERT_EQ(work[i].a, expected[i].a) << label << " at " << i;
+    ASSERT_EQ(work[i].b, expected[i].b) << label << " at " << i;
+    ASSERT_EQ(work[i].budget, expected[i].budget) << label << " at " << i;
+  }
+}
+
+TEST(SimulatorWorklist, BucketPassMatchesStdSort) {
+  std::mt19937_64 rng(20);
+  const auto random_edges = [&](std::size_t m) {
+    std::vector<WorkEdge> work(m);
+    for (auto& e : work) {
+      e.key = rng();
+      e.a = static_cast<NodeId>(rng() % 4096);
+      e.b = static_cast<NodeId>(rng() % 4096);
+    }
+    return work;
+  };
+  // Uniform keys: the empty and trivial lists, both sides of the 256-edge
+  // bucket-count boundary, and a list past the 16-bit bucket cap.
+  for (const std::size_t m : {0u, 1u, 2u, 3u, 255u, 256u, 257u, 70'000u})
+    expect_bucket_pass_matches_std_sort(random_edges(m),
+                                        "uniform m=" + std::to_string(m));
+
+  // The extreme keys land in the first and the last bucket.
+  auto extremes = random_edges(300);
+  extremes[7].key = 0;
+  extremes[70].key = 1;
+  extremes[170].key = ~std::uint64_t{0} - 1;
+  extremes[270].key = ~std::uint64_t{0};
+  expect_bucket_pass_matches_std_sort(extremes, "extreme keys");
+
+  // Every key shares its top 16 bits, so every list size puts all edges
+  // in one bucket and the per-bucket sort does all the ordering.
+  for (const std::size_t m : {2u, 300u, 70'000u}) {
+    auto work = random_edges(m);
+    for (auto& e : work)
+      e.key = (std::uint64_t{0xA5C3} << 48) | (e.key >> 16);
+    expect_bucket_pass_matches_std_sort(work,
+                                        "one bucket m=" + std::to_string(m));
+  }
+
+  // Equal keys with distinct (a, b): all pairs a < b < 24 under three
+  // keys, shuffled, so the order rests on the endpoint tie-breaks.
+  std::vector<WorkEdge> ties;
+  for (NodeId a = 0; a < 24; ++a)
+    for (NodeId b = a + 1; b < 24; ++b)
+      ties.push_back({0, a, b, 0});
+  std::shuffle(ties.begin(), ties.end(), rng);
+  const std::uint64_t keys[] = {3, 0x8000'0000'0000'0000ULL, 3};
+  for (std::size_t i = 0; i < ties.size(); ++i) ties[i].key = keys[i % 3];
+  expect_bucket_pass_matches_std_sort(ties, "equal keys");
 }
 
 // --- Shared observation snapshots vs per-run online tables. ---

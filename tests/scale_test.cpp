@@ -324,22 +324,28 @@ TEST(ScaleTiers, SeededDeliveriesArePinned) {
         {"PRoPHET", 121, 1'862},
         {"Greedy", 93, 362},
         {"Greedy Total", 103, 548},
-        {"Greedy Online", 101, 555}}},
+        {"Greedy Online", 101, 555},
+        {"Spray+Wait", 115, 893}}},
       {"campus_512",
        {{"Epidemic", 119, 38'341},
         {"FRESH", 68, 644},
         {"PRoPHET", 119, 4'663},
         {"Greedy", 43, 251},
         {"Greedy Total", 57, 671},
-        {"Greedy Online", 52, 756}}},
+        {"Greedy Online", 52, 756},
+        {"Spray+Wait", 89, 905}}},
       {"city_2048",
        {{"Epidemic", 120, 139'462},
         {"FRESH", 22, 303},
         {"PRoPHET", 114, 11'112},
         {"Greedy", 13, 135},
         {"Greedy Total", 16, 551},
-        {"Greedy Online", 19, 636}}},
-      {"metro_16k", {{"Epidemic", 119, 1'109'951}, {"FRESH", 1, 63}}},
+        {"Greedy Online", 19, 636},
+        {"Spray+Wait", 40, 873}}},
+      {"metro_16k",
+       {{"Epidemic", 119, 1'109'951},
+        {"FRESH", 1, 63},
+        {"Spray+Wait", 3, 843}}},
   };
   const util::ParallelFor pooled = parallel_for(shared_pool());
   for (const Tier& tier : tiers) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,19 @@ TEST(Json, StringEscapes) {
   const Json back = Json::parse(value.dump());
   EXPECT_EQ(back.as_string(), value.as_string());
   EXPECT_EQ(Json::parse(R"("Aé")").as_string(), "A\xc3\xa9");
+
+  const auto decoded = [](const char* text) {
+    return Json::parse(text).as_string();
+  };
+  EXPECT_EQ(decoded(R"("\"\\\/\b\f\n\r\t")"), "\"\\/\b\f\n\r\t");
+  EXPECT_EQ(decoded(R"("\u00e9")"), "\xc3\xa9");
+  // A surrogate pair is one code point past U+FFFF, here U+1F600.
+  EXPECT_EQ(decoded(R"("\ud83d\ude00")"), "\xf0\x9f\x98\x80");
+  // A lone or reversed surrogate decodes to U+FFFD per surrogate.
+  EXPECT_EQ(decoded(R"("\ud83d")"), "\xef\xbf\xbd");
+  EXPECT_EQ(decoded(R"("\ud83dx")"), "\xef\xbf\xbdx");
+  EXPECT_EQ(decoded(R"("\ud83d\u0041")"), "\xef\xbf\xbd" "A");
+  EXPECT_EQ(decoded(R"("\ude00\ud83d")"), "\xef\xbf\xbd\xef\xbf\xbd");
 }
 
 TEST(Json, MalformedInputThrows) {
@@ -127,6 +141,25 @@ TEST(Request, ValidationErrors) {
                       "messages":0})");
   expect_rejected(R"({"id":"x","family":"model","scenario":"nope"})");
   expect_rejected(R"({"id":"x","family":"admin","command":"nope"})");
+}
+
+TEST(Request, ParsesModelWithDefaults) {
+  const Request request = parse_request(request_json(
+      R"({"id":"m","family":"model","scenario":"model_100"})"));
+  EXPECT_EQ(request.id, "m");
+  EXPECT_EQ(request.family, Family::kModel);
+  EXPECT_EQ(request.model.scenario, "model_100");
+  EXPECT_EQ(request.model.jump_replicas, 4u);
+  EXPECT_EQ(request.model.mc_messages, 0u);
+  EXPECT_EQ(request.model.master_seed, 7u);
+  // An unknown field, and a forwarding tier's name, are rejected.
+  EXPECT_THROW((void)parse_request(request_json(
+                   R"({"id":"m","family":"model","scenario":"model_100",
+                       "runs":2})")),
+               RequestError);
+  EXPECT_THROW((void)parse_request(request_json(
+                   R"({"id":"m","family":"model","scenario":"town_128"})")),
+               RequestError);
 }
 
 TEST(Request, BatchKeyIgnoresAlgorithmsAndRespectsConfig) {
@@ -448,6 +481,37 @@ TEST(Service, AdminStatsEvictClearShutdown) {
   const Json shutdown_response = service.execute(std::move(shutdown));
   EXPECT_TRUE(shutdown_response.at("result").at("shutting_down").as_bool());
   EXPECT_TRUE(service.shutdown_requested());
+}
+
+TEST(Service, PeriodicStatsLineEveryNResponses) {
+  std::ostringstream stats_lines;
+  ServiceConfig config;
+  config.threads = 1;
+  config.batch_window_seconds = 0.0;
+  config.stats_every = 2;
+  config.stats_stream = &stats_lines;
+  SweepService service(config);
+  for (int i = 0; i < 4; ++i) {
+    Request stats;
+    stats.id = "s" + std::to_string(i);
+    stats.family = Family::kAdmin;
+    stats.admin.command = AdminCommand::kStats;
+    ASSERT_TRUE(service.execute(std::move(stats)).at("ok").as_bool());
+  }
+  // The line is written after the response callback, before the
+  // dispatcher goes idle, so drain() orders it before the read below.
+  service.drain();
+
+  std::istringstream stream(stats_lines.str());
+  std::vector<Json> lines;
+  for (std::string line; std::getline(stream, line);)
+    lines.push_back(Json::parse(line));
+  ASSERT_EQ(lines.size(), 2u) << stats_lines.str();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].at("type").as_string(), "stats");
+    EXPECT_EQ(lines[i].at("responses_ok").as_number(),
+              static_cast<double>(2 * (i + 1)));
+  }
 }
 
 TEST(Server, ProcessLineRejectsMalformedInputWithoutDying) {
