@@ -7,9 +7,7 @@
 
 #include "bench_common.hpp"
 #include "psn/core/dataset.hpp"
-#include "psn/core/workload.hpp"
-#include "psn/graph/space_time_graph.hpp"
-#include "psn/paths/explosion.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/stats/table.hpp"
 
@@ -17,27 +15,30 @@ int main() {
   using namespace psn;
   bench::print_header("Ablation", "discretization step delta sweep");
 
+  // The four discretizations run as one four-scenario path sweep over
+  // the same message sample.
   const auto ds = core::DatasetFactory::paper_dataset(0);
-  const auto messages = core::uniform_message_sample(
-      ds.trace.num_nodes(), bench::bench_messages() / 2 + 10,
-      ds.message_horizon, 5);
-  const std::size_t k = bench::bench_k();
+  const double deltas[] = {5.0, 10.0, 20.0, 40.0};
+  engine::PathSweepPlan plan;
+  for (const double delta : deltas)
+    plan.scenarios.push_back(engine::make_scenario(ds, delta));
+  plan.config.messages = bench::bench_messages() / 2 + 10;
+  plan.config.k = bench::bench_k();
+  plan.config.seed = 5;
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  options.keep_results = false;
+  const auto sweep = engine::run_path_sweep(plan, options);
 
   stats::TablePrinter table({"delta (s)", "delivered", "exploded",
                              "median T1 (s)", "median TE (s)"});
-  for (const double delta : {5.0, 10.0, 20.0, 40.0}) {
-    const graph::SpaceTimeGraph graph(ds.trace, delta);
-    const auto records = paths::run_explosion_study(graph, messages, k);
-    std::vector<double> t1s;
-    std::vector<double> tes;
-    for (const auto& rec : records) {
-      if (rec.delivered) t1s.push_back(rec.optimal_duration);
-      if (rec.exploded) tes.push_back(rec.time_to_explosion);
-    }
-    const stats::EmpiricalCdf t1_cdf(std::move(t1s));
-    const stats::EmpiricalCdf te_cdf(std::move(tes));
+  for (std::size_t s = 0; s < sweep.cells.size(); ++s) {
+    const auto& records = sweep.cells[s].records;
+    const stats::EmpiricalCdf t1_cdf(paths::optimal_durations(records));
+    const stats::EmpiricalCdf te_cdf(paths::times_to_explosion(records));
     table.add_row(
-        {stats::TablePrinter::fmt(delta, 0), std::to_string(t1_cdf.size()),
+        {stats::TablePrinter::fmt(deltas[s], 0), std::to_string(t1_cdf.size()),
          std::to_string(te_cdf.size()),
          t1_cdf.size() ? stats::TablePrinter::fmt(t1_cdf.median(), 0) : "-",
          te_cdf.size() ? stats::TablePrinter::fmt(te_cdf.median(), 0) : "-"});

@@ -7,9 +7,7 @@
 
 #include "bench_common.hpp"
 #include "psn/core/dataset.hpp"
-#include "psn/core/workload.hpp"
-#include "psn/graph/space_time_graph.hpp"
-#include "psn/paths/explosion.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/stats/table.hpp"
 
@@ -17,16 +15,21 @@ int main() {
   using namespace psn;
   bench::print_header("Ablation", "explosion threshold k sweep");
 
-  const auto ds = core::DatasetFactory::paper_dataset(0);
-  const auto messages = core::uniform_message_sample(
-      ds.trace.num_nodes(), bench::bench_messages() / 2 + 10,
-      ds.message_horizon, 6);
-
-  const graph::SpaceTimeGraph graph(ds.trace, 10.0);
   // Enumerate once at the largest k; derive T_k for smaller k from the
   // same growth curves.
+  const auto ds = core::DatasetFactory::paper_dataset(0);
   const std::size_t k_max = bench::bench_k();
-  const auto records = paths::run_explosion_study(graph, messages, k_max);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = bench::bench_messages() / 2 + 10;
+  plan.config.k = k_max;
+  plan.config.seed = 6;
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  options.keep_results = false;
+  const auto sweep = engine::run_path_sweep(plan, options);
+  const auto& records = sweep.cells.front().records;
 
   stats::TablePrinter table({"k", "messages with k paths",
                              "median (T_k - T_1) (s)"});

@@ -8,13 +8,16 @@
 //   PSN_BENCH_MESSAGES  enumeration sample size per dataset (default 80)
 //   PSN_BENCH_K         explosion threshold (default 2000, as in the paper)
 //   PSN_BENCH_RUNS      forwarding simulation runs (default 3; paper: 10)
-//   PSN_BENCH_THREADS   sweep-engine worker threads (default 0 = hardware)
+//   PSN_BENCH_THREADS   worker threads of the driver's one sweep pool
+//                       (default: one per hardware thread)
 
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
 #include <string>
+
+#include "psn/engine/thread_pool.hpp"
 
 namespace psn::bench {
 
@@ -36,7 +39,9 @@ inline std::size_t bench_model_replicas(std::size_t fallback) {
 }
 inline std::size_t bench_k() { return env_size("PSN_BENCH_K", 2000); }
 inline std::size_t bench_runs() { return env_size("PSN_BENCH_RUNS", 3); }
-inline std::size_t bench_threads() { return env_size("PSN_BENCH_THREADS", 0); }
+inline std::size_t bench_threads() {
+  return env_size("PSN_BENCH_THREADS", engine::ThreadPool::hardware_threads());
+}
 
 inline void print_sweep_footer(std::size_t total_runs, std::size_t threads,
                                double wall_seconds) {

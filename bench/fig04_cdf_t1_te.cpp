@@ -8,7 +8,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "psn/core/path_study.hpp"
+#include "psn/core/dataset.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/stats/table.hpp"
 
@@ -17,20 +18,27 @@ int main() {
   bench::print_header("Figure 4",
                       "CDFs of optimal path duration and time to explosion");
 
-  core::PathStudyConfig config;
-  config.messages = bench::bench_messages();
-  config.k = bench::bench_k();
-  config.threads = bench::bench_threads();
+  // Both windows run as one two-scenario path sweep.
+  const core::Dataset datasets[] = {core::DatasetFactory::paper_dataset(0),
+                                    core::DatasetFactory::paper_dataset(1)};
+  engine::PathSweepPlan plan;
+  for (const auto& ds : datasets)
+    plan.scenarios.push_back(engine::make_scenario(ds));
+  plan.config.messages = bench::bench_messages();
+  plan.config.k = bench::bench_k();
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  options.keep_results = false;
+  const auto sweep = engine::run_path_sweep(plan, options);
 
   std::vector<std::string> names;
   std::vector<stats::EmpiricalCdf> t1_cdfs;
   std::vector<stats::EmpiricalCdf> te_cdfs;
-  for (const std::size_t idx : {std::size_t{0}, std::size_t{1}}) {
-    const auto ds = core::DatasetFactory::paper_dataset(idx);
-    const auto result = run_path_study(ds, config);
-    names.push_back(ds.name);
-    t1_cdfs.emplace_back(result.optimal_durations());
-    te_cdfs.emplace_back(result.times_to_explosion());
+  for (const auto& cell : sweep.cells) {
+    names.push_back(cell.scenario);
+    t1_cdfs.emplace_back(paths::optimal_durations(cell.records));
+    te_cdfs.emplace_back(paths::times_to_explosion(cell.records));
   }
 
   std::cout << "(a) optimal path duration CDF\n";

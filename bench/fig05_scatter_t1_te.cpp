@@ -6,7 +6,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "psn/core/path_study.hpp"
+#include "psn/core/dataset.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/stats/summary.hpp"
 #include "psn/stats/table.hpp"
 
@@ -16,16 +17,21 @@ int main() {
                       "optimal path duration vs time to explosion (scatter)");
 
   const auto ds = core::DatasetFactory::paper_dataset(0);
-  core::PathStudyConfig config;
-  config.messages = bench::bench_messages();
-  config.k = bench::bench_k();
-  config.threads = bench::bench_threads();
-  const auto result = run_path_study(ds, config);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = bench::bench_messages();
+  plan.config.k = bench::bench_k();
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  options.keep_results = false;
+  const auto sweep = engine::run_path_sweep(plan, options);
+  const auto& records = sweep.cells.front().records;
 
   stats::TablePrinter table({"src", "dst", "T1 (s)", "TE (s)"});
   std::vector<double> t1s;
   std::vector<double> tes;
-  for (const auto& rec : result.records) {
+  for (const auto& rec : records) {
     if (!rec.exploded) continue;
     t1s.push_back(rec.optimal_duration);
     tes.push_back(rec.time_to_explosion);

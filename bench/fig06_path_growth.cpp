@@ -8,7 +8,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "psn/core/path_study.hpp"
+#include "psn/core/dataset.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/stats/histogram.hpp"
 #include "psn/stats/summary.hpp"
@@ -20,11 +21,16 @@ int main() {
       "Figure 6", "path arrivals over time since T1 (slow exploders)");
 
   const auto ds = core::DatasetFactory::paper_dataset(0);
-  core::PathStudyConfig config;
-  config.messages = bench::bench_messages();
-  config.k = bench::bench_k();
-  config.threads = bench::bench_threads();
-  const auto result = run_path_study(ds, config);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = bench::bench_messages();
+  plan.config.k = bench::bench_k();
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  options.keep_results = false;
+  const auto sweep = engine::run_path_sweep(plan, options);
+  const auto& records = sweep.cells.front().records;
 
   // The paper filters to TE >= 150 s. Our synthetic traces can explode
   // faster across the board; if no message qualifies, fall back to the
@@ -33,7 +39,7 @@ int main() {
   double slow_te = 150.0;
   {
     std::vector<double> tes;
-    for (const auto& rec : result.records)
+    for (const auto& rec : records)
       if (rec.exploded) tes.push_back(rec.time_to_explosion);
     const bool any_slow =
         std::any_of(tes.begin(), tes.end(),
@@ -48,7 +54,7 @@ int main() {
   }
   stats::Histogram arrivals(0.0, std::max(250.0, slow_te * 3.0), 25);
   std::size_t slow_messages = 0;
-  for (const auto& rec : result.records) {
+  for (const auto& rec : records) {
     if (!rec.exploded || rec.time_to_explosion < slow_te) continue;
     ++slow_messages;
     std::uint64_t prev = 0;
@@ -70,13 +76,13 @@ int main() {
     std::uint64_t steps = 0;
     std::uint64_t peak = 0;
     std::uint64_t truncated = 0;
-    for (const auto& rec : result.records) {
+    for (const auto& rec : records) {
       steps += rec.effort.steps_replayed;
       peak = std::max(peak, rec.effort.peak_stored_paths);
       truncated += rec.effort.truncated_candidates;
     }
-    const auto n = static_cast<double>(result.records.size());
-    std::cout << "\nEnumeration effort (" << result.records.size()
+    const auto n = static_cast<double>(records.size());
+    std::cout << "\nEnumeration effort (" << records.size()
               << " messages):\n";
     stats::TablePrinter effort(
         {"mean steps replayed", "peak stored paths", "k-truncated candidates"});

@@ -11,7 +11,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "psn/core/path_study.hpp"
+#include "psn/core/dataset.hpp"
+#include "psn/core/quadrant.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/stats/summary.hpp"
 #include "psn/stats/table.hpp"
 
@@ -20,15 +22,21 @@ int main() {
   bench::print_header("Figure 8", "T1 vs TE scatter by pair quadrant");
 
   const auto ds = core::DatasetFactory::paper_dataset(0);
-  core::PathStudyConfig config;
-  config.messages = bench::bench_messages() * 2;  // quadrants need samples.
-  config.k = bench::bench_k();
-  config.threads = bench::bench_threads();
-  const auto result = run_path_study(ds, config);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  // The quadrants split the sample four ways, so draw twice as many.
+  plan.config.messages = bench::bench_messages() * 2;
+  plan.config.k = bench::bench_k();
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  options.keep_results = false;
+  const auto quadrants = core::group_by_quadrant(
+      engine::run_path_sweep(plan, options).cells.front().records, ds.rates);
 
   for (std::size_t q = 0; q < 4; ++q) {
     const auto quadrant = static_cast<core::Quadrant>(q);
-    const auto& records = result.quadrants.of(quadrant);
+    const auto& records = quadrants.of(quadrant);
     std::cout << "\n(" << static_cast<char>('a' + q) << ") "
               << core::quadrant_name(quadrant) << "\n";
     stats::TablePrinter table({"T1 (s)", "TE (s)"});

@@ -33,8 +33,9 @@ int main() {
   const auto plan =
       engine::make_plan(scenarios, forward::paper_algorithm_names(), pc);
 
+  engine::ThreadPool pool(bench::bench_threads());
   engine::SweepOptions options;
-  options.threads = bench::bench_threads();
+  options.pool = &pool;
   options.keep_delays = false;
   const auto sweep = engine::run_sweep(plan, options);
 
@@ -64,7 +65,6 @@ int main() {
     std::cout << "  non-epidemic success-rate spread: " << hi_s - lo_s
               << " (paper: algorithms nearly identical)\n";
   }
-  bench::print_sweep_footer(sweep.total_runs, sweep.threads,
-                            sweep.wall_seconds);
+  bench::print_sweep_footer(sweep.total_runs, pool.size(), sweep.wall_seconds);
   return 0;
 }

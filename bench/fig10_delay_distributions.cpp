@@ -32,8 +32,9 @@ int main() {
   const auto plan =
       engine::make_plan(scenarios, forward::paper_algorithm_names(), pc);
 
+  engine::ThreadPool pool(bench::bench_threads());
   engine::SweepOptions options;
-  options.threads = bench::bench_threads();
+  options.pool = &pool;
   const auto sweep = engine::run_sweep(plan, options);
 
   for (std::size_t idx = 0; idx < sweep.num_scenarios; ++idx) {
@@ -64,7 +65,6 @@ int main() {
   }
   std::cout << "\nShape check: columns (algorithms) should track each other "
                "closely, with Epidemic uppermost.\n";
-  bench::print_sweep_footer(sweep.total_runs, sweep.threads,
-                            sweep.wall_seconds);
+  bench::print_sweep_footer(sweep.total_runs, pool.size(), sweep.wall_seconds);
   return 0;
 }

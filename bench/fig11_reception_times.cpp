@@ -8,11 +8,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "psn/core/path_study.hpp"
-#include "psn/core/workload.hpp"
+#include "psn/core/dataset.hpp"
 #include "psn/engine/path_sweep.hpp"
-#include "psn/engine/scenario_context.hpp"
-#include "psn/paths/enumerator.hpp"
 #include "psn/stats/histogram.hpp"
 #include "psn/stats/table.hpp"
 
@@ -22,16 +19,16 @@ int main() {
                       "cumulative reception times of near-optimal paths");
 
   const auto ds = core::DatasetFactory::paper_dataset(0);
-  const auto context = engine::ScenarioContextCache::instance().acquire(
-      engine::make_scenario(ds));
-  const auto messages = core::uniform_message_sample(
-      ds.trace.num_nodes(), bench::bench_messages(), ds.message_horizon, 42);
-
-  paths::EnumeratorConfig ec;
-  ec.k = bench::bench_k();
-  ec.record_paths = false;
-  const auto results = engine::enumerate_sample(*context->graph, messages, ec,
-                                                bench::bench_threads());
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = bench::bench_messages();
+  plan.config.k = bench::bench_k();
+  plan.config.seed = 42;
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  const auto sweep = engine::run_path_sweep(plan, options);
+  const auto& results = sweep.cells.front().results;
 
   stats::Histogram receptions(0.0, ds.trace.t_max(), 36);  // 5-min bins.
   for (const auto& r : results)

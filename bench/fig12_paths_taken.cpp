@@ -4,7 +4,7 @@
 // Paper shape: every algorithm's delivery lands early in the explosion,
 // within the first few bursts after T1.
 
-#include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <map>
 #include <vector>
@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "psn/core/dataset.hpp"
 #include "psn/core/workload.hpp"
-#include "psn/engine/path_sweep.hpp"
+#include "psn/engine/run_spec.hpp"
 #include "psn/engine/scenario_context.hpp"
 #include "psn/forward/algorithm_registry.hpp"
 #include "psn/forward/simulator.hpp"
@@ -33,31 +33,19 @@ int main() {
   paths::EnumeratorConfig ec;
   ec.k = bench::bench_k();
   ec.record_paths = false;
+  const paths::KPathEnumerator enumerator(graph, ec);
+  paths::EnumeratorWorkspace workspace;
 
-  // Enumerate the candidate sample in parallel slot-order batches until
-  // two messages explode with a nontrivial T1 — the batch boundary never
-  // shifts which messages qualify (selection walks sample order), so the
-  // choice is thread-count invariant, and the typical run enumerates a
-  // handful of candidates rather than all 200.
+  // Walk the candidate sample in order until two messages explode with a
+  // nontrivial T1; the typical run enumerates a handful of candidates
+  // rather than all 200.
   const auto candidates = core::uniform_message_sample(
       ds.trace.num_nodes(), 200, ds.message_horizon, 7);
-  constexpr std::size_t kBatch = 16;
-  std::vector<paths::EnumerationResult> results;
   std::size_t shown = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  for (const auto& m : candidates) {
     if (shown >= 2) break;
-    if (i == results.size()) {
-      const std::vector<paths::MessageSpec> batch(
-          candidates.begin() + static_cast<std::ptrdiff_t>(i),
-          candidates.begin() +
-              static_cast<std::ptrdiff_t>(std::min(i + kBatch,
-                                                   candidates.size())));
-      auto batch_results =
-          engine::enumerate_sample(graph, batch, ec, bench::bench_threads());
-      for (auto& r : batch_results) results.push_back(std::move(r));
-    }
-    const auto& m = candidates[i];
-    const auto& r = results[i];
+    const auto r =
+        enumerator.enumerate(m.source, m.destination, m.t_start, workspace);
     std::uint64_t total = 0;
     for (const auto& d : r.deliveries) total += d.count;
     if (!r.reached_k || r.deliveries.size() < 3) continue;
@@ -77,7 +65,8 @@ int main() {
     std::map<std::string, double> achieved;
     const std::vector<forward::Message> one_message = {
         forward::Message{0, m.source, m.destination, m.t_start}};
-    for (auto& alg : forward::make_paper_algorithms()) {
+    for (const auto& name : forward::paper_algorithm_names()) {
+      const auto alg = forward::make_algorithm(name);
       forward::SimulationRequest request;
       request.algorithm = alg.get();
       request.graph = &graph;
@@ -85,8 +74,7 @@ int main() {
       request.messages = &one_message;
       const auto sim = forward::simulate(request);
       if (sim.outcomes[0].delivered)
-        achieved[alg->name()] =
-            sim.outcomes[0].delay - (t1_abs - m.t_start);
+        achieved[name] = sim.outcomes[0].delay - (t1_abs - m.t_start);
     }
 
     stats::TablePrinter table(

@@ -27,8 +27,9 @@ int main() {
   const auto plan = engine::make_plan({engine::make_scenario(ds)},
                                       forward::paper_algorithm_names(), pc);
 
+  engine::ThreadPool pool(bench::bench_threads());
   engine::SweepOptions options;
-  options.threads = bench::bench_threads();
+  options.pool = &pool;
   options.keep_delays = false;
   const auto sweep = engine::run_sweep(plan, options);
 
@@ -58,7 +59,6 @@ int main() {
 
   std::cout << "\nShape check (paper: in-in best for everyone; out pairs "
                "harder; oracles win when source is 'out').\n";
-  bench::print_sweep_footer(sweep.total_runs, sweep.threads,
-                            sweep.wall_seconds);
+  bench::print_sweep_footer(sweep.total_runs, pool.size(), sweep.wall_seconds);
   return 0;
 }

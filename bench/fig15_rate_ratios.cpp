@@ -7,9 +7,7 @@
 
 #include "bench_common.hpp"
 #include "psn/core/dataset.hpp"
-#include "psn/core/workload.hpp"
 #include "psn/engine/path_sweep.hpp"
-#include "psn/engine/scenario_context.hpp"
 #include "psn/paths/hop_profile.hpp"
 #include "psn/stats/table.hpp"
 
@@ -19,16 +17,17 @@ int main() {
                       "rate ratios across consecutive hops (box stats)");
 
   const auto ds = core::DatasetFactory::paper_dataset(0);
-  const auto context = engine::ScenarioContextCache::instance().acquire(
-      engine::make_scenario(ds));
-  const auto messages = core::uniform_message_sample(
-      ds.trace.num_nodes(), bench::bench_messages(), ds.message_horizon, 22);
-
-  paths::EnumeratorConfig ec;
-  ec.k = bench::bench_k();
-  ec.record_paths = true;
-  const auto results = engine::enumerate_sample(*context->graph, messages, ec,
-                                                bench::bench_threads());
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = bench::bench_messages();
+  plan.config.k = bench::bench_k();
+  plan.config.seed = 22;
+  plan.config.record_paths = true;
+  engine::ThreadPool pool(bench::bench_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  const auto sweep = engine::run_path_sweep(plan, options);
+  const auto& results = sweep.cells.front().results;
 
   paths::HopProfileCollector collector(ds.trace.contact_rates(), 10);
   for (const auto& r : results) collector.add(r);

@@ -33,8 +33,9 @@ int main() {
   plan.scenarios = {scenario};
   plan.config.jump_replicas = 0;  // this bench studies the MC half.
   plan.config.master_seed = 99;
+  engine::ThreadPool pool(bench::bench_threads());
   engine::ModelSweepOptions options;
-  options.threads = bench::bench_threads();
+  options.pool = &pool;
   options.keep_messages = false;  // the quadrant summary is the product.
   const auto sweep = engine::run_model_sweep(plan, options);
   const core::McQuadrantSummary& quadrants = sweep.cells[0].quadrants;
@@ -58,7 +59,7 @@ int main() {
 
   std::cout << "\nShape check (paper 5.2): mean T1(in-*) < mean T1(out-*); "
                "mean TE(*-in) < mean TE(*-out).\n";
-  bench::print_sweep_footer(sweep.total_messages, sweep.threads,
+  bench::print_sweep_footer(sweep.total_messages, pool.size(),
                             sweep.wall_seconds);
   return 0;
 }

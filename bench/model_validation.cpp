@@ -46,8 +46,9 @@ int main() {
   plan.scenarios = {scenario};
   plan.config.jump_replicas = replicas;
   plan.config.master_seed = 17;
+  engine::ThreadPool pool(bench::bench_threads());
   engine::ModelSweepOptions options;
-  options.threads = bench::bench_threads();
+  options.pool = &pool;
   const auto sweep = engine::run_model_sweep(plan, options);
   const auto& ensemble = sweep.cells[0].trajectory;
 
@@ -87,7 +88,7 @@ int main() {
 
   std::cout << "\nShape check: ODE mean matches e^{lambda t} growth; the "
                "jump ensemble tracks both (Kurtz limit); mass stays 1.\n";
-  bench::print_sweep_footer(sweep.total_replicas, sweep.threads,
+  bench::print_sweep_footer(sweep.total_replicas, pool.size(),
                             sweep.wall_seconds);
   return 0;
 }

@@ -8,37 +8,47 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "psn/core/path_study.hpp"
+#include "psn/core/dataset.hpp"
+#include "psn/core/quadrant.hpp"
+#include "psn/engine/path_sweep.hpp"
+#include "psn/engine/thread_pool.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/stats/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
 
-  core::PathStudyConfig config;
-  config.messages = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 60;
-  config.k = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 1000;
-
   const auto dataset = core::DatasetFactory::paper_dataset(0);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(dataset)};
+  plan.config.messages = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 60;
+  plan.config.k = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 1000;
+
   std::cout << "dataset " << dataset.name << ": "
             << dataset.trace.summary() << "\n";
   std::cout << "median contact rate: " << dataset.rates.median_rate
             << " contacts/s (in/out split point)\n\n";
 
-  const auto result = run_path_study(dataset, config);
+  engine::ThreadPool pool(engine::ThreadPool::hardware_threads());
+  engine::PathSweepOptions options;
+  options.pool = &pool;
+  options.keep_results = false;
+  const auto sweep = engine::run_path_sweep(plan, options);
+  const auto& records = sweep.cells.front().records;
+  const auto quadrants = core::group_by_quadrant(records, dataset.rates);
 
   std::size_t delivered = 0;
   std::size_t exploded = 0;
-  for (const auto& rec : result.records) {
+  for (const auto& rec : records) {
     delivered += rec.delivered ? 1 : 0;
     exploded += rec.exploded ? 1 : 0;
   }
-  std::cout << config.messages << " messages: " << delivered
+  std::cout << plan.config.messages << " messages: " << delivered
             << " delivered, " << exploded << " exploded (reached k="
-            << config.k << " paths)\n\n";
+            << plan.config.k << " paths)\n\n";
 
-  const stats::EmpiricalCdf t1(result.optimal_durations());
-  const stats::EmpiricalCdf te(result.times_to_explosion());
+  const stats::EmpiricalCdf t1(paths::optimal_durations(records));
+  const stats::EmpiricalCdf te(paths::times_to_explosion(records));
   if (t1.size() > 0) {
     std::cout << "optimal path duration: median=" << t1.median()
               << "s  p90=" << t1.quantile(0.9) << "s  max=" << t1.max()
@@ -53,13 +63,12 @@ int main(int argc, char** argv) {
   stats::TablePrinter table({"quadrant", "messages", "exploded",
                              "mean T1 (s)", "mean TE (s)"});
   for (std::size_t q = 0; q < 4; ++q) {
-    const auto& records =
-        result.quadrants.of(static_cast<core::Quadrant>(q));
+    const auto& quadrant = quadrants.of(static_cast<core::Quadrant>(q));
     double t1_sum = 0.0;
     double te_sum = 0.0;
     std::size_t n_del = 0;
     std::size_t n_exp = 0;
-    for (const auto& rec : records) {
+    for (const auto& rec : quadrant) {
       if (rec.delivered) {
         t1_sum += rec.optimal_duration;
         ++n_del;
@@ -71,7 +80,7 @@ int main(int argc, char** argv) {
     }
     table.add_row(
         {core::quadrant_name(static_cast<core::Quadrant>(q)),
-         std::to_string(records.size()), std::to_string(n_exp),
+         std::to_string(quadrant.size()), std::to_string(n_exp),
          n_del ? stats::TablePrinter::fmt(
                      t1_sum / static_cast<double>(n_del), 0)
                : "-",

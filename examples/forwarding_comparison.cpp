@@ -8,15 +8,17 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "psn/core/forwarding_study.hpp"
+#include "psn/core/dataset.hpp"
+#include "psn/engine/sweep.hpp"
+#include "psn/engine/thread_pool.hpp"
+#include "psn/forward/algorithm_registry.hpp"
 #include "psn/stats/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
 
-  core::ForwardingStudyConfig config;
+  engine::PlanConfig config;  // paper: 1 message per 4 s, seed 7.
   config.runs = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3;
-  config.extended_suite = true;
   const std::size_t idx =
       argc > 2 ? std::strtoul(argv[2], nullptr, 10) % 4 : 0;
 
@@ -26,11 +28,17 @@ int main(int argc, char** argv) {
   std::cout << config.runs << " runs, Poisson workload (1 msg / "
             << 1.0 / config.message_rate << " s over the first 2 h)\n\n";
 
-  const auto result = run_forwarding_study(dataset, config);
+  const auto plan =
+      engine::make_plan({engine::make_scenario(dataset)},
+                        forward::extended_algorithm_names(), config);
+  engine::ThreadPool pool(engine::ThreadPool::hardware_threads());
+  engine::SweepOptions options;
+  options.pool = &pool;
+  const auto sweep = engine::run_sweep(plan, options);
 
   stats::TablePrinter table({"algorithm", "success rate", "avg delay (s)",
                              "in-in S", "out-out S"});
-  for (const auto& study : result.algorithms) {
+  for (const auto& study : sweep.cells) {
     table.add_row(
         {study.overall.algorithm,
          stats::TablePrinter::fmt(study.overall.success_rate, 3),

@@ -1,7 +1,6 @@
 #include "psn/engine/model_sweep.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -139,19 +138,13 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
   }
 
   const auto sweep_start = Clock::now();
-  // Run on the caller's pool when one is provided (the psn_serve batching
-  // hook); otherwise own a private pool for the duration of the sweep.
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool& pool =
-      options.pool != nullptr
-          ? *options.pool
-          : owned_pool.emplace(options.threads == 0
-                                   ? ThreadPool::hardware_threads()
-                                   : options.threads);
-  // Each phase is one fan-out on this executor: shards write only their
-  // own pre-sized slots, and the call returns once every shard is done
-  // (rethrowing the first failure).
-  const util::ParallelFor parallel = parallel_for(pool);
+  // Each phase is one fan-out on the caller's pool, or on the calling
+  // thread without one: shards write only their own pre-sized slots, and
+  // the call returns once every shard is done (rethrowing the first
+  // failure).
+  const util::ParallelFor parallel = options.pool != nullptr
+                                         ? parallel_for(*options.pool)
+                                         : util::serial_parallel_for();
 
   const std::size_t num_scenarios = plan.scenarios.size();
   const std::size_t replicas = plan.config.jump_replicas;
@@ -238,7 +231,6 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
   // Phase 3: aggregation, single-threaded in slot order (replica-major,
   // then message) — deterministic regardless of completion order.
   ModelSweepResult out;
-  out.threads = pool.size();  // actual worker count, after clamping.
   out.cells.reserve(num_scenarios);
   for (std::size_t s = 0; s < num_scenarios; ++s) {
     ModelCell cell;

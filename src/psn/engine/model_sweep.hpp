@@ -1,23 +1,23 @@
 // The §5 model sweep: replica/message-level fan-out of the Markov jump
 // simulator (§5.1.2) and the heterogeneous-rate Monte Carlo (§5.2) over
-// the engine's thread pool, mirroring run_sweep's and run_path_sweep's
+// the caller's thread pool, mirroring run_sweep's and run_path_sweep's
 // slot-addressed, deterministically aggregated design — the parallel
 // production path behind bench/model_validation, bench/model_heterogeneous
 // and psn_serve's model requests.
 //
 // Determinism guarantee: for a fixed plan, run_model_sweep produces
-// bit-identical cells at any thread count. Every unit of work — one jump
-// replica, one MC message — draws from its own RNG substream, derived
-// stateless from the plan's master seed and the unit's slot index via
-// SplitMix64 (model_substream_seed: the output of draw number `slot` of
-// the SplitMix64 sequence from `seed`, reachable in O(1) because the
-// sequence's state advances by the golden gamma once per draw). Shared
-// per-scenario inputs (the MC population and the (source, destination)
-// pair sample) are drawn serially from their own substreams, so the
-// choice is thread-invariant; every outcome lands in the slot addressed
-// by its (scenario, unit) index, and aggregation — Welford ensemble
-// statistics across replicas, quadrant summaries across messages — walks
-// slots in plan order. Only wall-clock telemetry varies between
+// bit-identical cells at any thread count, serial (no pool) included.
+// Every unit of work — one jump replica, one MC message — draws from its
+// own RNG substream, derived stateless from the plan's master seed and the
+// unit's slot index via SplitMix64 (model_substream_seed: the output of
+// draw number `slot` of the SplitMix64 sequence from `seed`, reachable in
+// O(1) because the sequence's state advances by the golden gamma once per
+// draw). Shared per-scenario inputs (the MC population and the (source,
+// destination) pair sample) are drawn serially from their own substreams,
+// so the choice is thread-invariant; every outcome lands in the slot
+// addressed by its (scenario, unit) index, and aggregation — Welford
+// ensemble statistics across replicas, quadrant summaries across messages
+// — walks slots in plan order. Only wall-clock telemetry varies between
 // executions.
 //
 // The single-stream serial kernels (model::run_jump_simulation,
@@ -100,13 +100,10 @@ struct ModelSweepPlan {
 };
 
 struct ModelSweepOptions {
-  /// Worker threads; 0 means one per hardware thread. Ignored when
-  /// `pool` is set.
-  std::size_t threads = 0;
-  /// Execute on this caller-owned pool instead of a private one (the
-  /// psn_serve batching hook). The sweep waits only for its own shards,
-  /// so it may share the pool with other sweeps or be entered from one of
-  /// the pool's own tasks (see SweepOptions::pool).
+  /// Execute on this caller-owned pool; null runs every phase serially on
+  /// the calling thread. The sweep waits only for its own shards, so it
+  /// may share the pool with other sweeps or be entered from one of the
+  /// pool's own tasks (see SweepOptions::pool).
   ThreadPool* pool = nullptr;
   /// Retain the raw per-message MC results in the cells (the quadrant
   /// summary is always computed; large sweeps switch this off to bound
@@ -146,7 +143,6 @@ struct ModelCell {
 
 struct ModelSweepResult {
   std::vector<ModelCell> cells;  ///< scenario order.
-  std::size_t threads = 1;       ///< actual pool worker count used.
   std::size_t total_replicas = 0;
   std::size_t total_messages = 0;
   double wall_seconds = 0.0;  ///< end-to-end sweep wall time (telemetry).

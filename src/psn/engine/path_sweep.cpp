@@ -1,7 +1,6 @@
 #include "psn/engine/path_sweep.hpp"
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -36,19 +35,13 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
       throw std::invalid_argument("run_path_sweep: scenario without dataset");
 
   const auto sweep_start = Clock::now();
-  // Run on the caller's pool when one is provided (the psn_serve batching
-  // hook); otherwise own a private pool for the duration of the sweep.
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool& pool =
-      options.pool != nullptr
-          ? *options.pool
-          : owned_pool.emplace(options.threads == 0
-                                   ? ThreadPool::hardware_threads()
-                                   : options.threads);
-  // Each phase is one fan-out on this executor: shards write only their
-  // own pre-sized slots, and the call returns once every shard is done
-  // (rethrowing the first failure).
-  const util::ParallelFor parallel = parallel_for(pool);
+  // Each phase is one fan-out on the caller's pool, or on the calling
+  // thread without one: shards write only their own pre-sized slots, and
+  // the call returns once every shard is done (rethrowing the first
+  // failure).
+  const util::ParallelFor parallel = options.pool != nullptr
+                                         ? parallel_for(*options.pool)
+                                         : util::serial_parallel_for();
   const std::size_t num_scenarios = plan.scenarios.size();
   const std::size_t messages = plan.config.messages;
 
@@ -92,7 +85,6 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
 
   // Phase 3: aggregation, single-threaded in plan order.
   PathSweepResult out;
-  out.threads = pool.size();  // actual worker count, after clamping.
   out.cells.reserve(num_scenarios);
   for (std::size_t s = 0; s < num_scenarios; ++s) {
     PathCell cell;
@@ -109,19 +101,6 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
   }
   out.wall_seconds = seconds_since(sweep_start);
   return out;
-}
-
-std::vector<paths::EnumerationResult> enumerate_sample(
-    const graph::SpaceTimeGraph& graph,
-    const std::vector<paths::MessageSpec>& messages,
-    const paths::EnumeratorConfig& config, std::size_t threads) {
-  ThreadPool pool(threads == 0 ? ThreadPool::hardware_threads() : threads);
-  const paths::KPathEnumerator enumerator(graph, config);
-  std::vector<paths::EnumerationResult> results(messages.size());
-  parallel_for(pool)(messages.size(), [&](std::size_t i) {
-    results[i] = enumerate_on_thread(enumerator, messages[i]);
-  });
-  return results;
 }
 
 }  // namespace psn::engine

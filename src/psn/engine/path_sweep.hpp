@@ -1,19 +1,20 @@
 // The path-study sweep: message-level fan-out of k-path enumeration over
-// the engine's thread pool, mirroring run_sweep's slot-addressed,
-// deterministically aggregated design — the parallel production path
-// behind core::run_path_study and the path-figure drivers (Figs. 4-6, 8,
-// 11-12, 14-15).
+// the caller's thread pool, mirroring run_sweep's slot-addressed,
+// deterministically aggregated design — the one entry point of a path
+// study, behind the path-figure drivers (Figs. 4-6, 8, 11, 14-15, the
+// ablations) and psn_serve's path requests. Code that needs one message
+// uses paths::KPathEnumerator directly.
 //
 // Determinism guarantee: for a fixed plan, run_path_sweep produces
-// bit-identical per-message results at any thread count. Each scenario's
-// message sample is drawn once from the study's isolated workload stream
-// (core::uniform_message_sample, the exact stream the serial study used),
-// enumeration of one message is a pure function of (graph, message,
-// config) — the enumerator consumes no randomness and its workspace
-// cannot influence results (paths/enumerator.hpp) — and every outcome
-// lands in the slot addressed by its (scenario, message) index, walked in
-// plan order by the aggregation. Only wall-clock telemetry varies between
-// executions.
+// bit-identical per-message results at any thread count, serial (no pool)
+// included. Each scenario's message sample is drawn once from the study's
+// isolated workload stream (core::uniform_message_sample, the exact stream
+// the serial study used), enumeration of one message is a pure function of
+// (graph, message, config) — the enumerator consumes no randomness and its
+// workspace cannot influence results (paths/enumerator.hpp) — and every
+// outcome lands in the slot addressed by its (scenario, message) index,
+// walked in plan order by the aggregation. Only wall-clock telemetry
+// varies between executions.
 //
 // Each scenario's immutable context (dataset + space-time graph) comes
 // from the process-wide ScenarioContextCache — built exactly once per
@@ -53,13 +54,10 @@ struct PathSweepPlan {
 };
 
 struct PathSweepOptions {
-  /// Worker threads; 0 means one per hardware thread. Ignored when
-  /// `pool` is set.
-  std::size_t threads = 0;
-  /// Execute on this caller-owned pool instead of a private one (the
-  /// psn_serve batching hook). The sweep waits only for its own shards,
-  /// so it may share the pool with other sweeps or be entered from one of
-  /// the pool's own tasks (see SweepOptions::pool).
+  /// Execute on this caller-owned pool; null runs every phase serially on
+  /// the calling thread. The sweep waits only for its own shards, so it
+  /// may share the pool with other sweeps or be entered from one of the
+  /// pool's own tasks (see SweepOptions::pool).
   ThreadPool* pool = nullptr;
   /// Retain the raw EnumerationResults (drivers that read deliveries or
   /// recorded paths need them; T1/TE studies keep only the records and
@@ -81,7 +79,6 @@ struct PathCell {
 
 struct PathSweepResult {
   std::vector<PathCell> cells;  ///< scenario order.
-  std::size_t threads = 1;      ///< actual pool worker count used.
   std::size_t total_messages = 0;
   double wall_seconds = 0.0;  ///< end-to-end sweep wall time (telemetry).
 };
@@ -89,15 +86,5 @@ struct PathSweepResult {
 /// Executes the plan (see file comment). Throws if any enumeration threw.
 [[nodiscard]] PathSweepResult run_path_sweep(
     const PathSweepPlan& plan, const PathSweepOptions& options = {});
-
-/// The message fan-out core on an existing graph: enumerates every
-/// message of `messages` in parallel (slot-addressed, so the output order
-/// and contents are thread-count invariant) with one reusable workspace
-/// per worker thread. For drivers that already hold a graph and a custom
-/// sample; run_path_sweep composes this with scenario contexts.
-[[nodiscard]] std::vector<paths::EnumerationResult> enumerate_sample(
-    const graph::SpaceTimeGraph& graph,
-    const std::vector<paths::MessageSpec>& messages,
-    const paths::EnumeratorConfig& config, std::size_t threads = 0);
 
 }  // namespace psn::engine

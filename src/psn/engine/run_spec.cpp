@@ -4,8 +4,8 @@ namespace psn::engine {
 
 namespace {
 
-// Historical per-run strides of core::run_forwarding_study, so plans
-// reproduce pre-engine results exactly.
+// Historical per-run strides of the pre-engine forwarding study, so plans
+// reproduce its results exactly.
 constexpr std::uint64_t kWorkloadStride = 1000003ULL;
 constexpr std::uint64_t kSimStride = 7919ULL;
 

@@ -1,7 +1,6 @@
 #include "psn/engine/sweep.hpp"
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -23,20 +22,14 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       throw std::invalid_argument("run_sweep: scenario without dataset");
 
   const auto sweep_start = Clock::now();
-  // Run on the caller's pool when one is provided (the psn_serve batching
-  // hook); otherwise own a private pool for the duration of the sweep.
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool& pool =
-      options.pool != nullptr
-          ? *options.pool
-          : owned_pool.emplace(options.threads == 0
-                                   ? ThreadPool::hardware_threads()
-                                   : options.threads);
-  // Every phase is one fan-out on this executor: each shard writes only
-  // its own pre-sized slot, and the call returns once every shard is
-  // done (rethrowing the first failure). The phase-1 graph builds shard
-  // on it too, from inside their own shard.
-  const util::ParallelFor parallel = parallel_for(pool);
+  // Every phase is one fan-out on the caller's pool, or on the calling
+  // thread without one: each shard writes only its own pre-sized slot,
+  // and the call returns once every shard is done (rethrowing the first
+  // failure). The phase-1 graph builds shard on it too, from inside their
+  // own shard.
+  const util::ParallelFor parallel = options.pool != nullptr
+                                         ? parallel_for(*options.pool)
+                                         : util::serial_parallel_for();
   const std::size_t num_scenarios = plan.scenarios.size();
 
   // Phase 1: shared read-only inputs, built in parallel — one immutable
@@ -156,7 +149,6 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   SweepResult result;
   result.num_scenarios = plan.scenarios.size();
   result.num_algorithms = plan.algorithms.size();
-  result.threads = pool.size();  // actual worker count, after clamping.
   result.total_runs = plan.total_runs();
   result.cells.reserve(result.num_scenarios * result.num_algorithms);
   for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {

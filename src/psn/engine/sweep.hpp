@@ -1,12 +1,14 @@
 // The scenario-sweep engine: executes a SweepPlan's cross product of
-// {scenario} x {algorithm} x {run} on a fixed-size thread pool and
-// aggregates forwarding metrics into per-(scenario, algorithm) cells.
+// {scenario} x {algorithm} x {run} on the caller's thread pool and
+// aggregates forwarding metrics into per-(scenario, algorithm) cells. It
+// is the one entry point of a forwarding study; code that needs one run
+// calls forward::simulate directly.
 //
 // Determinism guarantee: for a fixed plan, run_sweep produces bit-identical
-// CellSummary metrics at any thread count. Each run draws from its own
-// precomputed RNG streams (run_spec.hpp), every phase is one
-// engine::parallel_for whose shards write pre-sized slots addressed by
-// plan index, and aggregation walks slots in plan order. Only the
+// CellSummary metrics at any thread count, serial (no pool) included.
+// Each run draws from its own precomputed RNG streams (run_spec.hpp),
+// every phase is one fan-out whose shards write pre-sized slots addressed
+// by plan index, and aggregation walks slots in plan order. Only the
 // wall-clock telemetry fields vary between executions.
 
 #pragma once
@@ -50,7 +52,6 @@ struct SweepResult {
   std::vector<CellSummary> cells;  ///< scenario-major, algorithm-minor.
   std::size_t num_scenarios = 0;
   std::size_t num_algorithms = 0;
-  std::size_t threads = 1;  ///< actual pool worker count used.
   std::size_t total_runs = 0;
   double wall_seconds = 0.0;  ///< end-to-end sweep wall time (telemetry).
   /// Wall of the phase-1.5 snapshot wave, part of wall_seconds: near zero
@@ -80,16 +81,14 @@ enum class ObservationMode {
 };
 
 struct SweepOptions {
-  /// Worker threads; 0 means one per hardware thread. Ignored when
-  /// `pool` is set.
-  std::size_t threads = 0;
-  /// Execute on this caller-owned pool instead of constructing a private
-  /// one — the batching hook a resident service (psn_serve) uses so every
-  /// request shares one warm worker set (and its thread_local simulator
-  /// workspaces) instead of paying pool spin-up per request. Results are
-  /// identical either way (slot-addressed, pool-independent). The sweep
-  /// waits only for its own shards, so it may run beside other sweeps on
-  /// the pool or be entered from one of the pool's own tasks.
+  /// The sweep's one executor setting: every phase fans out on this
+  /// caller-owned pool, so a driver or a resident service (psn_serve)
+  /// shares one warm worker set (and its thread_local simulator
+  /// workspaces) across sweeps. Null runs every phase serially on the
+  /// calling thread (util::serial_parallel_for). Results are identical
+  /// either way (slot-addressed, pool-independent). The sweep waits only
+  /// for its own shards, so it may run beside other sweeps on the pool or
+  /// be entered from one of the pool's own tasks.
   ThreadPool* pool = nullptr;
   /// Retain pooled delay vectors in the cells (Fig. 10 style drivers need
   /// them; large sweeps can switch them off to bound memory).

@@ -15,28 +15,6 @@
 
 namespace psn::forward {
 
-namespace {
-
-// The name lists are the single source of truth for suite membership and
-// order; the suite constructors derive from them through make_algorithm.
-std::vector<std::unique_ptr<ForwardingAlgorithm>> make_suite(
-    const std::vector<std::string>& names) {
-  std::vector<std::unique_ptr<ForwardingAlgorithm>> out;
-  out.reserve(names.size());
-  for (const auto& name : names) out.push_back(make_algorithm(name));
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::unique_ptr<ForwardingAlgorithm>> make_paper_algorithms() {
-  return make_suite(paper_algorithm_names());
-}
-
-std::vector<std::unique_ptr<ForwardingAlgorithm>> make_extended_algorithms() {
-  return make_suite(extended_algorithm_names());
-}
-
 std::vector<std::string> paper_algorithm_names() {
   return {"Epidemic",      "FRESH",         "Greedy",
           "Greedy Total",  "Greedy Online", "Dynamic Programming"};

@@ -1,4 +1,5 @@
-// Construction of the algorithm suites used by benches and examples.
+// The forwarding algorithm registry: the suites' display names and the
+// one constructor that turns a name into an instance.
 
 #pragma once
 
@@ -11,19 +12,12 @@
 
 namespace psn::forward {
 
-/// The six algorithms the paper evaluates (§6.1), in its order:
-/// Epidemic, FRESH, Greedy, Greedy Total, Greedy Online, Dynamic
-/// Programming.
-[[nodiscard]] std::vector<std::unique_ptr<ForwardingAlgorithm>>
-make_paper_algorithms();
-
-/// The paper suite plus the related-work extensions: Direct, Random,
-/// Spray+Wait, PRoPHET.
-[[nodiscard]] std::vector<std::unique_ptr<ForwardingAlgorithm>>
-make_extended_algorithms();
-
 /// Display names of the two suites, in suite order. These are the keys of
-/// make_algorithm and the axis labels of engine sweep plans.
+/// make_algorithm and the axis labels of engine sweep plans. The paper
+/// suite is the six algorithms it evaluates (§6.1), in its order:
+/// Epidemic, FRESH, Greedy, Greedy Total, Greedy Online, Dynamic
+/// Programming. The extended suite adds the related-work extensions:
+/// Direct, Random, Spray+Wait, PRoPHET.
 [[nodiscard]] std::vector<std::string> paper_algorithm_names();
 [[nodiscard]] std::vector<std::string> extended_algorithm_names();
 

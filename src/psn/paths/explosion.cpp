@@ -35,23 +35,20 @@ ExplosionRecord make_explosion_record(const EnumerationResult& result,
   return rec;
 }
 
-std::vector<ExplosionRecord> run_explosion_study(
-    const graph::SpaceTimeGraph& graph, const std::vector<MessageSpec>& msgs,
-    std::size_t k) {
-  EnumeratorConfig config;
-  config.k = k;
-  config.record_paths = false;
-  const KPathEnumerator enumerator(graph, config);
-  EnumeratorWorkspace workspace;  // warmed by the first message, then reused.
+std::vector<double> optimal_durations(
+    const std::vector<ExplosionRecord>& records) {
+  std::vector<double> out;
+  for (const auto& rec : records)
+    if (rec.delivered) out.push_back(rec.optimal_duration);
+  return out;
+}
 
-  std::vector<ExplosionRecord> records;
-  records.reserve(msgs.size());
-  for (const MessageSpec& m : msgs) {
-    const auto result =
-        enumerator.enumerate(m.source, m.destination, m.t_start, workspace);
-    records.push_back(make_explosion_record(result, k));
-  }
-  return records;
+std::vector<double> times_to_explosion(
+    const std::vector<ExplosionRecord>& records) {
+  std::vector<double> out;
+  for (const auto& rec : records)
+    if (rec.exploded) out.push_back(rec.time_to_explosion);
+  return out;
 }
 
 }  // namespace psn::paths

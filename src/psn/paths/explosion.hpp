@@ -1,14 +1,8 @@
 // Path-explosion analysis (paper §4.2): per-message records of T1 (optimal
 // path duration), TE (time to explosion = T_k - T_1), and the growth curve
-// of delivered paths over time, plus a study driver that enumerates a
-// sample of messages over a space-time graph.
-//
-// run_explosion_study below is the *serial reference*: one message after
-// another on a single reused workspace. Production callers — the figure
-// drivers and core::run_path_study — fan the message sample out over the
-// sweep engine's thread pool instead (engine::run_path_sweep /
-// engine::enumerate_sample), which produces bit-identical records at any
-// thread count.
+// of delivered paths over time. A path study enumerates its message sample
+// through engine::run_path_sweep, which derives these records with the
+// plan's k.
 
 #pragma once
 
@@ -57,12 +51,11 @@ struct MessageSpec {
   Seconds t_start = 0.0;
 };
 
-/// Runs the enumerator over a batch of messages and collects records —
-/// serially, on one reused workspace (see file comment for the parallel
-/// production path). `record_paths=false` variants are used by large
-/// sweeps that only need T1/TE; hop-profile analyses need the full paths.
-[[nodiscard]] std::vector<ExplosionRecord> run_explosion_study(
-    const graph::SpaceTimeGraph& graph, const std::vector<MessageSpec>& msgs,
-    std::size_t k);
+/// T1 of every delivered record, in record order.
+[[nodiscard]] std::vector<double> optimal_durations(
+    const std::vector<ExplosionRecord>& records);
+/// TE of every exploded record, in record order.
+[[nodiscard]] std::vector<double> times_to_explosion(
+    const std::vector<ExplosionRecord>& records);
 
 }  // namespace psn::paths

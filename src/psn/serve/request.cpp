@@ -203,10 +203,14 @@ std::string Request::batch_key() const {
       // The algorithm list is deliberately absent: per-run seeds depend
       // only on (scenario, run), so same-key requests merge their
       // algorithm axes into one plan with bit-identical per-cell results.
+      // The doubles go in shortest round-trip form (Json::dump's), so
+      // requests that differ in any bit never share a key.
       key << forwarding.scenario << '|' << forwarding.runs << '|'
-          << forwarding.master_seed << '|' << forwarding.message_rate << '|'
-          << forwarding.message_size_bytes << '|' << forwarding.message_ttl
-          << '|' << forwarding.contact_budget_bytes << '|'
+          << forwarding.master_seed << '|'
+          << Json(forwarding.message_rate).dump() << '|'
+          << forwarding.message_size_bytes << '|'
+          << Json(forwarding.message_ttl).dump() << '|'
+          << forwarding.contact_budget_bytes << '|'
           << forwarding.buffer_capacity_bytes;
       break;
     case Family::kPath:

@@ -88,7 +88,7 @@ Json model_cell_json(const engine::ModelCell& cell) {
 /// Fills the group telemetry's build wall and hit/miss outcome — the
 /// engine call afterwards finds the context warm, so this is where the
 /// entire (dataset + graph) build cost of a cold scenario lands.
-std::shared_ptr<const engine::ScenarioContext> acquire_context(
+[[nodiscard]] std::shared_ptr<const engine::ScenarioContext> acquire_context(
     const std::string& name, GroupTelemetry& telemetry,
     engine::Scenario* scenario_out) {
   auto& cache = engine::ScenarioContextCache::instance();
@@ -281,10 +281,12 @@ void SweepService::execute_path_group(std::vector<Pending>& group) {
   GroupTelemetry telemetry;
   telemetry.batch_size = group.size();
 
-  // Same key -> identical payload: one execution, fanned out.
+  // Same key -> identical payload: one execution, fanned out. The group
+  // holds its context, so the sweep finds it even when the cache cannot
+  // retain it.
   const PathRequest& spec = group.front().request.path;
   engine::Scenario scenario;
-  acquire_context(spec.scenario, telemetry, &scenario);
+  const auto context = acquire_context(spec.scenario, telemetry, &scenario);
 
   engine::PathSweepPlan plan;
   plan.scenarios.push_back(std::move(scenario));

@@ -1,5 +1,6 @@
 // Tests for psn::core: datasets, workloads, quadrant grouping, and the two
-// study pipelines (scaled-down configurations).
+// study pipelines run through the engine's sweeps (scaled-down
+// configurations).
 
 #include <gtest/gtest.h>
 
@@ -8,10 +9,11 @@
 #include <stdexcept>
 
 #include "psn/core/dataset.hpp"
-#include "psn/core/forwarding_study.hpp"
-#include "psn/core/path_study.hpp"
 #include "psn/core/quadrant.hpp"
 #include "psn/core/workload.hpp"
+#include "psn/engine/path_sweep.hpp"
+#include "psn/engine/sweep.hpp"
+#include "psn/forward/algorithm_registry.hpp"
 
 namespace psn::core {
 namespace {
@@ -216,44 +218,47 @@ TEST(QuadrantTest, GroupingPreservesAllRecords) {
 TEST(PathStudyTest, SmallStudyProducesExplosions) {
   // Scaled-down: small message sample, small k, on a real dataset.
   const auto ds = DatasetFactory::paper_dataset(0);
-  PathStudyConfig config;
-  config.messages = 10;
-  config.k = 50;
-  config.seed = 5;
-  const auto result = run_path_study(ds, config);
-  ASSERT_EQ(result.records.size(), 10u);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = 10;
+  plan.config.k = 50;
+  plan.config.seed = 5;
+  const auto sweep = engine::run_path_sweep(plan);
+  const auto& records = sweep.cells.front().records;
+  ASSERT_EQ(records.size(), 10u);
   std::size_t delivered = 0;
   std::size_t exploded = 0;
-  for (const auto& rec : result.records) {
+  for (const auto& rec : records) {
     if (rec.delivered) ++delivered;
     if (rec.exploded) ++exploded;
   }
   // The conference trace is dense; most messages deliver and explode.
   EXPECT_GE(delivered, 7u);
   EXPECT_GE(exploded, 5u);
-  EXPECT_EQ(result.optimal_durations().size(), delivered);
-  EXPECT_EQ(result.times_to_explosion().size(), exploded);
+  EXPECT_EQ(paths::optimal_durations(records).size(), delivered);
+  EXPECT_EQ(paths::times_to_explosion(records).size(), exploded);
   // Quadrant grouping is a partition.
   std::size_t total = 0;
-  for (const auto& bucket : result.quadrants.by_quadrant)
+  for (const auto& bucket : group_by_quadrant(records, ds.rates).by_quadrant)
     total += bucket.size();
   EXPECT_EQ(total, 10u);
 }
 
 TEST(ForwardingStudyTest, PaperSuiteOnSmallWorkload) {
   const auto ds = DatasetFactory::paper_dataset(2);
-  ForwardingStudyConfig config;
+  engine::PlanConfig config;
   config.runs = 2;
   config.message_rate = 0.01;  // light workload for test speed.
-  config.seed = 11;
-  const auto result = run_forwarding_study(ds, config);
-  ASSERT_EQ(result.algorithms.size(), 6u);
+  config.master_seed = 11;
+  const auto sweep = engine::run_sweep(engine::make_plan(
+      {engine::make_scenario(ds)}, forward::paper_algorithm_names(), config));
+  ASSERT_EQ(sweep.cells.size(), 6u);
 
-  const auto& epidemic = result.algorithms[0];
+  const auto& epidemic = sweep.cells[0];
   EXPECT_EQ(epidemic.overall.algorithm, "Epidemic");
   EXPECT_GT(epidemic.overall.success_rate, 0.5);
 
-  for (const auto& study : result.algorithms) {
+  for (const auto& study : sweep.cells) {
     // Epidemic upper-bounds success rate.
     EXPECT_LE(study.overall.success_rate,
               epidemic.overall.success_rate + 1e-12)

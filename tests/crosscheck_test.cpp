@@ -162,7 +162,8 @@ TEST_P(SeededCrossCheck, NoAlgorithmBeatsEpidemic) {
   request.algorithm = &epidemic;
   const auto upper = forward::simulate(request);
 
-  for (auto& alg : forward::make_extended_algorithms()) {
+  for (const auto& name : forward::extended_algorithm_names()) {
+    const auto alg = forward::make_algorithm(name);
     request.algorithm = alg.get();
     const auto r = forward::simulate(request);
     for (std::size_t i = 0; i < messages.size(); ++i) {

@@ -2,7 +2,7 @@
 // plan expansion / seed streams, sweeps entered from a task of their own
 // pool, and — the load-bearing property — determinism of the sweep under
 // parallelism: the same plan must produce bit-identical aggregated
-// metrics at 1, 2, and 8 threads.
+// metrics serially (no pool) and at 1, 2, and 8 pool threads.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "psn/core/dataset.hpp"
-#include "psn/core/forwarding_study.hpp"
 #include "psn/engine/model_sweep.hpp"
 #include "psn/engine/path_sweep.hpp"
 #include "psn/engine/run_spec.hpp"
@@ -150,8 +149,9 @@ TEST(Sweep, UnknownAlgorithmPropagatesError) {
   config.runs = 1;
   const auto plan =
       make_plan({make_scenario(ds)}, {"No Such Algorithm"}, config);
+  ThreadPool pool(2);
   SweepOptions options;
-  options.threads = 2;
+  options.pool = &pool;
   EXPECT_THROW((void)run_sweep(plan, options), std::invalid_argument);
 }
 
@@ -168,10 +168,10 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
 
   std::vector<SweepResult> results;
   for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
     SweepOptions options;
-    options.threads = threads;
+    options.pool = &pool;
     results.push_back(run_sweep(plan, options));
-    EXPECT_EQ(results.back().threads, threads);
   }
 
   const auto& base = results.front();
@@ -212,10 +212,10 @@ TEST(Sweep, MultiScenarioDeterministicAcrossThreadCounts) {
       make_plan({make_scenario(ds_a), make_scenario(ds_b)},
                 {"Epidemic", "Greedy"}, config);
 
-  SweepOptions serial;
-  serial.threads = 1;
+  SweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   SweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto lhs = run_sweep(plan, serial);
   const auto rhs = run_sweep(plan, wide);
   ASSERT_EQ(lhs.cells.size(), 4u);
@@ -292,7 +292,7 @@ TEST(ScenarioRegistry, RepeatedBuildsAreIdentical) {
 }
 
 // The scale-up guarantee: a past-the-Bitset128-ceiling scenario (512
-// nodes) sweeps bit-identically at 1 and 8 threads, epidemic plus a
+// nodes) sweeps bit-identically serially and at 8 threads, epidemic plus a
 // single-copy scheme, with no silent relay truncation.
 TEST(Sweep, Campus512BitIdenticalAcrossThreadCounts) {
   const auto scenario = make_scenario_by_name("campus_512");
@@ -304,10 +304,10 @@ TEST(Sweep, Campus512BitIdenticalAcrossThreadCounts) {
   config.message_rate = 0.005;  // ~36 messages per run keeps this quick.
   const auto plan = make_plan({scenario}, {"Epidemic", "FRESH"}, config);
 
-  SweepOptions serial;
-  serial.threads = 1;
+  SweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   SweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto lhs = run_sweep(plan, serial);
   const auto rhs = run_sweep(plan, wide);
 
@@ -398,8 +398,9 @@ TEST(Sweep, FloodKernelsAreBitIdentical) {
   config.message_rate = 0.01;
   const auto plan = make_plan({scenario}, {"Epidemic", "FRESH"}, config);
 
+  ThreadPool pool(2);
   SweepOptions indexed;
-  indexed.threads = 2;
+  indexed.pool = &pool;
   SweepOptions scalar = indexed;
   scalar.flood_kernel = forward::FloodKernel::kScalar;
 
@@ -411,7 +412,7 @@ TEST(Sweep, FloodKernelsAreBitIdentical) {
 
 // Contention does not break the parallel determinism guarantee: a sweep
 // with finite budgets, finite buffers (random eviction — the policy that
-// consumes RNG draws), and TTLs is bit-identical at 1 and 8 threads,
+// consumes RNG draws), and TTLs is bit-identical serially and at 8 threads,
 // down to the traffic event counters.
 TEST(Sweep, FiniteTrafficBitIdenticalAcrossThreadCounts) {
   const auto ds = small_dataset(29);
@@ -426,10 +427,10 @@ TEST(Sweep, FiniteTrafficBitIdenticalAcrossThreadCounts) {
   const auto plan =
       make_plan({make_scenario(ds)}, {"Epidemic", "Spray+Wait"}, config);
 
-  SweepOptions serial;
-  serial.threads = 1;
+  SweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   SweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto lhs = run_sweep(plan, serial);
   const auto rhs = run_sweep(plan, wide);
 
@@ -470,8 +471,9 @@ TEST(Sweep, BuildsEachScenarioGraphExactlyOnce) {
   // Cold cache: 9 runs on 8 threads perform exactly one graph build.
   {
     const auto before = cache.graphs_built();
+    ThreadPool pool(8);
     SweepOptions options;
-    options.threads = 8;
+    options.pool = &pool;
     (void)run_sweep(plan, options);
     EXPECT_EQ(cache.graphs_built(), before + 1);
   }
@@ -481,8 +483,9 @@ TEST(Sweep, BuildsEachScenarioGraphExactlyOnce) {
     const auto held = cache.acquire(plan.scenarios[0]);
     const auto before = cache.graphs_built();
     for (const std::size_t threads : {1u, 8u}) {
+      ThreadPool pool(threads);
       SweepOptions options;
-      options.threads = threads;
+      options.pool = &pool;
       (void)run_sweep(plan, options);
     }
     EXPECT_EQ(cache.graphs_built(), before);
@@ -521,11 +524,12 @@ TEST(Sweep, SparseTimelineMatchesDenseOnInfocomMatrix) {
       make_plan({scenario}, forward::paper_algorithm_names(), config);
 
   for (const std::size_t threads : {1u, 8u}) {
+    ThreadPool pool(threads);
     SweepOptions dense;
-    dense.threads = threads;
+    dense.pool = &pool;
     dense.replay = forward::ReplayMode::kDense;
     SweepOptions sparse;
-    sparse.threads = threads;
+    sparse.pool = &pool;
     sparse.replay = forward::ReplayMode::kSparse;
     const auto lhs = run_sweep(plan, dense);
     const auto rhs = run_sweep(plan, sparse);
@@ -545,11 +549,12 @@ TEST(Sweep, SparseTimelineMatchesDenseAcrossScaleTiers) {
     config.message_rate = 0.005;
     const auto plan = make_plan({scenario}, {"Epidemic", "FRESH"}, config);
     for (const std::size_t threads : {1u, 8u}) {
+      ThreadPool pool(threads);
       SweepOptions dense;
-      dense.threads = threads;
+      dense.pool = &pool;
       dense.replay = forward::ReplayMode::kDense;
       SweepOptions sparse;
-      sparse.threads = threads;
+      sparse.pool = &pool;
       sparse.replay = forward::ReplayMode::kSparse;
       expect_cells_identical(run_sweep(plan, dense), run_sweep(plan, sparse));
     }
@@ -570,12 +575,13 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleOnInfocomMatrix) {
       make_plan({scenario}, forward::extended_algorithm_names(), config);
 
   for (const std::size_t threads : {1u, 8u}) {
+    ThreadPool pool(threads);
     SweepOptions oracle;
-    oracle.threads = threads;
+    oracle.pool = &pool;
     oracle.contact_scan = forward::ContactScan::kFull;
     oracle.observation = ObservationMode::kPerRun;
     SweepOptions fast;
-    fast.threads = threads;  // kHolderIncident + kShared defaults.
+    fast.pool = &pool;  // kHolderIncident + kShared defaults.
     expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
   }
 }
@@ -595,12 +601,13 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleUnderTraffic) {
   const auto plan = make_plan(
       {make_scenario(ds)}, {"FRESH", "PRoPHET", "Spray+Wait"}, config);
 
+  ThreadPool pool(8);
   SweepOptions oracle;
-  oracle.threads = 8;
+  oracle.pool = &pool;
   oracle.contact_scan = forward::ContactScan::kFull;
   oracle.observation = ObservationMode::kPerRun;
   SweepOptions fast;
-  fast.threads = 8;
+  fast.pool = &pool;
   expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
 }
 
@@ -620,37 +627,13 @@ TEST(Sweep, MultiScenarioSharedSnapshotsMatchPerRunOracle) {
                 {"Direct", "FRESH", "Epidemic", "PRoPHET", "Greedy Online"},
                 config);
 
+  ThreadPool pool(4);
   SweepOptions oracle;
-  oracle.threads = 4;
+  oracle.pool = &pool;
   oracle.observation = ObservationMode::kPerRun;
   SweepOptions fast;
-  fast.threads = 4;
+  fast.pool = &pool;
   expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
-}
-
-// The refactored forwarding study rides the engine; its output must not
-// depend on the thread count either.
-TEST(ForwardingStudy, ThreadCountInvariant) {
-  const auto ds = small_dataset(29);
-  core::ForwardingStudyConfig config;
-  config.runs = 3;
-  config.message_rate = 0.02;
-
-  config.threads = 1;
-  const auto serial = core::run_forwarding_study(ds, config);
-  config.threads = 8;
-  const auto wide = core::run_forwarding_study(ds, config);
-
-  ASSERT_EQ(serial.algorithms.size(), wide.algorithms.size());
-  for (std::size_t a = 0; a < serial.algorithms.size(); ++a) {
-    EXPECT_EQ(serial.algorithms[a].overall.success_rate,
-              wide.algorithms[a].overall.success_rate);
-    EXPECT_EQ(serial.algorithms[a].overall.average_delay,
-              wide.algorithms[a].overall.average_delay);
-    EXPECT_EQ(serial.algorithms[a].delays, wide.algorithms[a].delays);
-    EXPECT_EQ(serial.algorithms[a].cost_per_message,
-              wide.algorithms[a].cost_per_message);
-  }
 }
 
 // An owning scenario (unlike make_scenario's caller-owned alias), so the
@@ -870,8 +853,9 @@ TEST(Sweep, MergedAlgorithmAxisMatchesStandalonePlans) {
   config.message_rate = 0.02;
   const std::vector<std::string> algorithms = {"Epidemic", "FRESH", "Greedy"};
 
+  ThreadPool pool(4);
   SweepOptions options;
-  options.threads = 4;
+  options.pool = &pool;
   const auto merged =
       run_sweep(make_plan({make_scenario(ds)}, algorithms, config), options);
 
@@ -892,8 +876,8 @@ TEST(Sweep, MergedAlgorithmAxisMatchesStandalonePlans) {
 }
 
 // The shared-pool hook behind psn_serve: running several sweeps on one
-// caller-owned pool produces the same cells as private per-sweep pools.
-TEST(Sweep, CallerOwnedPoolMatchesPrivatePool) {
+// caller-owned pool produces the same cells as the serial sweep.
+TEST(Sweep, CallerOwnedPoolMatchesSerialSweep) {
   const auto ds = small_dataset(43);
   PlanConfig config;
   config.runs = 2;
@@ -901,18 +885,13 @@ TEST(Sweep, CallerOwnedPoolMatchesPrivatePool) {
   const auto plan =
       make_plan({make_scenario(ds)}, {"Epidemic", "FRESH"}, config);
 
-  SweepOptions private_pool;
-  private_pool.threads = 3;
-  const auto expected = run_sweep(plan, private_pool);
+  const auto expected = run_sweep(plan);
 
   ThreadPool shared(3);
   SweepOptions shared_pool;
   shared_pool.pool = &shared;
-  for (int round = 0; round < 2; ++round) {
-    const auto got = run_sweep(plan, shared_pool);
-    EXPECT_EQ(got.threads, 3u);
-    expect_cells_identical(expected, got);
-  }
+  for (int round = 0; round < 2; ++round)
+    expect_cells_identical(expected, run_sweep(plan, shared_pool));
 }
 
 // Runs `sweep` as a task of a fresh heap-allocated pool of `threads`
@@ -941,6 +920,92 @@ std::optional<Result> run_in_pool_task(
   return future.get();
 }
 
+// Small plans of the path and model sweeps, and bit-identical checks of
+// their cells, shared by the executor tests below.
+PathSweepPlan small_path_plan(const core::Dataset& ds) {
+  PathSweepPlan plan;
+  plan.scenarios = {make_scenario(ds)};
+  plan.config.messages = 12;
+  plan.config.k = 40;
+  return plan;
+}
+
+ModelSweepPlan small_model_plan() {
+  ModelSweepPlan plan;
+  ModelScenario scenario;
+  scenario.name = "nested";
+  scenario.jump.population = 200;
+  scenario.jump.t_end = 60.0;
+  scenario.jump.samples = 5;
+  scenario.mc.population = 60;
+  scenario.mc.max_rate = 0.15;
+  scenario.mc.t_end = 800.0;
+  scenario.mc.k = 50;
+  scenario.mc.messages = 12;
+  plan.scenarios = {scenario};
+  plan.config.jump_replicas = 3;
+  return plan;
+}
+
+void expect_path_cells_identical(const PathSweepResult& want,
+                                 const PathSweepResult& have) {
+  const auto& want_records = want.cells.at(0).records;
+  const auto& have_records = have.cells.at(0).records;
+  ASSERT_EQ(have_records.size(), want_records.size());
+  for (std::size_t m = 0; m < want_records.size(); ++m) {
+    const auto& a = want_records[m];
+    const auto& b = have_records[m];
+    EXPECT_EQ(b.delivered, a.delivered) << m;
+    EXPECT_EQ(b.exploded, a.exploded) << m;
+    EXPECT_EQ(b.optimal_duration, a.optimal_duration) << m;
+    EXPECT_EQ(b.time_to_explosion, a.time_to_explosion) << m;
+    EXPECT_EQ(b.total_paths, a.total_paths) << m;
+  }
+}
+
+void expect_model_cells_identical(const ModelSweepResult& want_result,
+                                  const ModelSweepResult& have_result) {
+  const ModelCell& want = want_result.cells.at(0);
+  const ModelCell& have = have_result.cells.at(0);
+  EXPECT_EQ(have.jump_events, want.jump_events);
+  ASSERT_EQ(have.trajectory.size(), want.trajectory.size());
+  for (std::size_t i = 0; i < want.trajectory.size(); ++i)
+    EXPECT_EQ(have.trajectory[i].mean_paths, want.trajectory[i].mean_paths);
+  ASSERT_EQ(have.messages.size(), want.messages.size());
+  for (std::size_t m = 0; m < want.messages.size(); ++m) {
+    EXPECT_EQ(have.messages[m].delivered, want.messages[m].delivered);
+    EXPECT_EQ(have.messages[m].exploded, want.messages[m].exploded);
+  }
+  EXPECT_EQ(have.quadrants.delivered, want.quadrants.delivered);
+}
+
+// The executor rule of all three sweeps: the pool is the one setting,
+// and a null pool runs every phase on the calling thread. Serial results
+// are bit-identical to the same plans on a 4-thread pool.
+TEST(Sweep, NullPoolMatchesFourThreadPool) {
+  const auto ds = small_dataset(53);
+  PlanConfig config;
+  config.runs = 2;
+  config.message_rate = 0.02;
+  const auto plan = make_plan({make_scenario(ds)},
+                              {"Epidemic", "FRESH", "PRoPHET"}, config);
+  const PathSweepPlan path_plan = small_path_plan(ds);
+  const ModelSweepPlan model_plan = small_model_plan();
+
+  ThreadPool pool(4);
+  SweepOptions options;
+  options.pool = &pool;
+  expect_cells_identical(run_sweep(plan), run_sweep(plan, options));
+  PathSweepOptions path_options;
+  path_options.pool = &pool;
+  expect_path_cells_identical(run_path_sweep(path_plan),
+                              run_path_sweep(path_plan, path_options));
+  ModelSweepOptions model_options;
+  model_options.pool = &pool;
+  expect_model_cells_identical(run_model_sweep(model_plan),
+                               run_model_sweep(model_plan, model_options));
+}
+
 // Every sweep may be entered from a task of the pool it runs on (each
 // phase waits for its own shards only, and the entering worker takes a
 // lane), and returns exactly what a top-level call returns.
@@ -951,25 +1016,8 @@ TEST(Sweep, EverySweepRunsFromATaskOfItsOwnPool) {
   config.message_rate = 0.02;
   const auto plan =
       make_plan({make_scenario(ds)}, {"Epidemic", "PRoPHET"}, config);
-
-  PathSweepPlan path_plan;
-  path_plan.scenarios = {make_scenario(ds)};
-  path_plan.config.messages = 12;
-  path_plan.config.k = 40;
-
-  ModelSweepPlan model_plan;
-  ModelScenario model_scenario;
-  model_scenario.name = "nested";
-  model_scenario.jump.population = 200;
-  model_scenario.jump.t_end = 60.0;
-  model_scenario.jump.samples = 5;
-  model_scenario.mc.population = 60;
-  model_scenario.mc.max_rate = 0.15;
-  model_scenario.mc.t_end = 800.0;
-  model_scenario.mc.k = 50;
-  model_scenario.mc.messages = 12;
-  model_plan.scenarios = {model_scenario};
-  model_plan.config.jump_replicas = 3;
+  const PathSweepPlan path_plan = small_path_plan(ds);
+  const ModelSweepPlan model_plan = small_model_plan();
 
   const SweepResult expected = run_sweep(plan);
   const PathSweepResult expected_paths = run_path_sweep(path_plan);
@@ -991,18 +1039,7 @@ TEST(Sweep, EverySweepRunsFromATaskOfItsOwnPool) {
           options.pool = &pool;
           return run_path_sweep(path_plan, options);
         });
-    if (paths) {
-      const auto& want = expected_paths.cells.at(0).records;
-      const auto& have = paths->cells.at(0).records;
-      ASSERT_EQ(have.size(), want.size());
-      for (std::size_t m = 0; m < want.size(); ++m) {
-        EXPECT_EQ(have[m].delivered, want[m].delivered) << m;
-        EXPECT_EQ(have[m].exploded, want[m].exploded) << m;
-        EXPECT_EQ(have[m].optimal_duration, want[m].optimal_duration) << m;
-        EXPECT_EQ(have[m].time_to_explosion, want[m].time_to_explosion) << m;
-        EXPECT_EQ(have[m].total_paths, want[m].total_paths) << m;
-      }
-    }
+    if (paths) expect_path_cells_identical(expected_paths, *paths);
 
     const auto model = run_in_pool_task<ModelSweepResult>(
         threads, [&](ThreadPool& pool) {
@@ -1010,20 +1047,7 @@ TEST(Sweep, EverySweepRunsFromATaskOfItsOwnPool) {
           options.pool = &pool;
           return run_model_sweep(model_plan, options);
         });
-    if (model) {
-      const ModelCell& want = expected_model.cells.at(0);
-      const ModelCell& have = model->cells.at(0);
-      EXPECT_EQ(have.jump_events, want.jump_events);
-      ASSERT_EQ(have.trajectory.size(), want.trajectory.size());
-      for (std::size_t i = 0; i < want.trajectory.size(); ++i)
-        EXPECT_EQ(have.trajectory[i].mean_paths, want.trajectory[i].mean_paths);
-      ASSERT_EQ(have.messages.size(), want.messages.size());
-      for (std::size_t m = 0; m < want.messages.size(); ++m) {
-        EXPECT_EQ(have.messages[m].delivered, want.messages[m].delivered);
-        EXPECT_EQ(have.messages[m].exploded, want.messages[m].exploded);
-      }
-      EXPECT_EQ(have.quadrants.delivered, want.quadrants.delivered);
-    }
+    if (model) expect_model_cells_identical(expected_model, *model);
   }
 }
 

@@ -79,7 +79,17 @@ TEST(ExplosionStudy, BatchProcessing) {
       {0, 1, 0.0},
       {3, 0, 0.0},  // 3 never meets 0 before 0's contacts end... check below
   };
-  const auto records = run_explosion_study(g, msgs, 3);
+  // One enumerator and one reused workspace over the whole batch.
+  EnumeratorConfig config;
+  config.k = 3;
+  config.record_paths = false;
+  const KPathEnumerator enumerator(g, config);
+  EnumeratorWorkspace workspace;
+  std::vector<ExplosionRecord> records;
+  for (const MessageSpec& m : msgs)
+    records.push_back(make_explosion_record(
+        enumerator.enumerate(m.source, m.destination, m.t_start, workspace),
+        config.k));
   ASSERT_EQ(records.size(), 3u);
   EXPECT_TRUE(records[0].delivered);
   EXPECT_TRUE(records[1].delivered);  // direct 0-1 at step 0.

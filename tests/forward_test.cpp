@@ -62,7 +62,8 @@ Message msg(std::uint32_t id, NodeId src, NodeId dst, Seconds t) {
 
 TEST(Simulator, DirectContactDeliversForEveryAlgorithm) {
   const Fixture f({Contact::make(0, 1, 10.0, 15.0)}, 2, 60.0);
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     const auto r = f.run(*alg, {msg(0, 0, 1, 0.0)});
     ASSERT_TRUE(r.outcomes[0].delivered) << alg->name();
     EXPECT_DOUBLE_EQ(r.outcomes[0].delay, 20.0) << alg->name();
@@ -71,7 +72,8 @@ TEST(Simulator, DirectContactDeliversForEveryAlgorithm) {
 
 TEST(Simulator, UndeliverableMessageFailsForEveryAlgorithm) {
   const Fixture f({Contact::make(0, 1, 10.0, 15.0)}, 3, 60.0);
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     const auto r = f.run(*alg, {msg(0, 0, 2, 0.0)});
     EXPECT_FALSE(r.outcomes[0].delivered) << alg->name();
   }
@@ -626,18 +628,21 @@ TEST(Randomized, DeterministicInSeedAndResets) {
 }
 
 TEST(Registry, PaperSuiteNamesAndOrder) {
-  const auto algs = make_paper_algorithms();
-  ASSERT_EQ(algs.size(), 6u);
-  EXPECT_EQ(algs[0]->name(), "Epidemic");
-  EXPECT_EQ(algs[1]->name(), "FRESH");
-  EXPECT_EQ(algs[2]->name(), "Greedy");
-  EXPECT_EQ(algs[3]->name(), "Greedy Total");
-  EXPECT_EQ(algs[4]->name(), "Greedy Online");
-  EXPECT_EQ(algs[5]->name(), "Dynamic Programming");
+  const auto names = paper_algorithm_names();
+  ASSERT_EQ(names.size(), 6u);
+  EXPECT_EQ(names[0], "Epidemic");
+  EXPECT_EQ(names[1], "FRESH");
+  EXPECT_EQ(names[2], "Greedy");
+  EXPECT_EQ(names[3], "Greedy Total");
+  EXPECT_EQ(names[4], "Greedy Online");
+  EXPECT_EQ(names[5], "Dynamic Programming");
+  // Every registered name builds an instance that reports that name.
+  for (const auto& name : extended_algorithm_names())
+    EXPECT_EQ(make_algorithm(name)->name(), name);
 }
 
 TEST(Registry, ExtendedSuiteAddsFour) {
-  EXPECT_EQ(make_extended_algorithms().size(), 10u);
+  EXPECT_EQ(extended_algorithm_names().size(), 10u);
 }
 
 TEST(Simulator, MultipleMessagesIndependent) {
@@ -716,7 +721,8 @@ TEST(Simulator, DeterministicAcrossIdenticalRuns) {
   for (std::uint32_t i = 0; i < 10; ++i)
     msgs.push_back(msg(i, static_cast<NodeId>(i % 6),
                        static_cast<NodeId>((i + 3) % 6), i * 30.0));
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     const auto a = f.run(*alg, msgs);
     const auto b = f.run(*alg, msgs);
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << alg->name();
@@ -771,7 +777,8 @@ void expect_results_identical(const SimulationResult& a,
 void expect_sparse_matches_dense(const Fixture& f,
                                  const std::vector<Message>& msgs,
                                  const TrafficConfig& traffic = {}) {
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     auto dense = f.request(*alg, msgs);
     dense.traffic = traffic;
     dense.replay = ReplayMode::kDense;
@@ -887,7 +894,8 @@ void expect_fast_matches_full(
     const Fixture& f, const std::vector<Message>& msgs,
     const TrafficConfig& traffic = {},
     std::uint32_t max_relay_passes = SimulationRequest{}.max_relay_passes) {
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     auto full = f.request(*alg, msgs);
     full.traffic = traffic;
     full.max_relay_passes = max_relay_passes;
@@ -1172,7 +1180,8 @@ TEST(Simulator, WorkspaceReuseIsBitIdentical) {
                            static_cast<NodeId>((i + 4) % 10), i * 40.0));
 
   SimulatorWorkspace shared;
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     for (const auto* fx : {&small, &big, &small}) {
       const auto& msgs = fx == &big ? big_msgs : small_msgs;
       const auto request = fx->request(*alg, msgs);
@@ -1213,7 +1222,8 @@ TEST(Simulator, FloodKernelsMatchBitForBit) {
   for (std::uint32_t i = 0; i < 14; ++i)
     msgs.push_back(msg(i, static_cast<NodeId>(i % 6),
                        static_cast<NodeId>((i + 3) % 6), i * 30.0));
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     auto request = f.request(*alg, msgs);
     request.seed = 11;
     request.flood_kernel = FloodKernel::kComponentIndex;

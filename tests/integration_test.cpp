@@ -9,10 +9,13 @@
 #include <functional>
 #include <vector>
 
-#include "psn/core/forwarding_study.hpp"
-#include "psn/core/path_study.hpp"
+#include "psn/core/dataset.hpp"
+#include "psn/core/quadrant.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/engine/scenario_registry.hpp"
 #include "psn/engine/sweep.hpp"
+#include "psn/engine/thread_pool.hpp"
+#include "psn/forward/algorithm_registry.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/synth/conference.hpp"
 
@@ -42,14 +45,16 @@ TEST(Integration, PathExplosionHeadline) {
   // Claim (§4.2): once the first path arrives, many follow quickly — TE is
   // typically far smaller than T1's spread.
   const auto ds = mini_dataset();
-  core::PathStudyConfig config;
-  config.messages = 40;
-  config.k = 200;
-  config.seed = 3;
-  const auto result = run_path_study(ds, config);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = 40;
+  plan.config.k = 200;
+  plan.config.seed = 3;
+  const auto sweep = engine::run_path_sweep(plan);
+  const auto& records = sweep.cells.front().records;
 
-  const stats::EmpiricalCdf t1(result.optimal_durations());
-  const stats::EmpiricalCdf te(result.times_to_explosion());
+  const stats::EmpiricalCdf t1(paths::optimal_durations(records));
+  const stats::EmpiricalCdf te(paths::times_to_explosion(records));
   ASSERT_GE(t1.size(), 20u);
   ASSERT_GE(te.size(), 10u);
   // Explosion concentration: the typical TE is much smaller than the
@@ -63,17 +68,18 @@ TEST(Integration, QuadrantOrderingHeadline) {
   // Claim (§5.2): T1 keyed to the source class, TE to the destination
   // class. Check on pooled quadrant means with a generous sample.
   const auto ds = mini_dataset();
-  core::PathStudyConfig config;
-  config.messages = 120;
-  config.k = 200;
-  config.seed = 11;
-  const auto result = run_path_study(ds, config);
+  engine::PathSweepPlan plan;
+  plan.scenarios = {engine::make_scenario(ds)};
+  plan.config.messages = 120;
+  plan.config.k = 200;
+  plan.config.seed = 11;
+  const auto quadrants = core::group_by_quadrant(
+      engine::run_path_sweep(plan).cells.front().records, ds.rates);
 
   double t1_sum[4] = {0, 0, 0, 0};
   std::size_t t1_n[4] = {0, 0, 0, 0};
   for (std::size_t q = 0; q < 4; ++q) {
-    for (const auto& rec :
-         result.quadrants.of(static_cast<core::Quadrant>(q))) {
+    for (const auto& rec : quadrants.of(static_cast<core::Quadrant>(q))) {
       if (!rec.delivered) continue;
       t1_sum[q] += rec.optimal_duration;
       ++t1_n[q];
@@ -96,27 +102,29 @@ TEST(Integration, AlgorithmSimilarityHeadline) {
   // Claim (§6.2): the six algorithms' success rates cluster; Epidemic
   // bounds everyone; pair type matters more than algorithm.
   const auto ds = mini_dataset();
-  core::ForwardingStudyConfig config;
+  engine::PlanConfig config;
   config.runs = 2;
   config.message_rate = 0.02;
-  config.seed = 5;
-  const auto result = run_forwarding_study(ds, config);
-  ASSERT_EQ(result.algorithms.size(), 6u);
+  config.master_seed = 5;
+  const auto sweep = engine::run_sweep(engine::make_plan(
+      {engine::make_scenario(ds)}, forward::paper_algorithm_names(), config));
+  const auto& cells = sweep.cells;
+  ASSERT_EQ(cells.size(), 6u);
 
-  const double epidemic_s = result.algorithms[0].overall.success_rate;
+  const double epidemic_s = cells[0].overall.success_rate;
   ASSERT_GT(epidemic_s, 0.3);
-  for (const auto& study : result.algorithms) {
+  for (const auto& study : cells) {
     EXPECT_LE(study.overall.success_rate, epidemic_s + 1e-12)
         << study.overall.algorithm;
     // No forwarding chain may be silently truncated at paper scale.
     EXPECT_EQ(study.truncated_relay_steps, 0u) << study.overall.algorithm;
   }
   // The epidemic hop fix: delivered floods carry real hop counts.
-  EXPECT_GT(result.algorithms[0].overall.average_hops, 0.0);
+  EXPECT_GT(cells[0].overall.average_hops, 0.0);
 
   // Pair-type effect: for Epidemic itself, in-in success should beat
   // out-out success (delivery to rarely-seen nodes is the hard case).
-  const auto& epidemic_types = result.algorithms[0].by_pair_type.per_type;
+  const auto& epidemic_types = cells[0].by_pair_type.per_type;
   if (epidemic_types[0].messages >= 10 && epidemic_types[3].messages >= 10) {
     EXPECT_GE(epidemic_types[0].success_rate,
               epidemic_types[3].success_rate);
@@ -126,15 +134,16 @@ TEST(Integration, AlgorithmSimilarityHeadline) {
 TEST(Integration, CostExtensionHeadline) {
   // Extension: Epidemic's transmission cost dwarfs single-copy schemes.
   const auto ds = mini_dataset();
-  core::ForwardingStudyConfig config;
+  engine::PlanConfig config;
   config.runs = 1;
   config.message_rate = 0.02;
-  config.seed = 7;
-  const auto result = run_forwarding_study(ds, config);
-  const double epidemic_cost = result.algorithms[0].cost_per_message;
-  const double fresh_cost = result.algorithms[1].cost_per_message;
+  config.master_seed = 7;
+  const auto sweep = engine::run_sweep(engine::make_plan(
+      {engine::make_scenario(ds)}, forward::paper_algorithm_names(), config));
+  const double epidemic_cost = sweep.cells[0].cost_per_message;
+  const double fresh_cost = sweep.cells[1].cost_per_message;
   EXPECT_GT(epidemic_cost, 4.0 * std::max(fresh_cost, 0.5));
-  for (const auto& study : result.algorithms)
+  for (const auto& study : sweep.cells)
     EXPECT_EQ(study.truncated_relay_steps, 0u) << study.overall.algorithm;
 }
 
@@ -153,8 +162,9 @@ TEST(Integration, CityScaleSweepRunsEndToEnd) {
   const auto plan =
       engine::make_plan({scenario}, {"Epidemic", "FRESH"}, config);
 
+  engine::ThreadPool pool(2);
   engine::SweepOptions options;
-  options.threads = 2;
+  options.pool = &pool;
   const auto result = engine::run_sweep(plan, options);
   ASSERT_EQ(result.cells.size(), 2u);
 
@@ -174,14 +184,14 @@ TEST(Integration, CityScaleSweepRunsEndToEnd) {
   // above) must match the dense reference replay bit for bit, and stay
   // thread-count invariant. The scenario handle keeps the dataset and
   // graph cached, so these sweeps rebuild neither.
-  engine::SweepOptions dense;
-  dense.threads = 2;
+  engine::SweepOptions dense = options;
   dense.replay = forward::ReplayMode::kDense;
   const auto reference = engine::run_sweep(plan, dense);
   std::vector<engine::SweepResult> sparse_results;
   for (const std::size_t threads : {1u, 8u}) {
+    engine::ThreadPool sparse_pool(threads);
     engine::SweepOptions sparse;
-    sparse.threads = threads;
+    sparse.pool = &sparse_pool;
     sparse_results.push_back(engine::run_sweep(plan, sparse));
   }
   for (const auto& other :

@@ -1,8 +1,8 @@
 // Tests for the engine's §5 model sweep: the SplitMix64 substream
 // lattice, the scale-tier registry (every tier run end to end, model_100k
-// included), bit-identical cells at 1 vs 8 threads, the serial-replica
-// and single-stream oracles, workspace-reuse equivalence, and the
-// NaN-safe quadrant summary.
+// included), bit-identical cells serially and at 8 threads, the
+// serial-replica and single-stream oracles, workspace-reuse equivalence,
+// and the NaN-safe quadrant summary.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "psn/core/quadrant.hpp"
 #include "psn/engine/model_sweep.hpp"
+#include "psn/engine/thread_pool.hpp"
 #include "psn/model/heterogeneous_mc.hpp"
 #include "psn/model/jump_simulator.hpp"
 #include "psn/model/workspace.hpp"
@@ -181,17 +182,15 @@ TEST(ModelSweep, RejectsBadPlans) {
   EXPECT_NO_THROW((void)run_model_sweep(plan));
 }
 
-// The headline guarantee: bit-identical cells at 1 and 8 threads.
+// The headline guarantee: bit-identical cells serially and at 8 threads.
 TEST(ModelSweep, BitIdenticalAcrossThreadCounts) {
   const ModelSweepPlan plan = small_plan();
-  ModelSweepOptions serial;
-  serial.threads = 1;
+  ModelSweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   ModelSweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto lhs = run_model_sweep(plan, serial);
   const auto rhs = run_model_sweep(plan, wide);
-  EXPECT_EQ(lhs.threads, 1u);
-  EXPECT_EQ(rhs.threads, 8u);
   EXPECT_EQ(lhs.total_replicas, 6u);
   EXPECT_EQ(lhs.total_messages, 50u);
   ASSERT_EQ(lhs.cells.size(), 1u);
@@ -436,10 +435,10 @@ TEST(ModelSweep, MultiScenarioDeterministicAcrossThreadCounts) {
   second.jump.population = 300;
   plan.scenarios.push_back(second);
 
-  ModelSweepOptions serial;
-  serial.threads = 1;
+  ModelSweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   ModelSweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto lhs = run_model_sweep(plan, serial);
   const auto rhs = run_model_sweep(plan, wide);
   ASSERT_EQ(lhs.cells.size(), 2u);

@@ -1,8 +1,8 @@
 // Tests for the engine's path-study sweep: determinism of the parallel
-// message fan-out (bit-identical records at 1 vs 8 threads, with and
-// without recorded paths), the sparse replay's active-step bound on a
+// message fan-out (bit-identical records serially and at 8 threads, with
+// and without recorded paths), the sparse replay's active-step bound on a
 // gap-engineered trace, the enumerator workspace's byte ceiling, and the
-// ScenarioContextCache probe for core::run_path_study. The dense/sparse
+// sweep's ScenarioContextCache probe. The dense/sparse
 // enumeration oracle runs at enumerator level (paths_test).
 
 #include <gtest/gtest.h>
@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "psn/core/dataset.hpp"
-#include "psn/core/path_study.hpp"
 #include "psn/core/workload.hpp"
 #include "psn/engine/path_sweep.hpp"
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/scenario_registry.hpp"
+#include "psn/engine/thread_pool.hpp"
 #include "psn/synth/pairwise_poisson.hpp"
 #include "psn/trace/trace_stats.hpp"
 
@@ -135,8 +135,8 @@ TEST(PathSweep, RejectsBadPlans) {
   EXPECT_THROW((void)run_path_sweep(plan), std::invalid_argument);
 }
 
-// The headline guarantee: bit-identical per-message outcomes at 1 and 8
-// threads, with raw results retained.
+// The headline guarantee: bit-identical per-message outcomes serially and
+// at 8 threads, with raw results retained.
 TEST(PathSweep, BitIdenticalAcrossThreadCounts) {
   const auto ds = small_dataset(41);
   PathSweepPlan plan;
@@ -145,14 +145,12 @@ TEST(PathSweep, BitIdenticalAcrossThreadCounts) {
   plan.config.k = 60;
   plan.config.seed = 9;
 
-  PathSweepOptions serial;
-  serial.threads = 1;
+  PathSweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   PathSweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto lhs = run_path_sweep(plan, serial);
   const auto rhs = run_path_sweep(plan, wide);
-  EXPECT_EQ(lhs.threads, 1u);
-  EXPECT_EQ(rhs.threads, 8u);
   EXPECT_EQ(lhs.total_messages, 40u);
   expect_sweeps_identical(lhs, rhs);
 
@@ -162,8 +160,9 @@ TEST(PathSweep, BitIdenticalAcrossThreadCounts) {
   EXPECT_GT(delivered, 0u);
 }
 
-// The paper-scale scenario, with and without recorded paths: 1 and 8
-// threads agree on every delivery, representative path and effort count.
+// The paper-scale scenario, with and without recorded paths: serial and
+// 8-thread sweeps agree on every delivery, representative path and effort
+// count.
 TEST(PathSweep, ConferenceMatrixBitIdenticalAcrossThreadCounts) {
   const auto scenario = make_scenario_by_name("conference_small");
   for (const bool record_paths : {false, true}) {
@@ -173,10 +172,10 @@ TEST(PathSweep, ConferenceMatrixBitIdenticalAcrossThreadCounts) {
     plan.config.k = 120;
     plan.config.seed = 42;
     plan.config.record_paths = record_paths;
-    PathSweepOptions serial;
-    serial.threads = 1;
+    PathSweepOptions serial;  // no pool: every phase on this thread.
+    ThreadPool pool(8);
     PathSweepOptions wide;
-    wide.threads = 8;
+    wide.pool = &pool;
     expect_sweeps_identical(run_path_sweep(plan, serial),
                             run_path_sweep(plan, wide));
   }
@@ -197,10 +196,10 @@ TEST(PathSweep, SparseReplayBoundedByActiveStepsAcrossGaps) {
   plan.config.k = 50;
   plan.config.seed = 5;
 
-  PathSweepOptions serial;
-  serial.threads = 1;
+  PathSweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   PathSweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto timeline = run_path_sweep(plan, wide);
   expect_sweeps_identical(run_path_sweep(plan, serial), timeline);
 
@@ -210,28 +209,6 @@ TEST(PathSweep, SparseReplayBoundedByActiveStepsAcrossGaps) {
     delivered += rec.delivered;
   }
   EXPECT_GT(delivered, 0u);
-}
-
-// enumerate_sample (the fig-driver fan-out core) is slot-addressed: the
-// output order is the message order, independent of the thread count.
-TEST(PathSweep, EnumerateSampleIsThreadCountInvariant) {
-  const auto ds = small_dataset(43);
-  const graph::SpaceTimeGraph graph(ds.trace, 10.0);
-  const auto messages = core::uniform_message_sample(
-      ds.trace.num_nodes(), 30, ds.message_horizon, 13);
-
-  paths::EnumeratorConfig config;
-  config.k = 40;
-  config.record_paths = true;
-  const auto serial = enumerate_sample(graph, messages, config, 1);
-  const auto wide = enumerate_sample(graph, messages, config, 8);
-  ASSERT_EQ(serial.size(), messages.size());
-  ASSERT_EQ(wide.size(), messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    EXPECT_EQ(serial[i].source, messages[i].source);
-    EXPECT_EQ(serial[i].destination, messages[i].destination);
-    expect_results_identical(serial[i], wide[i]);
-  }
 }
 
 // One warm enumerator workspace at the paper's k = 2000 on conference_small
@@ -259,53 +236,39 @@ TEST(PathSweep, ConferenceWorkspaceStaysUnderByteCeiling) {
   EXPECT_GT(workspace.bytes(), kCeilingBytes / 2);
 }
 
-// The build-count probe: run_path_study fetches its graph through the
+// The build-count probe: run_path_sweep fetches its graph through the
 // process-wide ScenarioContextCache — one build cold, zero builds while a
-// caller holds the scenario's context (like PR 3's forwarding probe).
-TEST(PathStudy, FetchesGraphThroughScenarioContextCache) {
+// caller holds the scenario's context (like engine_test's run_sweep probe).
+TEST(PathSweep, FetchesGraphThroughScenarioContextCache) {
   const auto ds = small_dataset(47);
   auto& cache = ScenarioContextCache::instance();
-  core::PathStudyConfig config;
-  config.messages = 10;
-  config.k = 30;
-  config.threads = 4;
+  PathSweepPlan plan;
+  plan.scenarios = {make_scenario(ds)};
+  plan.config.messages = 10;
+  plan.config.k = 30;
 
-  // Cold cache: the study performs exactly one graph build.
+  // Cold cache: the sweep performs exactly one graph build.
   {
     const auto before = cache.graphs_built();
-    (void)core::run_path_study(ds, config);
+    ThreadPool pool(4);
+    PathSweepOptions options;
+    options.pool = &pool;
+    (void)run_path_sweep(plan, options);
     EXPECT_EQ(cache.graphs_built(), before + 1);
   }
 
-  // Held context: further studies at any thread count build nothing.
+  // Held context: further sweeps at any thread count build nothing.
   {
-    const auto held = cache.acquire(make_scenario(ds, config.delta));
+    const auto held = cache.acquire(plan.scenarios[0]);
     const auto before = cache.graphs_built();
     for (const std::size_t threads : {1u, 8u}) {
-      config.threads = threads;
-      (void)core::run_path_study(ds, config);
+      ThreadPool pool(threads);
+      PathSweepOptions options;
+      options.pool = &pool;
+      (void)run_path_sweep(plan, options);
     }
     EXPECT_EQ(cache.graphs_built(), before);
   }
-}
-
-// run_path_study itself is thread-count invariant (the engine propagates
-// its determinism guarantee to the study layer).
-TEST(PathStudy, ThreadCountInvariant) {
-  const auto ds = small_dataset(53);
-  core::PathStudyConfig config;
-  config.messages = 30;
-  config.k = 40;
-  config.seed = 17;
-
-  config.threads = 1;
-  const auto serial = core::run_path_study(ds, config);
-  config.threads = 8;
-  const auto wide = core::run_path_study(ds, config);
-
-  ASSERT_EQ(serial.records.size(), wide.records.size());
-  for (std::size_t i = 0; i < serial.records.size(); ++i)
-    expect_records_identical(serial.records[i], wide.records[i]);
 }
 
 // Multi-scenario sweeps aggregate in plan order and stay deterministic.
@@ -317,10 +280,10 @@ TEST(PathSweep, MultiScenarioDeterministic) {
   plan.config.messages = 15;
   plan.config.k = 30;
 
-  PathSweepOptions serial;
-  serial.threads = 1;
+  PathSweepOptions serial;  // no pool: every phase on this thread.
+  ThreadPool pool(8);
   PathSweepOptions wide;
-  wide.threads = 8;
+  wide.pool = &pool;
   const auto lhs = run_path_sweep(plan, serial);
   const auto rhs = run_path_sweep(plan, wide);
   ASSERT_EQ(lhs.cells.size(), 2u);

@@ -70,7 +70,7 @@ TEST(ScaleTiers, MetroShardedGraphBuildMatchesSerialByteForByte) {
 }
 
 TEST(ScaleTiers, MetroSweepBitIdenticalAcrossThreadsAndKernels) {
-  // metro_16k end to end through run_sweep: 1-thread vs 8-thread pools
+  // metro_16k end to end through run_sweep: serial vs 8-thread pool runs
   // and component-index vs scalar flood kernels all land on bit-identical
   // cells. The workload is small (a handful of messages) because the
   // scalar-oracle leg is the expensive one at 16k nodes.
@@ -81,12 +81,10 @@ TEST(ScaleTiers, MetroSweepBitIdenticalAcrossThreadsAndKernels) {
   config.message_rate = 0.002;
   const auto plan = make_plan({scenario}, {"Epidemic"}, config);
 
-  SweepOptions serial;
-  serial.threads = 1;
+  SweepOptions serial;  // no pool: every phase on this thread.
   SweepOptions wide;
-  wide.threads = 8;
-  SweepOptions scalar;
-  scalar.threads = 8;
+  wide.pool = &shared_pool();
+  SweepOptions scalar = wide;
   scalar.flood_kernel = forward::FloodKernel::kScalar;
 
   const auto a = run_sweep(plan, serial);
@@ -144,7 +142,7 @@ TEST(ScaleTiers, CityNonFloodFastPathMatchesScalarOracleAcrossThreads) {
   const auto plan = make_plan({scenario}, {"FRESH", "PRoPHET"}, config);
 
   SweepOptions oracle;
-  oracle.threads = 8;
+  oracle.pool = &shared_pool();
   oracle.contact_scan = forward::ContactScan::kFull;
   oracle.observation = ObservationMode::kPerRun;
   const auto reference = run_sweep(plan, oracle);
@@ -154,8 +152,9 @@ TEST(ScaleTiers, CityNonFloodFastPathMatchesScalarOracleAcrossThreads) {
             0u);
 
   for (const std::size_t threads : {1u, 8u}) {
+    ThreadPool pool(threads);
     SweepOptions fast;
-    fast.threads = threads;  // kHolderIncident + kShared defaults.
+    fast.pool = &pool;  // kHolderIncident + kShared defaults.
     expect_cells_match(reference, run_sweep(plan, fast));
   }
 }
@@ -214,15 +213,16 @@ TEST(ScaleTiers, MetroNonFloodFastPathMatchesScalarOracle) {
   const auto plan = make_plan({scenario}, {"FRESH"}, config);
 
   SweepOptions oracle;
-  oracle.threads = 8;
+  oracle.pool = &shared_pool();
   oracle.contact_scan = forward::ContactScan::kFull;
   oracle.observation = ObservationMode::kPerRun;
   const auto reference = run_sweep(plan, oracle);
   ASSERT_EQ(reference.cells.size(), 1u);
 
   for (const std::size_t threads : {1u, 8u}) {
+    ThreadPool pool(threads);
     SweepOptions fast;
-    fast.threads = threads;
+    fast.pool = &pool;
     expect_cells_match(reference, run_sweep(plan, fast));
   }
 }
@@ -357,7 +357,9 @@ TEST(ScaleTiers, SeededDeliveriesArePinned) {
     for (const Pin& pin : tier.pins) algorithms.emplace_back(pin.algorithm);
     const auto plan = make_plan({make_scenario_by_name(tier.name, pooled)},
                                 algorithms, config);
-    const auto result = run_sweep(plan);
+    SweepOptions options;
+    options.pool = &shared_pool();
+    const auto result = run_sweep(plan, options);
     ASSERT_EQ(result.cells.size(), tier.pins.size()) << tier.name;
     for (std::size_t a = 0; a < result.cells.size(); ++a) {
       const auto& cell = result.cells[a];

@@ -15,6 +15,7 @@
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/scenario_registry.hpp"
 #include "psn/engine/sweep.hpp"
+#include "psn/engine/thread_pool.hpp"
 #include "psn/serve/json.hpp"
 #include "psn/serve/request.hpp"
 #include "psn/serve/server.hpp"
@@ -179,6 +180,20 @@ TEST(Request, BatchKeyIgnoresAlgorithmsAndRespectsConfig) {
   EXPECT_NE(a.batch_key(), c.batch_key());
   EXPECT_NE(a.batch_key(), d.batch_key());
 
+  // Rates and TTLs that differ only past the sixth significant digit are
+  // different requests: their doubles key in shortest round-trip form.
+  const auto key_with = [](const std::string& field) {
+    return parse_request(request_json(
+               R"({"id":"x","family":"forwarding","scenario":"random_waypoint",
+                   "algorithms":["Epidemic"],)" +
+               field + "}"))
+        .batch_key();
+  };
+  EXPECT_NE(key_with(R"("message_rate":0.01000001)"),
+            key_with(R"("message_rate":0.01000002)"));
+  EXPECT_NE(key_with(R"("message_ttl":3600.0001)"),
+            key_with(R"("message_ttl":3600.0002)"));
+
   const Request p1 = parse_request(request_json(
       R"({"id":"p1","family":"path","scenario":"random_waypoint"})"));
   const Request p2 = parse_request(request_json(
@@ -221,8 +236,9 @@ TEST(Service, ForwardingResponseMatchesDirectEngineExecution) {
   engine::PlanConfig plan_config;
   plan_config.runs = 2;
   plan_config.message_rate = 0.02;
+  engine::ThreadPool pool(2);
   engine::SweepOptions options;
-  options.threads = 2;
+  options.pool = &pool;
   const auto direct = engine::run_sweep(
       engine::make_plan({scenario}, {"Epidemic", "FRESH"}, plan_config),
       options);
@@ -384,6 +400,15 @@ TEST(Service, TinyBudgetForcesRebuildEveryRequest) {
     EXPECT_EQ(cache.stats().resident_bytes, 0u);
     // Both rebuilds produced the same bits regardless.
     EXPECT_EQ(first.at("result").dump(), second.at("result").dump());
+
+    // A path group holds the context it acquired, so its sweep finds the
+    // graph instead of building it a second time.
+    const auto graphs_before = cache.graphs_built();
+    const Json path = service.execute(parse_request(request_json(
+        R"({"id":"p","family":"path","scenario":"random_waypoint"})")));
+    ASSERT_TRUE(path.at("ok").as_bool()) << path.dump();
+    EXPECT_FALSE(path.at("telemetry").at("cache_hit").as_bool());
+    EXPECT_EQ(cache.graphs_built(), graphs_before + 1);
   }
 
   cache.set_budget_bytes(old_budget);

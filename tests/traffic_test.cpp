@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "psn/core/dataset.hpp"
-#include "psn/core/forwarding_study.hpp"
+#include "psn/engine/sweep.hpp"
+#include "psn/engine/thread_pool.hpp"
 #include "psn/forward/algorithm_registry.hpp"
 #include "psn/forward/algorithms/epidemic.hpp"
 #include "psn/forward/simulator.hpp"
@@ -139,7 +140,8 @@ TEST(Ttl, ExpiryInsideSkippedGapHappensBeforeNextContact) {
       },
       3, 300.0);
   ASSERT_EQ(f.graph.num_active_steps(), 2u);
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     // Expires at t=100, mid-gap: nothing may be delivered.
     const auto dead =
         run_both_modes(f, *alg, {msg(0, 0, 2, 0.0, 1, 100.0)});
@@ -418,8 +420,8 @@ TEST(TrafficEquivalence, ConstrainedGapTraceMatchesDenseForAllAlgorithms) {
     traffic.contact_budget_bytes = 3;
     traffic.buffer_capacity_bytes = 4;
     traffic.eviction = policy;
-    for (auto& alg : make_extended_algorithms())
-      (void)run_both_modes(f, *alg, msgs, traffic);
+    for (const auto& name : extended_algorithm_names())
+      (void)run_both_modes(f, *make_algorithm(name), msgs, traffic);
   }
 }
 
@@ -442,7 +444,8 @@ TEST(TrafficEquivalence, ExplicitUnlimitedMatchesDefaultBitForBit) {
   TrafficConfig unlimited;
   unlimited.eviction = EvictionPolicy::kRandom;
   ASSERT_TRUE(unlimited.unconstrained());
-  for (auto& alg : make_extended_algorithms()) {
+  for (const auto& name : extended_algorithm_names()) {
+    const auto alg = make_algorithm(name);
     const auto base = simulate(f.request(*alg, msgs));
     const auto explicit_unlimited =
         simulate(f.request(*alg, msgs, unlimited));
@@ -472,36 +475,50 @@ TEST(OfferedLoad, EpidemicCollapsesWhereQuotaSchemeHolds) {
   // copy budget keeps buffer pressure per message bounded.
   const auto dataset = core::DatasetFactory::random_waypoint_dataset();
 
-  core::OfferedLoadConfig config;
-  config.rate_multipliers = {1.0, 16.0};
-  config.base_message_rate = 0.02;
-  config.algorithms = {"Epidemic", "Spray+Wait"};
+  // One sweep per load level (the base rate x 1 and x 16), so both
+  // algorithms at a level see the same messages, all under one finite
+  // buffer limit.
+  engine::PlanConfig config;
   config.runs = 2;
-  config.seed = 7;
+  config.master_seed = 7;
   config.traffic.buffer_capacity_bytes = 64;
   config.traffic.eviction = EvictionPolicy::kDropOldest;
-  config.threads = 2;
-  const auto study = core::run_offered_load_study(dataset, config);
+  engine::ThreadPool pool(2);
+  engine::SweepOptions options;
+  options.pool = &pool;
+  options.keep_delays = false;  // load curves need aggregates only.
+  std::vector<engine::SweepResult> levels;
+  for (const double multiplier : {1.0, 16.0}) {
+    config.message_rate = 0.02 * multiplier;
+    levels.push_back(engine::run_sweep(
+        engine::make_plan({engine::make_scenario(dataset)},
+                          {"Epidemic", "Spray+Wait"}, config),
+        options));
+  }
 
-  ASSERT_EQ(study.points.size(), 4u);
-  const auto& epidemic_low = study.point(0, 0, 2);
-  const auto& epidemic_high = study.point(1, 0, 2);
-  const auto& spray_low = study.point(0, 1, 2);
-  const auto& spray_high = study.point(1, 1, 2);
+  const engine::CellSummary& epidemic_low = levels[0].cell(0, 0);
+  const engine::CellSummary& epidemic_high = levels[1].cell(0, 0);
+  const engine::CellSummary& spray_low = levels[0].cell(0, 1);
+  const engine::CellSummary& spray_high = levels[1].cell(0, 1);
   ASSERT_EQ(epidemic_low.algorithm, "Epidemic");
   ASSERT_EQ(spray_high.algorithm, "Spray+Wait");
   EXPECT_GT(epidemic_high.messages_offered, epidemic_low.messages_offered);
 
   // Epidemic degrades under load (measured ~1.00 -> ~0.78 here; the
   // margins leave generous slack so parameter-insensitive)...
-  EXPECT_LT(epidemic_high.success_rate, epidemic_low.success_rate - 0.15);
-  EXPECT_GT(epidemic_high.drop_rate, 0.1);
+  EXPECT_LT(epidemic_high.overall.success_rate,
+            epidemic_low.overall.success_rate - 0.15);
+  EXPECT_GT(static_cast<double>(epidemic_high.drops) /
+                static_cast<double>(epidemic_high.messages_offered),
+            0.1);
   EXPECT_GT(epidemic_high.evictions, 0u);
   // ...while the quota scheme holds (measured ~0.92, a dip of ~0.08) and
   // beats Epidemic outright at the loaded end — the inversion of the
   // unconstrained ranking, where no scheme outdelivers Epidemic.
-  EXPECT_GT(spray_high.success_rate, spray_low.success_rate - 0.15);
-  EXPECT_GT(spray_high.success_rate, epidemic_high.success_rate + 0.05);
+  EXPECT_GT(spray_high.overall.success_rate,
+            spray_low.overall.success_rate - 0.15);
+  EXPECT_GT(spray_high.overall.success_rate,
+            epidemic_high.overall.success_rate + 0.05);
 }
 
 }  // namespace

@@ -11,7 +11,13 @@
 #      must not be allowed to pass)
 #   2. determinism lint            (scans src/psn/{forward,engine,paths,
 #      model,graph,synth}; zero findings or explicit det-waiver lines)
-#   3. clang-tidy                  (.clang-tidy, WarningsAsErrors='*',
+#   3. layering gate self-test     (tools/check_layering.py --self-test:
+#      seeds one upward include in a temp tree and verifies the scanner
+#      reports exactly it)
+#   4. layering gate               (no file under src/psn/<m>/ includes a
+#      module above m in util < stats < trace < graph < synth < model <
+#      paths < forward < core < engine < serve; findings name file:line)
+#   5. clang-tidy                  (.clang-tidy, WarningsAsErrors='*',
 #      over every src/psn translation unit via the compile database in
 #      --build-dir; configure one with `cmake --preset build-tidy`)
 #
@@ -41,6 +47,12 @@ python3 tools/check_determinism_lint.py --self-test || failures=$((failures+1))
 
 echo "== determinism lint: src/psn =="
 python3 tools/check_determinism_lint.py || failures=$((failures+1))
+
+echo "== layering gate: self-test =="
+python3 tools/check_layering.py --self-test || failures=$((failures+1))
+
+echo "== layering gate: src/psn =="
+python3 tools/check_layering.py || failures=$((failures+1))
 
 echo "== clang-tidy =="
 if ! command -v clang-tidy >/dev/null 2>&1; then
