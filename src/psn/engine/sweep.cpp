@@ -171,6 +171,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         cell.drops += run.result.drops;
         cell.budget_blocked += run.result.budget_blocked;
         cell.buffer_rejections += run.result.buffer_rejections;
+        cell.effort += run.result.effort;
         transmissions += run.result.transmissions;
         messages += run.messages.size();
         runs.push_back(std::move(run));

@@ -46,6 +46,9 @@ struct CellSummary {
   std::uint64_t budget_blocked = 0;
   std::uint64_t buffer_rejections = 0;
   std::size_t messages_offered = 0;  ///< pooled workload size over runs.
+  /// Simulator work counters summed over the cell's runs: deterministic,
+  /// but instruments only — no result and no service payload reads them.
+  forward::SimulationEffort effort;
 };
 
 struct SweepResult {

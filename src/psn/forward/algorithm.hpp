@@ -101,6 +101,17 @@ class ForwardingAlgorithm {
   /// observe_contact().
   [[nodiscard]] virtual bool observes_contacts() const { return true; }
 
+  /// True if, within one step, should_forward() answers from its
+  /// arguments alone: it draws no randomness, no answer depends on which
+  /// calls came before, and a refusal stays a refusal as `holder_copies`
+  /// falls.
+  /// A refused (holder, peer, message) then stays refused for the rest of
+  /// the step, so the simulator's holder-incident relay re-offers a
+  /// holder only the messages it acquired since the last offer (delta
+  /// passes, simulator.hpp). The default is false (always correct): full
+  /// relay passes. Random keeps it, since each call draws.
+  [[nodiscard]] virtual bool pure_decisions() const { return false; }
+
   /// Decision: should `holder` hand a message for `dest` to `peer`?
   /// `holder_copies` is the holder's remaining copy budget (used by
   /// quota-based schemes; 1 for single-copy schemes).

@@ -14,6 +14,7 @@ class DirectDelivery final : public ForwardingAlgorithm {
   [[nodiscard]] std::string name() const override { return "Direct"; }
   [[nodiscard]] bool replicates() const override { return false; }
   [[nodiscard]] bool observes_contacts() const override { return false; }
+  [[nodiscard]] bool pure_decisions() const override { return true; }
 
   [[nodiscard]] bool should_forward(NodeId, NodeId, NodeId, Step,
                                     std::uint32_t) override {

@@ -44,6 +44,7 @@ class EpidemicForwarding final : public ForwardingAlgorithm {
   [[nodiscard]] std::string name() const override { return "Epidemic"; }
   [[nodiscard]] bool replicates() const override { return true; }
   [[nodiscard]] bool observes_contacts() const override { return false; }
+  [[nodiscard]] bool pure_decisions() const override { return true; }
   /// 0 = unbounded replication: enables the simulator's flooding fast path.
   [[nodiscard]] std::uint32_t initial_copies() const override { return 0; }
 

@@ -18,6 +18,7 @@ class GreedyTotalForwarding final : public ForwardingAlgorithm {
   [[nodiscard]] std::string name() const override { return "Greedy Total"; }
   [[nodiscard]] bool replicates() const override { return false; }
   [[nodiscard]] bool observes_contacts() const override { return false; }
+  [[nodiscard]] bool pure_decisions() const override { return true; }
 
   void prepare(const graph::SpaceTimeGraph& graph,
                const trace::ContactTrace& trace) override;

@@ -20,6 +20,7 @@ class MinExpectedDelayForwarding final : public ForwardingAlgorithm {
   }
   [[nodiscard]] bool replicates() const override { return false; }
   [[nodiscard]] bool observes_contacts() const override { return false; }
+  [[nodiscard]] bool pure_decisions() const override { return true; }
 
   void prepare(const graph::SpaceTimeGraph& graph,
                const trace::ContactTrace& trace) override;

@@ -197,6 +197,8 @@ class ProphetForwarding final : public ForwardingAlgorithm {
   [[nodiscard]] bool observes_contacts() const override {
     return snapshot_ == nullptr;
   }
+  /// Reads at one step are idempotent, adopted (cursor) or not.
+  [[nodiscard]] bool pure_decisions() const override { return true; }
 
   /// P(from, to) as of the latest step this instance has seen (through
   /// either observe_contact or should_forward) — test/diagnostic surface.

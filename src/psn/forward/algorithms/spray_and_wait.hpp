@@ -19,6 +19,7 @@ class SprayAndWaitForwarding final : public ForwardingAlgorithm {
   [[nodiscard]] std::string name() const override { return "Spray+Wait"; }
   [[nodiscard]] bool replicates() const override { return true; }
   [[nodiscard]] bool observes_contacts() const override { return false; }
+  [[nodiscard]] bool pure_decisions() const override { return true; }
   [[nodiscard]] std::uint32_t initial_copies() const override {
     return copies_;
   }

@@ -78,6 +78,7 @@ class ContactHistoryForwarding : public ForwardingAlgorithm {
   [[nodiscard]] bool observes_contacts() const final {
     return snapshot_ == nullptr;
   }
+  [[nodiscard]] bool pure_decisions() const final { return true; }
 
   [[nodiscard]] std::string shared_snapshot_key() const final {
     return ContactHistoryIndex::kKey;

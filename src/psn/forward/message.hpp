@@ -40,13 +40,49 @@ struct Message {
 struct MessageOutcome {
   bool delivered = false;
   Seconds delay = 0.0;      ///< delivery time - creation time; if delivered.
-  std::uint16_t hops = 0;   ///< hop count of the delivering copy.
+  /// Hop count of the delivering copy. 32 bits: a single copy that moves
+  /// back and forth within a long contact makes tens of thousands of hops.
+  std::uint32_t hops = 0;
   /// TTL elapsed before delivery: every copy was discarded at
   /// `created + ttl` (exactly, even across skipped sparse-timeline gaps).
   bool expired = false;
   /// The last surviving copy was evicted from a bounded buffer (or the
   /// source buffer could never hold the message): undeliverable for good.
   bool dropped = false;
+};
+
+/// Work one simulate() call did, counted on paths it takes anyway. These
+/// are test and calibration instruments: they depend only on the request
+/// (not on the machine or thread count), and no result reads them.
+struct SimulationEffort {
+  std::uint64_t active_steps = 0;  ///< steps with contacts, processed.
+  /// Step edges the holder filter examined (holder-incident scan only).
+  std::uint64_t filter_edge_visits = 0;
+  std::uint64_t worklist_edges = 0;  ///< edges relay worklists began with.
+  std::uint64_t spliced_edges = 0;   ///< edges spliced in for new holders.
+  /// Holder-incident steps that took the complete edge list instead,
+  /// because most nodes held something.
+  std::uint64_t complete_steps = 0;
+  std::uint64_t relay_passes = 0;  ///< relay passes over all steps.
+  std::uint64_t relay_calls = 0;   ///< edge directions relayed.
+  std::uint64_t decisions = 0;     ///< should_forward() calls.
+  std::uint64_t transfers = 0;     ///< relay copies and moves (not deliveries).
+  /// (message, contact component) pairs the flood kernels examined.
+  std::uint64_t flood_components = 0;
+
+  SimulationEffort& operator+=(const SimulationEffort& o) noexcept {
+    active_steps += o.active_steps;
+    filter_edge_visits += o.filter_edge_visits;
+    worklist_edges += o.worklist_edges;
+    spliced_edges += o.spliced_edges;
+    complete_steps += o.complete_steps;
+    relay_passes += o.relay_passes;
+    relay_calls += o.relay_calls;
+    decisions += o.decisions;
+    transfers += o.transfers;
+    flood_components += o.flood_components;
+    return *this;
+  }
 };
 
 /// A batch result: outcome[i] corresponds to messages[i].
@@ -74,6 +110,8 @@ struct SimulationResult {
   /// Transfers refused because the message exceeds the receiving node's
   /// whole buffer capacity (only possible when size > capacity).
   std::uint64_t buffer_rejections = 0;
+  /// The run's work counters (see SimulationEffort).
+  SimulationEffort effort;
 
   [[nodiscard]] std::size_t delivered_count() const noexcept;
 };

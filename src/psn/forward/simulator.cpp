@@ -124,6 +124,7 @@ SimulationResult simulate(const SimulationRequest& request,
 
   SimulationResult result;
   result.outcomes.assign(messages.size(), {});
+  SimulationEffort& effort = result.effort;
 
   // Workspace state is grown, never shrunk: slots beyond this run's needs
   // keep their capacity for a later, larger run. Only the flags are reset
@@ -163,6 +164,9 @@ SimulationResult simulate(const SimulationRequest& request,
   const std::uint32_t quota = algorithm.initial_copies();
   const bool quota_scheme = quota > 1;
   const bool observes = algorithm.observes_contacts();
+  // The run's acquisition clock: every per-node list entry is stamped
+  // with the next tick when it is appended (Held::stamp).
+  std::uint64_t acquisitions = 0;
 
   // Holder-incident fast path: each active step's edges pass a holder
   // filter, and only holder-incident edges enter the relay worklist.
@@ -174,6 +178,15 @@ SimulationResult simulate(const SimulationRequest& request,
       request.contact_scan == ContactScan::kHolderIncident &&
       request.replay == ReplayMode::kSparse && !flooding && !observes;
 
+  // Delta passes (semi-naive evaluation, DESIGN §11): after a step's
+  // first relay pass, a direction x→y offers only the entries x acquired
+  // since it last ran. Budget and buffer checks count (and evict) per
+  // offer, and a drawing algorithm's stream moves per call, so those runs
+  // keep full passes, as does the kFull oracle.
+  const bool delta = request.contact_scan == ContactScan::kHolderIncident &&
+                     !budget_limited && !capacity_limited &&
+                     algorithm.pure_decisions();
+
   auto& holder_count = ws.holder_count;
   std::uint64_t holder_nodes = 0;  // nodes with holder_count > 0.
   if (fast_scan) {
@@ -183,7 +196,7 @@ SimulationResult simulate(const SimulationRequest& request,
   }
 
   const auto deliver = [&](std::uint32_t id, graph::Step s,
-                           std::uint16_t hops) {
+                           std::uint32_t hops) {
     auto& st = state[id];
     st.delivered = true;
     auto& outcome = result.outcomes[id];
@@ -248,7 +261,7 @@ SimulationResult simulate(const SimulationRequest& request,
     // the victim scan sees exactly the live residents.
     std::size_t k = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
-      const auto& st = state[list[i]];
+      const auto& st = state[list[i].id];
       if (!st.delivered && !st.expired && st.holders.test(node))
         list[k++] = list[i];
     }
@@ -258,8 +271,8 @@ SimulationResult simulate(const SimulationRequest& request,
       switch (traffic.eviction) {
         case EvictionPolicy::kDropOldest:
           for (std::size_t i = 1; i < list.size(); ++i) {
-            const Message& cand = messages[list[i]];
-            const Message& best = messages[list[victim]];
+            const Message& cand = messages[list[i].id];
+            const Message& best = messages[list[victim].id];
             if (cand.created < best.created ||
                 (cand.created == best.created && cand.id < best.id))
               victim = i;
@@ -267,13 +280,13 @@ SimulationResult simulate(const SimulationRequest& request,
           break;
         case EvictionPolicy::kDropLargestHop:
           for (std::size_t i = 1; i < list.size(); ++i) {
-            const auto ch = state[list[i]].hops[node];
-            const auto bh = state[list[victim]].hops[node];
+            const auto ch = state[list[i].id].hops[node];
+            const auto bh = state[list[victim].id].hops[node];
             if (ch > bh) {
               victim = i;
             } else if (ch == bh) {
-              const Message& cand = messages[list[i]];
-              const Message& best = messages[list[victim]];
+              const Message& cand = messages[list[i].id];
+              const Message& best = messages[list[victim].id];
               if (cand.created < best.created ||
                   (cand.created == best.created && cand.id < best.id))
                 victim = i;
@@ -284,7 +297,7 @@ SimulationResult simulate(const SimulationRequest& request,
           victim = rng.uniform_index(list.size());
           break;
       }
-      const std::uint32_t vid = list[victim];
+      const std::uint32_t vid = list[victim].id;
       auto& vst = state[vid];
       vst.holders.reset(node);
       store_bytes[node] -= messages[vid].size_bytes;
@@ -469,6 +482,7 @@ SimulationResult simulate(const SimulationRequest& request,
         if (st.delivered || st.expired) continue;
         const NodeId dest = messages[id].destination;
         for (std::uint32_t c = first; c < last; ++c) {
+          ++effort.flood_components;
           const graph::StepComponents::Component comp = index->component(c);
           const auto size = static_cast<unsigned>(comp.members.size());
           unsigned held = 0;
@@ -488,8 +502,7 @@ SimulationResult simulate(const SimulationRequest& request,
             const std::uint32_t hops = settle_index(
                 comp, st, base,
                 static_cast<std::uint32_t>(dest_it - comp.members.begin()));
-            deliver(id, s, static_cast<std::uint16_t>(
-                               std::min<std::uint32_t>(hops, 0xFFFF)));
+            deliver(id, s, hops);
             break;
           }
           // Fully flooded components have nothing left to spread; skipping
@@ -499,8 +512,7 @@ SimulationResult simulate(const SimulationRequest& request,
           for (std::uint32_t p = 0; p < size; ++p) {
             const NodeId v = comp.members[p];
             if (st.holders.test(v)) continue;
-            st.hops[v] = static_cast<std::uint16_t>(
-                std::min<std::uint32_t>(base + slot_level[p], 0xFFFF));
+            st.hops[v] = base + slot_level[p];
             st.holders.set(v);
           }
           result.transmissions += size - held;
@@ -517,6 +529,7 @@ SimulationResult simulate(const SimulationRequest& request,
       if (st.delivered || st.expired) continue;
       const NodeId dest = messages[id].destination;
       for (std::size_t ci = 0; ci < num_comps; ++ci) {
+        ++effort.flood_components;
         const auto& mask = ws.components.pool[ci].mask;
         const unsigned held = st.holders.intersect_count(mask);
         if (held == 0) continue;
@@ -524,9 +537,7 @@ SimulationResult simulate(const SimulationRequest& request,
           // Copies made inside the component before reaching the
           // destination are part of the flood's cost too.
           result.transmissions += mask.count() - held - 1;
-          const std::uint32_t hops = settle_component(mask, st, dest, true);
-          deliver(id, s, static_cast<std::uint16_t>(
-                             std::min<std::uint32_t>(hops, 0xFFFF)));
+          deliver(id, s, settle_component(mask, st, dest, true));
           break;
         }
         const unsigned total = mask.count();
@@ -535,9 +546,7 @@ SimulationResult simulate(const SimulationRequest& request,
         if (held == total) continue;
         settle_component(mask, st, 0, false);
         mask.for_each([&](std::uint32_t v) {
-          if (!st.holders.test(v))
-            st.hops[v] = static_cast<std::uint16_t>(
-                std::min<std::uint32_t>(level[v], 0xFFFF));
+          if (!st.holders.test(v)) st.hops[v] = level[v];
         });
         st.holders |= mask;
         result.transmissions += total - held;
@@ -555,6 +564,7 @@ SimulationResult simulate(const SimulationRequest& request,
     // and it keeps the dense replay (which visits gap steps) bit-identical
     // to the sparse timeline (which skips them) by construction.
     if (step_edges.empty()) return;
+    ++effort.active_steps;
 
     // Expiry first: a message is live during step s only if its TTL
     // outlasts the step's start.
@@ -594,7 +604,7 @@ SimulationResult simulate(const SimulationRequest& request,
         st.copies.assign(n, 0);
         st.copies[m.source] = quota;
       }
-      if (!flooding) at_node[m.source].push_back(id);
+      if (!flooding) at_node[m.source].push_back({id, ++acquisitions});
       active_msgs.push_back(id);
       if (fast_scan && holder_count[m.source]++ == 0) ++holder_nodes;
     }
@@ -651,6 +661,8 @@ SimulationResult simulate(const SimulationRequest& request,
       // step's decisions are unchanged either way).
       const bool edges_complete =
           !fast_scan || 4 * holder_nodes >= static_cast<std::uint64_t>(n);
+      if (fast_scan && edges_complete) ++effort.complete_steps;
+      if (!edges_complete) effort.filter_edge_visits += step_edges.size();
       const std::uint64_t member_stamp = ++ws.stamp_gen;
       for (const graph::StepEdge& e : step_edges) {
         const NodeId a = std::min(e.a, e.b);
@@ -667,14 +679,24 @@ SimulationResult simulate(const SimulationRequest& request,
         }
         work.push_back({key_of(a, b), a, b, traffic.contact_budget_bytes});
       }
+      effort.worklist_edges += work.size();
       detail::sort_worklist(work, ws.work_scratch, ws.bucket_ends);
 
-      const auto relay = [&](NodeId x, NodeId y, std::size_t ei) -> bool {
+      const std::uint64_t step_clock = acquisitions;
+      auto& acquirers = ws.acquirers;
+      auto& visits = ws.visits;
+      acquirers.clear();
+
+      // Offers x's entries from `first` on to y across work[ei]. Returns
+      // whether anything changed; `acquired` says whether y took a copy.
+      const auto relay = [&](NodeId x, NodeId y, std::size_t ei,
+                             std::size_t first, bool& acquired) -> bool {
+        ++effort.relay_calls;
         bool changed = false;
         auto& list = at_node[x];
-        std::size_t k = 0;  // order-preserving compaction write cursor.
-        for (std::size_t i = 0; i < list.size(); ++i) {
-          const std::uint32_t id = list[i];
+        std::size_t k = first;  // order-preserving compaction write cursor.
+        for (std::size_t i = first; i < list.size(); ++i) {
+          const std::uint32_t id = list[i].id;
           auto& st = state[id];
           // Lazily drop stale entries (delivered, expired, evicted, or
           // moved away).
@@ -686,17 +708,20 @@ SimulationResult simulate(const SimulationRequest& request,
             // a blocked delivery stays queued for a later contact.
             if (budget_limited && work[ei].budget < sz) {
               ++result.budget_blocked;
-              list[k++] = id;
+              list[k++] = list[i];
               continue;
             }
             if (budget_limited) work[ei].budget -= sz;
-            deliver(id, s, static_cast<std::uint16_t>(st.hops[x] + 1));
+            deliver(id, s, st.hops[x] + 1);
             changed = true;
             continue;
           }
-          if (!st.holders.test(y) &&
-              algorithm.should_forward(x, y, dest, s,
-                                       quota_scheme ? st.copies[x] : 1)) {
+          const auto decide = [&] {
+            ++effort.decisions;
+            return algorithm.should_forward(x, y, dest, s,
+                                            quota_scheme ? st.copies[x] : 1);
+          };
+          if (!st.holders.test(y) && decide()) {
             // Quota schemes only hand over copies while budget remains;
             // the traffic checks run after that gate so the counters see
             // only transfers that would actually happen.
@@ -718,41 +743,37 @@ SimulationResult simulate(const SimulationRequest& request,
               }
               if (budget_limited) work[ei].budget -= sz;
               if (fast_scan && holder_count[y]++ == 0) ++holder_nodes;
+              st.holders.set(y);
+              st.hops[y] = st.hops[x] + 1;
+              at_node[y].push_back({id, ++acquisitions});
+              ++result.transmissions;
+              ++effort.transfers;
+              changed = acquired = true;
               if (quota_scheme) {
                 // Binary spray: hand over half the remaining budget; the
                 // holder keeps a copy while it has budget.
                 const std::uint32_t give = st.copies[x] / 2;
                 st.copies[x] -= give;
                 st.copies[y] = give;
-                st.holders.set(y);
-                st.hops[y] = static_cast<std::uint16_t>(st.hops[x] + 1);
-                at_node[y].push_back(id);
-                ++result.transmissions;
-                changed = true;
-              } else if (algorithm.replicates()) {
-                st.holders.set(y);
-                st.hops[y] = static_cast<std::uint16_t>(st.hops[x] + 1);
-                at_node[y].push_back(id);
-                ++result.transmissions;
-                changed = true;
-              } else {
+              } else if (!algorithm.replicates()) {
                 if (capacity_limited)
                   store_bytes[x] -= sz;  // the single copy moves away.
                 st.holders.reset(x);
-                st.holders.set(y);
-                st.hops[y] = static_cast<std::uint16_t>(st.hops[x] + 1);
-                at_node[y].push_back(id);
-                ++result.transmissions;
-                changed = true;
                 if (fast_scan && --holder_count[x] == 0) --holder_nodes;
                 continue;  // the single copy moved away: drop from x.
               }
             }
           }
-          list[k++] = id;
+          list[k++] = list[i];
         }
         list.resize(k);
         return changed;
+      };
+
+      const auto edge_of = [&](NodeId y, NodeId z) {
+        const NodeId a = std::min(y, z);
+        const NodeId b = std::max(y, z);
+        return WorkEdge{key_of(a, b), a, b, traffic.contact_budget_bytes};
       };
 
       // Splices a freshly-minted holder's incident edges into the sorted
@@ -765,44 +786,101 @@ SimulationResult simulate(const SimulationRequest& request,
         if (edges_complete || ws.node_stamp[y] == member_stamp) return ei;
         for (const NodeId z : graph.neighbors(s, y)) {
           if (ws.node_stamp[z] == member_stamp) continue;
-          WorkEdge we{key_of(std::min(y, z), std::max(y, z)), std::min(y, z),
-                      std::max(y, z), traffic.contact_budget_bytes};
+          const WorkEdge we = edge_of(y, z);
           const auto it =
               std::lower_bound(work.begin(), work.end(), we, work_less);
           const auto pos = static_cast<std::size_t>(it - work.begin());
           work.insert(it, we);
+          ++effort.spliced_edges;
           if (pos <= ei) ++ei;
         }
         ws.node_stamp[y] = member_stamp;
         return ei;
       };
 
+      // The visit heap's order: the edge first in worklist order on top.
+      const auto later = [](const WorkEdge& l, const WorkEdge& r) {
+        return work_less(r, l);
+      };
+
+      // Relays direction `dir` of work[ei] (0: a→b, 1: b→a). In a delta
+      // pass (`delta_pass`) only the sender's entries newer than the
+      // direction's last run are offered, and the acquirer's edges that
+      // sort after this one join the pass, where a full pass would reach
+      // them. Returns the entry's index, shifted by any splice.
+      const auto relay_direction = [&](std::size_t ei, int dir,
+                                       bool delta_pass, bool& changed) {
+        const NodeId x = dir == 0 ? work[ei].a : work[ei].b;
+        const NodeId y = dir == 0 ? work[ei].b : work[ei].a;
+        const auto& list = at_node[x];
+        if (list.empty()) return ei;  // most endpoints hold nothing.
+        std::size_t first = 0;
+        if (delta) {
+          std::uint32_t& ran = work[ei].ran[dir];
+          if (delta_pass) {
+            const std::uint64_t seen = step_clock + ran;
+            if (list.back().stamp <= seen) return ei;
+            first = list.size() - 1;
+            while (first > 0 && list[first - 1].stamp > seen) --first;
+          }
+          ran = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+              acquisitions - step_clock,
+              std::numeric_limits<std::uint32_t>::max()));
+        }
+        const std::uint32_t before = fast_scan ? holder_count[y] : 1u;
+        bool acquired = false;
+        if (relay(x, y, ei, first, acquired)) changed = true;
+        if (fast_scan && before == 0 && holder_count[y] > 0)
+          ei = expand_holder(y, ei);
+        if (delta && acquired) {
+          acquirers.push_back(y);
+          if (delta_pass)
+            for (const NodeId z : graph.neighbors(s, y)) {
+              const WorkEdge e = edge_of(y, z);
+              if (!work_less(work[ei], e)) continue;
+              visits.push_back(e);
+              std::push_heap(visits.begin(), visits.end(), later);
+            }
+        }
+        return ei;
+      };
+
       bool converged = false;
       for (std::uint32_t pass = 0; pass < request.max_relay_passes; ++pass) {
+        ++effort.relay_passes;
         bool changed = false;
-        for (std::size_t ei = 0; ei < work.size(); ++ei) {
+        if (pass == 0 || !delta) {
           // Re-read endpoints after each relay: a splice may shift the
-          // current entry. Empty-list hoist: relay() on a holder-less
-          // endpoint is a no-op, and most endpoints hold nothing.
-          {
-            const NodeId x = work[ei].a;
-            const NodeId y = work[ei].b;
-            if (!at_node[x].empty()) {
-              const std::uint32_t before = fast_scan ? holder_count[y] : 1u;
-              if (relay(x, y, ei)) changed = true;
-              if (fast_scan && before == 0 && holder_count[y] > 0)
-                ei = expand_holder(y, ei);
-            }
+          // current entry.
+          for (std::size_t ei = 0; ei < work.size(); ++ei) {
+            ei = relay_direction(ei, 0, false, changed);
+            ei = relay_direction(ei, 1, false, changed);
           }
-          {
-            const NodeId x = work[ei].b;
-            const NodeId y = work[ei].a;
-            if (!at_node[x].empty()) {
-              const std::uint32_t before = fast_scan ? holder_count[y] : 1u;
-              if (relay(x, y, ei)) changed = true;
-              if (fast_scan && before == 0 && holder_count[y] > 0)
-                ei = expand_holder(y, ei);
-            }
+        } else {
+          // A delta pass visits, in worklist order, the edges of the
+          // nodes that acquired something in the previous pass.
+          std::sort(acquirers.begin(), acquirers.end());
+          acquirers.erase(std::unique(acquirers.begin(), acquirers.end()),
+                          acquirers.end());
+          visits.clear();
+          for (const NodeId y : acquirers)
+            for (const NodeId z : graph.neighbors(s, y))
+              visits.push_back(edge_of(y, z));
+          acquirers.clear();
+          std::make_heap(visits.begin(), visits.end(), later);
+          std::size_t lo = 0;  // visits come in worklist order.
+          while (!visits.empty()) {
+            std::pop_heap(visits.begin(), visits.end(), later);
+            const WorkEdge e = visits.back();
+            visits.pop_back();
+            if (lo > 0 && !work_less(work[lo - 1], e)) continue;  // repeat.
+            const auto from = work.begin() + static_cast<std::ptrdiff_t>(lo);
+            auto ei = static_cast<std::size_t>(
+                std::lower_bound(from, work.end(), e, work_less) -
+                work.begin());
+            ei = relay_direction(ei, 0, true, changed);
+            ei = relay_direction(ei, 1, true, changed);
+            lo = ei + 1;
           }
         }
         if (!changed) {

@@ -16,7 +16,14 @@
 // Within one step the simulator relays to a fixpoint: a forwarding chain
 // can cross several contact edges in one step (the zero-weight closure of
 // §4.1), which is what makes Epidemic achieve exactly the optimal
-// delivery time T(sigma, delta, t1).
+// delivery time T(sigma, delta, t1). A pass that changed anything is
+// followed by another. Under ContactScan::kHolderIncident, unlimited
+// budgets and buffers and an algorithm with pure_decisions(), passes after
+// a step's first are delta passes (semi-naive evaluation): within a step a
+// refusal stays a refusal until the holder acquires something new, so
+// each later pass visits only the edges of nodes that acquired a message
+// and relays only the entries acquired since that edge direction last ran.
+// Pass counts, and so truncation, are those of full passes (DESIGN §11).
 //
 // Traffic semantics (DESIGN.md §8):
 //  * TTL — a message is live during step s iff its expiry time
@@ -71,13 +78,16 @@ enum class ContactScan : std::uint8_t {
   /// incident to holders (expanded mid-pass as transfers mint new
   /// holders), so relay and ordering cost follow holder contacts rather
   /// than the trace's total contacts. A step with no holder-incident edge
-  /// costs the filter pass and stays a no-op. Applies when the algorithm
-  /// keeps no online contact history (observes_contacts() == false) under
-  /// sparse replay; flooding runs use their own closure kernels either
-  /// way.
+  /// costs the filter pass and stays a no-op. The filter applies when the
+  /// algorithm keeps no online contact history (observes_contacts() ==
+  /// false) under sparse replay; flooding runs use their own closure
+  /// kernels either way. Delta passes (see the file comment) apply to any
+  /// non-flood run of an algorithm with pure_decisions() under unlimited
+  /// budgets and buffers.
   kHolderIncident,
-  /// Scan every step edge at every active step (the pre-index reference
-  /// semantics, retained verbatim as the equivalence oracle).
+  /// Scan every step edge at every active step, relaying every holder's
+  /// whole list in every pass (the pre-index reference semantics,
+  /// retained verbatim as the equivalence oracle).
   kFull,
 };
 
@@ -140,7 +150,7 @@ namespace detail {
 struct SimulatorState {
   struct MessageState {
     util::NodeSet holders;
-    std::vector<std::uint16_t> hops;    ///< per holding node.
+    std::vector<std::uint32_t> hops;    ///< per holding node.
     std::vector<std::uint32_t> copies;  ///< per holding node (quota schemes).
     bool delivered = false;
     bool active = false;   ///< activated (holder state initialized).
@@ -153,18 +163,31 @@ struct SimulatorState {
   /// both directions and all relay passes). Endpoints are normalized
   /// a < b; the worklist sorts by (key, a, b) — a strict total order, so
   /// the holder-incident subset sorts into exactly the relative order it
-  /// has inside the full scan's list (see sort_worklist()).
+  /// has inside the full scan's list (see sort_worklist()). `ran[0]`
+  /// (a→b) and `ran[1]` (b→a) hold the acquisition clock at that
+  /// direction's last relay, relative to the step's start and saturating
+  /// (an earlier stamp only re-offers entries); 0 until it first runs.
   struct WorkEdge {
     std::uint64_t key;
     NodeId a;
     NodeId b;
     std::uint64_t budget;
+    std::uint32_t ran[2] = {0, 0};
+  };
+
+  /// One per-node list entry: a message the node took, stamped with the
+  /// run's acquisition clock when it was appended. Lists are appended in
+  /// acquisition order and compacted in order, so stamps never decrease
+  /// along a list and the entries newer than any stamp form a suffix.
+  struct Held {
+    std::uint32_t id;
+    std::uint64_t stamp;
   };
 
   std::vector<MessageState> states;
   std::vector<std::uint32_t> order;  ///< message ids by creation time.
   std::vector<std::uint32_t> expiry_order;  ///< ids by expiry time.
-  std::vector<std::vector<std::uint32_t>> at_node;  ///< generic-path lists.
+  std::vector<std::vector<Held>> at_node;  ///< generic-path lists.
   std::vector<std::uint32_t> active_msgs;
   /// Per-node buffer occupancy in bytes (bounded-buffer runs only).
   std::vector<std::uint64_t> store_bytes;
@@ -174,6 +197,10 @@ struct SimulatorState {
   std::vector<WorkEdge> work;
   std::vector<WorkEdge> work_scratch;
   std::vector<std::size_t> bucket_ends;
+  /// Delta passes: the nodes that acquired a message in the current pass,
+  /// and a later pass's pending edges (a min-heap in worklist order).
+  std::vector<NodeId> acquirers;
+  std::vector<WorkEdge> visits;
   /// Holder-filter state (ContactScan::kHolderIncident only).
   /// `holder_count[v]` counts live message copies node v holds;
   /// `node_stamp` is a generation-stamped per-node worklist-membership

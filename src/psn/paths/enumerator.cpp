@@ -549,6 +549,7 @@ struct EnumerationRun {
       }
     }
 
+    // det-waiver(effort-read): peak tracking into the counter itself.
     if (total_stored > result.effort.peak_stored_paths)
       result.effort.peak_stored_paths = total_stored;
 

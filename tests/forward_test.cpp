@@ -185,6 +185,26 @@ TEST(Simulator, RelayTruncationIsCountedNotSilent) {
   EXPECT_EQ(converged.truncated_relay_steps, 0u);
 }
 
+TEST(Simulator, SingleCopyHopCountsPast65535) {
+  // Nodes 0 and 1 meet for 300 steps; a copy that always moves crosses
+  // their edge twice in each of a step's 128 relay passes and ends every
+  // step back at 0, which then meets the destination: 300 × 256 + 1 hops.
+  // 16-bit counts reported this as 11,265.
+  const Fixture f({Contact::make(0, 1, 0.0, 3000.0),
+                   Contact::make(0, 2, 3000.0, 3005.0)},
+                  3, 3100.0);
+  RandomizedForwarding always(1.0);
+  const std::vector<Message> msgs = {msg(0, 0, 2, 0.0)};
+  for (const auto scan : {ContactScan::kHolderIncident, ContactScan::kFull}) {
+    auto request = f.request(always, msgs);
+    request.contact_scan = scan;
+    const auto r = simulate(request);
+    ASSERT_TRUE(r.outcomes[0].delivered);
+    EXPECT_EQ(r.outcomes[0].hops, 76'801u);
+    EXPECT_EQ(r.truncated_relay_steps, 300u);
+  }
+}
+
 TEST(Direct, OnlySourceMeetingDestinationDelivers) {
   const Fixture f(
       {
@@ -890,26 +910,56 @@ std::vector<Message> burst_gap_messages() {
   return msgs;
 }
 
-void expect_fast_matches_full(
+/// The work counters of a request run under each scan mode.
+struct ScanEfforts {
+  SimulationEffort full;
+  SimulationEffort fast;
+};
+
+/// Runs `request` under both scan modes and expects identical results,
+/// the same relay passes and transfers, and no more decisions on the
+/// fast side.
+ScanEfforts expect_scan_modes_agree(const SimulationRequest& request,
+                                    const std::string& label) {
+  auto full = request;
+  full.contact_scan = ContactScan::kFull;
+  auto fast = request;
+  fast.contact_scan = ContactScan::kHolderIncident;
+  const auto a = simulate(full);
+  const auto b = simulate(fast);
+  expect_results_identical(a, b, label);
+  EXPECT_EQ(a.effort.relay_passes, b.effort.relay_passes) << label;
+  EXPECT_EQ(a.effort.transfers, b.effort.transfers) << label;
+  EXPECT_LE(b.effort.decisions, a.effort.decisions) << label;
+  return {a.effort, b.effort};
+}
+
+/// expect_scan_modes_agree for every extended algorithm; returns the
+/// counters summed over them.
+ScanEfforts expect_fast_matches_full(
     const Fixture& f, const std::vector<Message>& msgs,
     const TrafficConfig& traffic = {},
     std::uint32_t max_relay_passes = SimulationRequest{}.max_relay_passes) {
+  ScanEfforts sum;
   for (const auto& name : extended_algorithm_names()) {
     const auto alg = make_algorithm(name);
-    auto full = f.request(*alg, msgs);
-    full.traffic = traffic;
-    full.max_relay_passes = max_relay_passes;
-    full.contact_scan = ContactScan::kFull;
-    auto fast = full;
-    fast.contact_scan = ContactScan::kHolderIncident;
-    expect_results_identical(simulate(full), simulate(fast), alg->name());
+    auto request = f.request(*alg, msgs);
+    request.traffic = traffic;
+    request.max_relay_passes = max_relay_passes;
+    const ScanEfforts e = expect_scan_modes_agree(request, alg->name());
+    sum.full += e.full;
+    sum.fast += e.fast;
   }
+  return sum;
 }
 
 TEST(SimulatorHolderIncident, GapTraceMatchesFullOracleForAllAlgorithms) {
   const Fixture f(burst_gap_contacts(), 7, 1100.0);
   ASSERT_LT(f.graph.num_active_steps(), f.graph.num_steps());
-  expect_fast_matches_full(f, burst_gap_messages());
+  // Relay chains here take several passes, and delta passes re-offer
+  // only what a holder acquired since the last offer.
+  const ScanEfforts sum = expect_fast_matches_full(f, burst_gap_messages());
+  EXPECT_LT(sum.fast.decisions, sum.full.decisions);
   // With no relay pass allowed, every edge-bearing step truncates,
   // whether or not a holder has a contact in it.
   expect_fast_matches_full(f, burst_gap_messages(), {}, 0);
@@ -951,6 +1001,101 @@ TEST(SimulatorHolderIncident, ConstrainedTrafficMatchesFullOracle) {
     traffic.eviction = policy;
     expect_fast_matches_full(f, msgs, traffic);
   }
+}
+
+// --- Seeded random traces: delta passes vs the full-pass oracle. ---
+// Delta passes skip the re-offers whose answer cannot have changed, which
+// is exact only for pure decisions under unlimited budgets and buffers.
+// Tiny dense random traces give steps of three or more passes, splices
+// and complete-list steps; every algorithm, traffic regime and pass limit
+// around truncation must match ContactScan::kFull.
+
+/// Pure and symmetric: always hands its single copy over, so the copy
+/// crosses an edge both ways in every pass — the case that needs a stamp
+/// per edge direction rather than per edge.
+class AlwaysMove final : public ForwardingAlgorithm {
+ public:
+  [[nodiscard]] std::string name() const override { return "AlwaysMove"; }
+  [[nodiscard]] bool replicates() const override { return false; }
+  [[nodiscard]] bool observes_contacts() const override { return false; }
+  [[nodiscard]] bool pure_decisions() const override { return true; }
+  [[nodiscard]] bool should_forward(NodeId, NodeId, NodeId, Step,
+                                    std::uint32_t) override {
+    return true;
+  }
+};
+
+TEST(SimulatorHolderIncident, SeededRandomTracesMatchFullOracle) {
+  std::mt19937_64 rng(22);
+  const auto uniform = [&](std::uint32_t lo, std::uint32_t hi) {
+    return lo + static_cast<std::uint32_t>(rng() % (hi - lo + 1));
+  };
+  std::vector<std::unique_ptr<ForwardingAlgorithm>> algorithms;
+  for (const auto& name : extended_algorithm_names())
+    algorithms.push_back(make_algorithm(name));
+  algorithms.push_back(std::make_unique<AlwaysMove>());
+  const EvictionPolicy policies[] = {EvictionPolicy::kDropOldest,
+                                     EvictionPolicy::kDropLargestHop,
+                                     EvictionPolicy::kRandom};
+  ScanEfforts sum;  // registry algorithms only.
+  bool three_passes = false;
+  for (int t = 0; t < 200; ++t) {
+    const NodeId n = uniform(4, 12);
+    const std::uint32_t steps = uniform(5, 40);
+    const double t_max = 10.0 * steps;
+    std::vector<Contact> cs;
+    for (std::uint32_t c = uniform(n, 4 * n); c > 0; --c) {
+      const NodeId a = uniform(0, n - 1);
+      NodeId b = uniform(0, n - 2);
+      if (b >= a) ++b;
+      const double start = 10.0 * uniform(0, steps - 1) + uniform(0, 9);
+      cs.push_back(Contact::make(
+          a, b, start, std::min(t_max, start + 10.0 * uniform(1, 4))));
+    }
+    const Fixture f(std::move(cs), n, t_max);
+    std::vector<Message> msgs;
+    for (std::uint32_t i = 0, count = uniform(1, 6); i < count; ++i) {
+      const NodeId src = uniform(0, n - 1);
+      NodeId dst = uniform(0, n - 2);
+      if (dst >= src) ++dst;
+      msgs.push_back(msg(i, src, dst, 10.0 * uniform(0, steps - 1)));
+      msgs.back().size_bytes = uniform(1, 3);
+    }
+    for (int regime = 0; regime < 6; ++regime) {
+      TrafficConfig traffic;
+      std::vector<Message> batch = msgs;
+      if (regime == 1)
+        for (auto& m : batch) m.ttl = 10.0 * uniform(1, 10);
+      if (regime == 2) traffic.contact_budget_bytes = uniform(1, 4);
+      if (regime >= 3) {
+        traffic.buffer_capacity_bytes = uniform(2, 6);
+        traffic.eviction = policies[regime - 3];
+      }
+      for (const std::uint32_t passes : {0u, 1u, 2u, 128u}) {
+        for (const auto& alg : algorithms) {
+          auto request = f.request(*alg, batch);
+          request.traffic = traffic;
+          request.max_relay_passes = passes;
+          const ScanEfforts e = expect_scan_modes_agree(
+              request, "trace " + std::to_string(t) + ", regime " +
+                           std::to_string(regime) + ", passes " +
+                           std::to_string(passes) + ", " + alg->name());
+          if (HasFailure()) return;  // one case is enough to read.
+          if (alg == algorithms.back()) continue;
+          sum.full += e.full;
+          sum.fast += e.fast;
+          // More passes than two per step means some step took three.
+          if (passes == 128 &&
+              e.fast.relay_passes > 2 * e.fast.active_steps)
+            three_passes = true;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(three_passes);
+  EXPECT_GT(sum.fast.spliced_edges, 0u);
+  EXPECT_GT(sum.fast.complete_steps, 0u);
+  EXPECT_LT(sum.fast.decisions, sum.full.decisions);
 }
 
 // --- The worklist's bucket pass vs std::sort. ---

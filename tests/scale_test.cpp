@@ -304,14 +304,21 @@ TEST(ScaleTiers, SeededDeliveriesArePinned) {
   // change that moves both sides in lockstep (an algorithm default, the
   // workload stream, a generator, a snapshot read); this pin does — a
   // PRoPHET read that misses its step's own writes still delivers the
-  // same counts here, but not with the same transmissions. Not pinned:
-  // metro_16k PRoPHET (84 delivered), whose snapshot build alone is
-  // minutes and GiB, and megacity_65k, whose Epidemic runs are seconds
-  // each.
+  // same counts here, but not with the same transmissions. Each cell's
+  // relay decisions and passes (SimulationEffort) are pinned as ceilings,
+  // measured when delta passes landed, so a change that makes the relay
+  // do more work fails here on any host, free of wall-clock spread. Not
+  // pinned: metro_16k PRoPHET (84 delivered), whose snapshot build alone
+  // is minutes and GiB, and megacity_65k, whose Epidemic runs are
+  // seconds each.
   struct Pin {
     const char* algorithm;
     std::size_t delivered;
     long long transmissions;
+    /// Ceilings on the cell's relay work (SimulationEffort, both runs;
+    /// 0 for Epidemic, which floods instead of relaying).
+    std::uint64_t max_decisions;
+    std::uint64_t max_relay_passes;
   };
   struct Tier {
     const char* name;
@@ -319,33 +326,33 @@ TEST(ScaleTiers, SeededDeliveriesArePinned) {
   };
   const Tier tiers[] = {
       {"town_128",
-       {{"Epidemic", 121, 10'882},
-        {"FRESH", 108, 655},
-        {"PRoPHET", 121, 1'862},
-        {"Greedy", 93, 362},
-        {"Greedy Total", 103, 548},
-        {"Greedy Online", 101, 555},
-        {"Spray+Wait", 115, 893}}},
+       {{"Epidemic", 121, 10'882, 0, 0},
+        {"FRESH", 108, 655, 31'884, 2'649},
+        {"PRoPHET", 121, 1'862, 47'444, 2'987},
+        {"Greedy", 93, 362, 78'443, 2'460},
+        {"Greedy Total", 103, 548, 110'341, 2'507},
+        {"Greedy Online", 101, 555, 110'653, 2'518},
+        {"Spray+Wait", 115, 893, 152'549, 2'616}}},
       {"campus_512",
-       {{"Epidemic", 119, 38'341},
-        {"FRESH", 68, 644},
-        {"PRoPHET", 119, 4'663},
-        {"Greedy", 43, 251},
-        {"Greedy Total", 57, 671},
-        {"Greedy Online", 52, 756},
-        {"Spray+Wait", 89, 905}}},
+       {{"Epidemic", 119, 38'341, 0, 0},
+        {"FRESH", 68, 644, 70'262, 2'663},
+        {"PRoPHET", 119, 4'663, 168'746, 3'646},
+        {"Greedy", 43, 251, 88'709, 2'383},
+        {"Greedy Total", 57, 671, 175'158, 2'550},
+        {"Greedy Online", 52, 756, 184'698, 2'588},
+        {"Spray+Wait", 89, 905, 416'885, 2'691}}},
       {"city_2048",
-       {{"Epidemic", 120, 139'462},
-        {"FRESH", 22, 303},
-        {"PRoPHET", 114, 11'112},
-        {"Greedy", 13, 135},
-        {"Greedy Total", 16, 551},
-        {"Greedy Online", 19, 636},
-        {"Spray+Wait", 40, 873}}},
+       {{"Epidemic", 120, 139'462, 0, 0},
+        {"FRESH", 22, 303, 76'053, 2'427},
+        {"PRoPHET", 114, 11'112, 621'003, 4'324},
+        {"Greedy", 13, 135, 79'858, 2'286},
+        {"Greedy Total", 16, 551, 175'768, 2'549},
+        {"Greedy Online", 19, 636, 167'879, 2'585},
+        {"Spray+Wait", 40, 873, 581'775, 2'674}}},
       {"metro_16k",
-       {{"Epidemic", 119, 1'109'951},
-        {"FRESH", 1, 63},
-        {"Spray+Wait", 3, 843}}},
+       {{"Epidemic", 119, 1'109'951, 0, 0},
+        {"FRESH", 1, 63, 76'104, 2'220},
+        {"Spray+Wait", 3, 843, 714'171, 2'665}}},
   };
   const util::ParallelFor pooled = parallel_for(shared_pool());
   for (const Tier& tier : tiers) {
@@ -369,6 +376,10 @@ TEST(ScaleTiers, SeededDeliveriesArePinned) {
       EXPECT_EQ(std::llround(cell.cost_per_message *
                              static_cast<double>(cell.messages_offered)),
                 tier.pins[a].transmissions)
+          << tier.name << " / " << cell.algorithm;
+      EXPECT_LE(cell.effort.decisions, tier.pins[a].max_decisions)
+          << tier.name << " / " << cell.algorithm;
+      EXPECT_LE(cell.effort.relay_passes, tier.pins[a].max_relay_passes)
           << tier.name << " / " << cell.algorithm;
     }
   }

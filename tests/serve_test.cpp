@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -84,6 +86,96 @@ TEST(Json, AccessorsAndMissingKeys) {
 }
 
 // ------------------------------------------------------------- Request --
+
+// A seeded mutation fuzzer over this file's request lines and JSON
+// strings. Every mutant must parse or throw JsonError; a parsed value's
+// dump() must re-parse to the same dump(); and parse_request must return
+// or throw RequestError. Anything else (another exception, a crash, or
+// under ASan/UBSan a memory or UB report) is a finding.
+TEST(Fuzz, MutatedLinesParseOrFailCleanly) {
+  const std::vector<std::string> corpus = {
+      R"({"id":"r1","family":"forwarding","scenario":"conference_small"})",
+      R"({"id":"a","family":"forwarding","scenario":"conference_small",)"
+      R"("algorithms":["Epidemic","PRoPHET","Spray+Wait"],"runs":2,)"
+      R"("master_seed":7,"message_rate":0.01,"message_size_bytes":4294967295,)"
+      R"("message_ttl":3600.0001,"contact_budget_bytes":1000,)"
+      R"("buffer_capacity_bytes":5000})",
+      R"({"id":"p3","family":"path","scenario":"random_waypoint","k":8,)"
+      R"("messages":2,"seed":3})",
+      R"({"id":"m","family":"model","scenario":"model_100",)"
+      R"("jump_replicas":2,"mc_messages":10,"master_seed":1})",
+      R"({"id":"s","family":"admin","command":"evict",)"
+      R"("scenario":"conference_small"})",
+      R"({"id":"t","family":"admin","command":"stats"})",
+      R"({"b":[1,2.5,true,null],"a":"x","nested":{"k":-3.25}})",
+      R"("Aé")", R"("\"\\\/\b\f\n\r\t")", R"("\u00e9")",
+      R"("\ud83d\ude00")", R"("\ud83d")", R"("\ud83dx")",
+      R"("\ud83d\u0041")", R"("\ude00\ud83d")",
+      R"([1e999,1e400,-0,123456789012345678901234567890,-1.5e-300])",
+  };
+  constexpr char kPunctuation[] = "{}[]:,\"\\-+.eEu0 ";
+  std::mt19937_64 rng(20);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t parsed = 0;
+  std::size_t requests = 0;
+  for (int iteration = 0; iteration < 100'000; ++iteration) {
+    std::string text = corpus[below(corpus.size())];
+    for (std::size_t m = 1 + below(4); m > 0; --m) {
+      const std::size_t at = below(text.size() + 1);
+      const std::size_t len = std::min<std::size_t>(1 + below(8),
+                                                    text.size() - at);
+      switch (below(5)) {
+        case 0:  // flip one bit of one byte.
+          if (at < text.size())
+            text[at] = static_cast<char>(text[at] ^ (1 << below(8)));
+          break;
+        case 1:  // insert JSON punctuation.
+          text.insert(at, 1, kPunctuation[below(sizeof kPunctuation - 1)]);
+          break;
+        case 2:  // delete a span.
+          text.erase(at, len);
+          break;
+        case 3:  // duplicate a span in place.
+          text.insert(at, text.substr(at, len));
+          break;
+        default: {  // splice: this prefix, another entry's suffix.
+          const std::string& other = corpus[below(corpus.size())];
+          text = text.substr(0, at) + other.substr(below(other.size() + 1));
+        }
+      }
+      if (text.size() > 4096) text.resize(4096);
+    }
+    Json value;
+    try {
+      value = Json::parse(text);
+    } catch (const JsonError&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "Json::parse threw " << e.what() << " on: " << text;
+    }
+    ++parsed;
+    const std::string dumped = value.dump();
+    try {
+      ASSERT_EQ(Json::parse(dumped).dump(), dumped) << "from: " << text;
+    } catch (const std::exception& e) {
+      FAIL() << "dump() did not re-parse (" << e.what() << "): " << dumped;
+    }
+    try {
+      (void)parse_request(value);
+      ++requests;
+    } catch (const RequestError&) {
+    } catch (const std::exception& e) {
+      FAIL() << "parse_request threw " << e.what() << " on: " << text;
+    }
+  }
+  // Not vacuous: a fair share of mutants stays well-formed JSON, and some
+  // stay valid requests.
+  EXPECT_GT(parsed, 10'000u);
+  EXPECT_GT(requests, 100u);
+}
+
 
 Json request_json(const std::string& text) { return Json::parse(text); }
 

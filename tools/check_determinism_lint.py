@@ -36,6 +36,13 @@ Rules (names are what waivers and --list-rules use):
                         order is allocation order — it varies run to run,
                         so iterating such a map is as nondeterministic as
                         a hash container.
+  effort-read           Reading a work counter (an `effort` member:
+                        forward::SimulationEffort, paths::EnumerationEffort)
+                        other than to count into a counter: `++x.effort.n`,
+                        `x.effort.n += k`, `x.effort = y.effort` and
+                        declarations pass; a condition, return or other
+                        expression that reads one is a finding. Counters
+                        are instruments — results never depend on them.
 
 Waivers: a finding is silenced by a comment on the SAME line or anywhere
 in the contiguous comment block immediately ABOVE it:
@@ -83,6 +90,18 @@ WALL_CLOCK_RE = re.compile(
 ORDERED_CONTAINER_RE = re.compile(r"\b(?:std\s*::\s*)?(?:multi)?(?:map|set)\s*<")
 ALIAS_RE = re.compile(r"\busing\s+(\w+)\s*=\s*(.+?);|\btypedef\s+(.+?)\s+(\w+)\s*;")
 
+# effort-read: the write forms are blanked out of a line, then any
+# `effort` left is a read. An lvalue is a member chain naming `effort`.
+EFFORT_LVALUE = (r"(?:[A-Za-z_]\w*(?:\.|->))*effort"
+                 r"(?:(?:\.|->)[A-Za-z_]\w*)*")
+EFFORT_WRITE_RES = (
+    re.compile(r"\b\w*Effort\s*&?\s*effort\b(?:\s*=[^;]*)?"),  # a declaration
+    re.compile(r"\+\+\s*" + EFFORT_LVALUE),
+    re.compile(EFFORT_LVALUE + r"\s*\+\+"),
+    re.compile(EFFORT_LVALUE + r"\s*\+?=(?!=)[^;]*"),
+)
+EFFORT_RE = re.compile(r"\beffort\b")
+
 RULES = (
     "unordered-container",
     "unordered-iteration",
@@ -90,6 +109,7 @@ RULES = (
     "libc-rand",
     "wall-clock",
     "pointer-key",
+    "effort-read",
 )
 
 
@@ -292,6 +312,13 @@ def scan_file(path: str, rel: str) -> list[Finding]:
                        "order comparisons); key on a value identity or "
                        "waive with the reason iteration order never "
                        "reaches results")
+        residue = code
+        for write_re in EFFORT_WRITE_RES:
+            residue = write_re.sub(" ", residue)
+        if EFFORT_RE.search(residue):
+            report(idx, "effort-read",
+                   "work counter read outside counting; effort counters "
+                   "are instruments and must not reach results")
     return findings
 
 
@@ -345,6 +372,14 @@ SELF_TEST_FILES = {
         "struct Gen;\n"
         "using GenKey = const Gen*;\n"
         "std::set<GenKey> live;\n"),                        # pointer-key (alias)
+    "forward/reads_effort.cpp": (
+        "void run(Result& result, Cell& cell) {\n"
+        "  SimulationEffort& effort = result.effort;\n"
+        "  ++effort.decisions;\n"
+        "  if (ready) result.effort.relay_calls += 2;\n"
+        "  cell.effort += result.effort;\n"
+        "  if (result.effort.decisions > 3) stop();\n"  # effort-read
+        "}\n"),
     # Waivered instances: must NOT be findings.
     "forward/waived_lookup.cpp": (
         "#include <unordered_map>\n"
@@ -369,6 +404,7 @@ SELF_TEST_EXPECTED = {
     ("src/psn/graph/bad_clock.cpp", "wall-clock"),
     ("src/psn/paths/bad_ptrkey.cpp", "pointer-key"),
     ("src/psn/synth/alias_ptrkey.hpp", "pointer-key"),
+    ("src/psn/forward/reads_effort.cpp", "effort-read"),
     ("src/psn/engine/bad_waiver.cpp", "waiver"),
     ("src/psn/engine/bad_waiver.cpp", "unordered-container"),
 }
