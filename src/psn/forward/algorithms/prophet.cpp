@@ -1,8 +1,13 @@
 #include "psn/forward/algorithms/prophet.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace psn::forward {
 
@@ -10,13 +15,22 @@ namespace psn::forward {
 
 namespace {
 
-/// Peer c's cell in a peer-sorted row, or nullptr.
-const ProphetTable::Cell* find_cell(const std::vector<ProphetTable::Cell>& row,
-                                    NodeId c) {
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), c,
-      [](const ProphetTable::Cell& cell, NodeId key) { return cell.c < key; });
-  return it != row.end() && it->c == c ? &*it : nullptr;
+/// `params`, once it is in the domain the table's update and its visit
+/// rule assume; std::invalid_argument otherwise.
+const ProphetParams& validated(const ProphetParams& params) {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("ProphetParams: ") + what);
+  };
+  require(params.p_init >= 0.0 && params.p_init <= 1.0,
+          "p_init must be in [0, 1]");
+  require(params.beta >= 0.0 && std::isfinite(params.beta),
+          "beta must be finite and >= 0");
+  require(params.gamma >= 0.0 && params.gamma <= 1.0,
+          "gamma must be in [0, 1]");
+  require(params.aging_unit > 0, "aging_unit must be >= 1");
+  require(!std::isnan(params.transitive_floor),
+          "transitive_floor must not be NaN");
+  return params;
 }
 
 }  // namespace
@@ -24,11 +38,18 @@ const ProphetTable::Cell* find_cell(const std::vector<ProphetTable::Cell>& row,
 void ProphetTable::init(NodeId n, const ProphetParams& params) {
   params_ = params;
   rows_.resize(n);
+  strong_.resize(n);
+  blocks_ = (static_cast<std::size_t>(n) + 63) / 64;
+  present_.resize(n * blocks_);
+  rank_.resize(n * blocks_);
   clear();
 }
 
 void ProphetTable::clear() {
   for (auto& row : rows_) row.clear();
+  for (auto& peers : strong_) peers.clear();
+  std::fill(present_.begin(), present_.end(), 0);
+  std::fill(rank_.begin(), rank_.end(), 0);
   decay_.assign(1, 1.0);
 }
 
@@ -38,8 +59,37 @@ double ProphetTable::decay(Step units) const {
   return decay_[units];
 }
 
+const ProphetTable::Cell* ProphetTable::find(NodeId x, NodeId c) const {
+  const std::size_t block = x * blocks_ + c / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+  const std::uint64_t word = present_[block];
+  if ((word & bit) == 0) return nullptr;
+  return &rows_[x][rank_[block] + static_cast<std::size_t>(
+                                      std::popcount(word & (bit - 1)))];
+}
+
+void ProphetTable::insert(NodeId x, const std::vector<Cell>& cells) {
+  if (cells.empty()) return;
+  // The merged row is allocated at its exact size, so capacities track
+  // row sizes.
+  std::vector<Cell>& row = rows_[x];
+  std::vector<Cell> merged;
+  merged.reserve(row.size() + cells.size());
+  std::merge(row.begin(), row.end(), cells.begin(), cells.end(),
+             std::back_inserter(merged),
+             [](const Cell& l, const Cell& r) { return l.c < r.c; });
+  row = std::move(merged);
+  std::uint64_t* const bits = &present_[x * blocks_];
+  std::uint32_t* const rank = &rank_[x * blocks_];
+  for (const Cell& cell : cells)
+    bits[cell.c / 64] |= std::uint64_t{1} << (cell.c % 64);
+  for (std::size_t k = cells.front().c / 64 + 1; k < blocks_; ++k)
+    rank[k] = rank[k - 1] +
+              static_cast<std::uint32_t>(std::popcount(bits[k - 1]));
+}
+
 double ProphetTable::read(NodeId x, NodeId c, Step s) const {
-  const Cell* cell = find_cell(rows_[x], c);
+  const Cell* cell = find(x, c);
   if (cell == nullptr) return 0.0;
   // Aging epochs align to aging-unit boundaries, so the decay since the
   // write depends only on the two steps — not on when reads happened.
@@ -49,8 +99,6 @@ double ProphetTable::read(NodeId x, NodeId c, Step s) const {
 
 void ProphetTable::observe(NodeId a, NodeId b, Step s,
                            std::vector<Write>* log) {
-  const std::vector<Cell>& ra = rows_[a];
-  const std::vector<Cell>& rb = rows_[b];
   const Step unit = params_.aging_unit;
   const Step now = s / unit;
   // Every stored write is at or before s, so this grows the memo far
@@ -60,82 +108,110 @@ void ProphetTable::observe(NodeId a, NodeId b, Step s,
   const auto aged = [gamma_pow, now, unit](const Cell* cell) {
     return cell == nullptr ? 0.0 : cell->v * gamma_pow[now - cell->w / unit];
   };
-  const auto write = [s, log](std::vector<Cell>& row, NodeId x, NodeId c,
-                              double v) {
-    row.push_back(Cell{c, s, v});
-    if (log != nullptr) log->push_back(Write{x, c, v});
-  };
+  const double beta = params_.beta;
+  const double floor = params_.transitive_floor;
+  const NodeId x[2] = {a, b};
 
   // Direct encounter updates, both directions, always stored. A fresh
   // write reads back undecayed, so these are also the P(a,b) and P(b,a)
   // the transitive candidates multiply by.
-  const double old_ab = aged(find_cell(ra, b));
+  const double old_ab = aged(find(a, b));
   const double p_ab = old_ab + (1.0 - old_ab) * params_.p_init;
-  const double old_ba = aged(find_cell(rb, a));
+  const double old_ba = aged(find(b, a));
   const double p_ba = old_ba + (1.0 - old_ba) * params_.p_init;
 
-  // One walk over both rows in peer order. Transitivity touches exactly
-  // the peers either endpoint already has a cell for (any other candidate
-  // is a product with zero); b and a join the walk as the keys of the two
-  // direct cells.
-  next_a_.clear();
-  next_b_.clear();
+  // The peers to visit. A candidate for c is P(a,b) or P(b,a) times the
+  // other side's P(., c) times beta; with the first factor at most 1 it
+  // cannot exceed that cell's value times beta, so only a strong cell, or
+  // one the a-side just wrote, can seed a write. A predictability above 1
+  // (beta > 1 allows it) voids that bound, and the walk then takes both
+  // rows' peers whole.
+  const std::vector<NodeId>* visit[2] = {&strong_[a], &strong_[b]};
+  if (p_ab > 1.0 || p_ba > 1.0) {
+    for (int side = 0; side < 2; ++side) {
+      peers_[side].clear();
+      for (const Cell& cell : rows_[x[side]]) peers_[side].push_back(cell.c);
+      visit[side] = &peers_[side];
+    }
+  }
+
+  NodeId c = 0;
+  const auto write = [&](int side, Cell* cell, double v) {
+    if (cell != nullptr)
+      *cell = Cell{c, s, v};
+    else
+      inserts_[side].push_back(Cell{c, s, v});
+    if (log != nullptr) log->push_back(Write{x[side], c, v});
+  };
+  for (int side = 0; side < 2; ++side) {
+    inserts_[side].clear();
+    kept_[side].clear();
+  }
+  // One walk over both lists in peer order, b and a joining as the keys
+  // of the two direct cells. A peer in neither list has no strong cell
+  // on either side, so no candidate for it can pass the floor.
   constexpr NodeId kEnd = std::numeric_limits<NodeId>::max();
+  const std::vector<NodeId>& la = *visit[0];
+  const std::vector<NodeId>& lb = *visit[1];
   const NodeId direct[2] = {std::min(a, b), std::max(a, b)};
   std::size_t i = 0;
   std::size_t j = 0;
   std::size_t d = 0;
   for (;;) {
-    const NodeId ca = i < ra.size() ? ra[i].c : kEnd;
-    const NodeId cb = j < rb.size() ? rb[j].c : kEnd;
+    const NodeId ca = i < la.size() ? la[i] : kEnd;
+    const NodeId cb = j < lb.size() ? lb[j] : kEnd;
     const NodeId cd = d < 2 ? direct[d] : kEnd;
-    const NodeId c = std::min({ca, cb, cd});
+    c = std::min({ca, cb, cd});
     if (c == kEnd) break;
-    const Cell* cell_a = nullptr;
-    const Cell* cell_b = nullptr;
-    if (ca == c) cell_a = &ra[i++];
-    if (cb == c) cell_b = &rb[j++];
+    if (ca == c) ++i;
+    if (cb == c) ++j;
     if (cd == c) ++d;
+    Cell* const cell_a = find(a, c);
+    Cell* const cell_b = find(b, c);
+    // P(a,c) and P(b,c) as this contact leaves them, and whether a cell
+    // holds each.
+    double p_ac = aged(cell_a);
+    double p_bc = aged(cell_b);
+    bool held_a = cell_a != nullptr;
+    bool held_b = cell_b != nullptr;
     if (c == b) {
-      write(next_a_, a, b, p_ab);
-      if (cell_b != nullptr) next_b_.push_back(*cell_b);
-      continue;
+      write(0, cell_a, p_ac = p_ab);
+      held_a = true;
+    } else if (c == a) {
+      write(1, cell_b, p_bc = p_ba);
+      held_b = true;
+    } else {
+      // a-side then b-side — the b-side candidate reads the a-side value
+      // just left behind, the sequencing of the eager per-peer
+      // formulation.
+      const double cand_a = p_ab * p_bc * beta;
+      if (cand_a >= floor && cand_a > p_ac) {
+        write(0, cell_a, p_ac = cand_a);
+        held_a = true;
+      }
+      const double cand_b = p_ba * p_ac * beta;
+      if (cand_b >= floor && cand_b > p_bc) {
+        write(1, cell_b, p_bc = cand_b);
+        held_b = true;
+      }
     }
-    if (c == a) {
-      write(next_b_, b, a, p_ba);
-      if (cell_a != nullptr) next_a_.push_back(*cell_a);
-      continue;
-    }
-    // a-side then b-side — the b-side candidate reads the a-side value
-    // just left behind, the sequencing of the eager per-peer formulation.
-    const double old_a = aged(cell_a);
-    const double old_b = aged(cell_b);
-    double p_ac = old_a;
-    const double cand_a = p_ab * old_b * params_.beta;
-    if (cand_a >= params_.transitive_floor && cand_a > old_a) {
-      write(next_a_, a, c, cand_a);
-      p_ac = cand_a;
-    } else if (cell_a != nullptr) {
-      next_a_.push_back(*cell_a);
-    }
-    const double cand_b = p_ba * p_ac * params_.beta;
-    if (cand_b >= params_.transitive_floor && cand_b > old_b) {
-      write(next_b_, b, c, cand_b);
-    } else if (cell_b != nullptr) {
-      next_b_.push_back(*cell_b);
-    }
+    // Both strong lists are rebuilt from what the walk leaves. Decay only
+    // lowers a value, so a cell pruned here stays weak until written.
+    if (held_a && p_ac * beta >= floor) kept_[0].push_back(c);
+    if (held_b && p_bc * beta >= floor) kept_[1].push_back(c);
   }
-  // Copy back rather than swap: a row reallocates only when it outgrows
-  // its own capacity, so capacities track row sizes, not the largest row.
-  rows_[a] = next_a_;
-  rows_[b] = next_b_;
+  for (int side = 0; side < 2; ++side) {
+    insert(x[side], inserts_[side]);
+    // Copied, not swapped, so each list's capacity tracks its own size.
+    strong_[x[side]] = kept_[side];
+  }
 }
 
 // ------------------------------------------------------------- snapshot ---
 
 ProphetSnapshot::ProphetSnapshot(const graph::SpaceTimeGraph& graph,
                                  const ProphetParams& params)
-    : aging_unit_(params.aging_unit) {
+    : aging_unit_(validated(params).aging_unit) {
   const NodeId n = graph.num_nodes();
   columns_.resize(n);
 
@@ -145,7 +221,13 @@ ProphetSnapshot::ProphetSnapshot(const graph::SpaceTimeGraph& graph,
   // to their destination columns in log order; scattering after the step
   // keeps the appends out of the merge walk's way. Counting the step's
   // writes per column first lets a column's first write open its run with
-  // the run's end already known.
+  // the run's end already known. Columns grow by a quarter, not by
+  // doubling: doubled, they held 188 MB of capacity for 135 MB of writes
+  // at city_2048 when the replay ended, and the replay's peak is there.
+  const auto grow = [](auto& array, std::size_t need) {
+    if (need > array.capacity())
+      array.reserve(std::max(need, array.size() + array.size() / 4));
+  };
   {
     ProphetTable table;
     table.init(n, params);
@@ -163,6 +245,10 @@ ProphetSnapshot::ProphetSnapshot(const graph::SpaceTimeGraph& graph,
       for (const ProphetTable::Write& w : log) {
         Column& column = columns_[w.c];
         if (pending[w.c] != 0) {
+          grow(column.steps, column.steps.size() + 1);
+          grow(column.ends, column.ends.size() + 1);
+          grow(column.x, column.x.size() + pending[w.c]);
+          grow(column.v, column.v.size() + pending[w.c]);
           column.steps.push_back(s);
           column.ends.push_back(
               static_cast<std::uint32_t>(column.x.size() + pending[w.c]));
@@ -235,6 +321,9 @@ double ProphetSnapshot::Cursor::read(NodeId x, NodeId c, Step s) {
 }
 
 // ------------------------------------------------------------ algorithm ---
+
+ProphetForwarding::ProphetForwarding(ProphetParams params)
+    : params_(validated(params)) {}
 
 void ProphetForwarding::prepare(const graph::SpaceTimeGraph& graph,
                                 const trace::ContactTrace& /*trace*/) {

@@ -17,19 +17,30 @@
 // updates below it are not stored, which bounds row sizes (and with them
 // the shared snapshot) at scale.
 //
-// One encounter (a, b) is one merge-walk over the two sorted rows. The
-// direct updates come first; then, per peer c in ascending order, the
-// a-side candidate P(a,b)·P(b,c)·beta, then the b-side candidate
-// P(b,a)·P(a,c)·beta, where P(a,c) is the value the a-side step just left
-// (written or not). That is the sequencing of the eager per-peer
-// formulation, and a single walk reproduces it because the candidates for
-// c read only P(a,b) and P(b,a), fixed once the direct updates are done,
-// and the two cells of c itself, which nothing else in the walk touches.
-// (With beta and the predictabilities in [0, 1], at most one side can
-// write per peer, so the order shows only out of range; forward_test pins
-// it with beta = 4.) Both new rows are built in reused scratch rows and
-// copied back, which keeps each row's capacity close to its own size
-// (swapping the scratch in would let every row grow to the largest one).
+// One encounter (a, b) is one walk in ascending peer order. The direct
+// updates come first; then, per peer c, the a-side candidate
+// P(a,b)·P(b,c)·beta, then the b-side candidate P(b,a)·P(a,c)·beta, where
+// P(a,c) is the value the a-side step just left (written or not). That is
+// the sequencing of the eager per-peer formulation: the candidates for c
+// read only P(a,b) and P(b,a), fixed once the direct updates are done,
+// and the two cells of c itself. (With beta and the predictabilities in
+// [0, 1], at most one side can write per peer, so the order shows only out
+// of range; forward_test pins it with beta = 4.)
+//
+// The walk visits only the peers that can produce a write. A cell is
+// *strong* while its aged value times beta is at least transitive_floor.
+// With P(a,b) <= 1 the a-side candidate for c cannot exceed P(b,c)·beta
+// (rounding is monotone), so only a strong cell of b can seed it, and the
+// b-side likewise; decay only lowers a value, so a weak cell stays weak
+// until written. So each row keeps a peer-sorted list holding every strong
+// cell's peer, rebuilt from what the walk leaves, and the walk merges the
+// two lists with a and b: ~116 visits per contact at city_2048, out of
+// ~2,344 cells in the two rows. A predictability above 1 (beta > 1 allows
+// it) voids the bound, and that contact walks both rows' peers whole.
+// Cells are found in O(1) through a presence bitmap per row and the count
+// of cells before each 64-peer block; a contact's new cells merge into
+// each row in one pass, into an exact-size array, so capacities track row
+// sizes.
 //
 // The same ProphetTable drives both the per-run algorithm and the
 // ProphetSnapshot builder. The builder hands observe() one flat log per
@@ -37,8 +48,8 @@
 // the log is scattered onto destination columns, opening one run per
 // touched column, so the build never holds a whole-trace log. Column c
 // holds every write P(x, c) := v in chronological order, as runs of one
-// step each, and every column is shrunk to exact size once the replay
-// ends.
+// step each. Columns grow by a quarter at a time, and every column is
+// shrunk to exact size once the replay ends.
 //
 // An adopted ProphetForwarding reads the snapshot through a per-run
 // Cursor, which prepare() rewinds. Every query a message makes names its
@@ -56,12 +67,18 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "psn/forward/algorithm.hpp"
 
 namespace psn::forward {
 
+/// PRoPHET's parameters. Their domain, which the table's update and its
+/// visit rule rely on: p_init and gamma in [0, 1], beta finite and >= 0
+/// (above 1 is legal), aging_unit >= 1 and transitive_floor not NaN. The
+/// ProphetForwarding and ProphetSnapshot constructors throw
+/// std::invalid_argument outside it.
 struct ProphetParams {
   double p_init = 0.75;
   double beta = 0.25;
@@ -108,13 +125,32 @@ class ProphetTable {
   /// gamma^units as an iterated product, memoized.
   [[nodiscard]] double decay(Step units) const;
 
-  std::vector<std::vector<Cell>> rows_;
+  /// Row x's cell for peer c, or nullptr: one presence bit, and one
+  /// popcount of its 64-peer block offset by the block's rank.
+  [[nodiscard]] const Cell* find(NodeId x, NodeId c) const;
+  [[nodiscard]] Cell* find(NodeId x, NodeId c) {
+    return const_cast<Cell*>(std::as_const(*this).find(x, c));
+  }
+  /// Merges peer-sorted cells for peers row x lacks into it in one pass,
+  /// then sets their presence bits and re-ranks the blocks after them.
+  void insert(NodeId x, const std::vector<Cell>& cells);
+
+  std::vector<std::vector<Cell>> rows_;  ///< peer-sorted, exact capacity.
+  /// Per row, peer-sorted: every peer whose cell is strong (aged value
+  /// times beta at or above the floor), and weak ones not yet pruned.
+  std::vector<std::vector<NodeId>> strong_;
+  std::size_t blocks_ = 0;  ///< 64-peer blocks per row.
+  std::vector<std::uint64_t> present_;  ///< row x's peer bits, row-major.
+  std::vector<std::uint32_t> rank_;  ///< row x's cells in earlier blocks.
   /// decay_[k] = gamma^k, grown on demand (iterated product — appending
   /// is deterministic whatever the read order, so lazy growth is safe in
   /// the single-threaded per-run table).
   mutable std::vector<double> decay_;
-  std::vector<Cell> next_a_;  ///< observe() scratch: a's rebuilt row.
-  std::vector<Cell> next_b_;  ///< observe() scratch: b's rebuilt row.
+  // observe() scratch, per side (a, b): the new cells, the strong list
+  // being rebuilt, and the whole row's peers when the bound fails.
+  std::vector<Cell> inserts_[2];
+  std::vector<NodeId> kept_[2];
+  std::vector<NodeId> peers_[2];
   ProphetParams params_;
 };
 
@@ -125,6 +161,8 @@ class ProphetTable {
 /// each reader owns its cursor.
 class ProphetSnapshot final : public ObservationSnapshot {
  public:
+  /// Throws std::invalid_argument for parameters outside their domain
+  /// (see ProphetParams).
   ProphetSnapshot(const graph::SpaceTimeGraph& graph,
                   const ProphetParams& params);
 
@@ -174,7 +212,9 @@ class ProphetSnapshot final : public ObservationSnapshot {
 
 class ProphetForwarding final : public ForwardingAlgorithm {
  public:
-  explicit ProphetForwarding(ProphetParams params = {}) : params_(params) {}
+  /// Throws std::invalid_argument for parameters outside their domain
+  /// (see ProphetParams).
+  explicit ProphetForwarding(ProphetParams params = {});
 
   [[nodiscard]] std::string name() const override { return "PRoPHET"; }
   [[nodiscard]] bool replicates() const override { return true; }

@@ -121,13 +121,14 @@ TEST(ObservationStoreStress, RacingAdoptersObserveExactlyOneBuild) {
   }
 }
 
+struct TinySnapshot final : forward::ObservationSnapshot {
+  [[nodiscard]] std::uint64_t bytes() const override { return 8; }
+};
+
 // Distinct keys must NOT serialize on one another: two key families
 // racing concurrently still build exactly once per key. Guards against
 // the "fix" of replacing the per-slot mutex with the store-wide one.
 TEST(ObservationStoreStress, DistinctKeysBuildIndependently) {
-  struct TinySnapshot final : forward::ObservationSnapshot {
-    [[nodiscard]] std::uint64_t bytes() const override { return 8; }
-  };
   engine::ObservationStore store;
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kKeys = 4;
@@ -148,6 +149,79 @@ TEST(ObservationStoreStress, DistinctKeysBuildIndependently) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(builds.load(), static_cast<int>(kKeys));
+}
+
+// A snapshot build that throws leaves the store as it was: nothing is
+// published and bytes() is unchanged, so the next caller builds the key,
+// exactly once. Callers racing a build that throws see either its
+// exception or the one snapshot built after it, never null.
+TEST(ObservationStoreStress, ThrowingBuildPublishesNothing) {
+  using SnapshotPtr = engine::ObservationStore::SnapshotPtr;
+  engine::ObservationStore store;
+  int builds = 0;
+  const auto build = [&] {
+    ++builds;
+    return std::make_shared<const TinySnapshot>();
+  };
+  (void)store.get_or_build("other", build);
+  const std::uint64_t bytes_before = store.bytes();
+  EXPECT_THROW((void)store.get_or_build("key",
+                                        []() -> SnapshotPtr {
+                                          throw std::runtime_error("build");
+                                        }),
+               std::runtime_error);
+  EXPECT_EQ(store.bytes(), bytes_before);
+
+  builds = 0;
+  const auto [snapshot, built] = store.get_or_build("key", build);
+  EXPECT_TRUE(built);
+  ASSERT_TRUE(snapshot != nullptr);
+  EXPECT_EQ(store.bytes(), bytes_before + 8);
+  const auto [again, rebuilt] = store.get_or_build("key", build);
+  EXPECT_FALSE(rebuilt);
+  EXPECT_EQ(again, snapshot);
+  EXPECT_EQ(builds, 1);
+
+  constexpr std::size_t kThreads = 8;
+  for (int round = 0; round < 4; ++round) {
+    const std::string key = "racing#" + std::to_string(round);
+    std::atomic<int> attempts{0};
+    std::vector<SnapshotPtr> got(kThreads);
+    std::vector<int> threw(kThreads, 0);
+    std::barrier start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        try {
+          got[t] = store.get_or_build(key, [&]() -> SnapshotPtr {
+            if (attempts.fetch_add(1, std::memory_order_relaxed) == 0)
+              throw std::runtime_error("first build");
+            return std::make_shared<const TinySnapshot>();
+          }).first;
+        } catch (const std::runtime_error&) {
+          threw[t] = 1;
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+
+    EXPECT_EQ(attempts.load(), 2) << "round " << round;
+    const SnapshotPtr* published = nullptr;
+    int exceptions = 0;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      if (threw[t] != 0) {
+        ++exceptions;
+        continue;
+      }
+      ASSERT_TRUE(got[t] != nullptr) << "round " << round << ", thread " << t;
+      if (published == nullptr) published = &got[t];
+      EXPECT_EQ(got[t], *published) << "round " << round << ", thread " << t;
+    }
+    EXPECT_EQ(exceptions, 1) << "round " << round;
+  }
+  EXPECT_EQ(store.bytes(), bytes_before + 8 * 5);
 }
 
 // N threads race ScenarioContextCache::acquire on a cold scenario: the

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -627,6 +628,120 @@ TEST(Prophet, SnapshotAndPerRunMatchIndependentReference) {
       expect_prophet_matches_reference(
           f, params, std::string(name) + ", seed " + std::to_string(seed));
   }
+}
+
+// --- The table's visit rule at its boundaries. ---
+// ProphetTable::observe visits only the peers of each endpoint's strong
+// cells (aged value * beta >= transitive_floor), unless P(a,b) or P(b,a)
+// exceeds 1. The random traces above seldom sit on those lines; each
+// fixture below does, and checks that it does on the reference's values.
+
+/// A new contact between a < b at step s, over by the next step.
+struct Encounter {
+  Step s;
+  NodeId a;
+  NodeId b;
+};
+
+/// Holds the table and the snapshot to the reference on a trace of
+/// `encounters`, listed in the graph's edge order (by step, then by
+/// (a, b)), and returns the reference after the last one.
+ReferenceProphet expect_encounters_match_reference(
+    const std::vector<Encounter>& encounters, NodeId n,
+    const ProphetParams& params, const std::string& label) {
+  ReferenceProphet reference(n, params);
+  std::vector<Contact> contacts;
+  for (const Encounter& e : encounters) {
+    const double start = e.s * 10.0 + 1.0;
+    contacts.push_back(Contact::make(e.a, e.b, start, start + 2.0));
+    reference.observe(e.a, e.b, e.s);
+  }
+  const Fixture f(std::move(contacts), n, (encounters.back().s + 2) * 10.0);
+  expect_prophet_matches_reference(f, params, label);
+  return reference;
+}
+
+TEST(ProphetVisitRule, PredictabilityAboveOneVisitsWholeRows) {
+  // beta = 4: at step 3, node 2 learns P(2,1) = 0.9 * 0.9 * 4 = 3.24
+  // through node 0, so the contact (1,2) has P(2,1) = 1.224. P(1,3) has
+  // decayed to 0.1125, under the line (* 4 = 0.45 < 0.5), yet
+  // P(2,1) * P(1,3) * 4 = 0.55 passes the floor and writes P(2,3).
+  const ProphetParams params{.p_init = 0.9,
+                             .beta = 4.0,
+                             .gamma = 0.5,
+                             .aging_unit = 1,
+                             .transitive_floor = 0.5};
+  const auto reference = expect_encounters_match_reference(
+      {{0, 1, 3}, {3, 0, 1}, {3, 0, 2}, {3, 1, 2}}, 4, params, "p > 1");
+  EXPECT_GT(reference.read(2, 1, 3), 1.0);
+  EXPECT_LT(reference.read(1, 3, 3) * params.beta, params.transitive_floor);
+  EXPECT_GT(reference.read(2, 3, 3), 0.0);
+}
+
+TEST(ProphetVisitRule, CellOnTheStrengthLineStaysListed) {
+  // P_init = 1 and no decay: P(1,3) = 1 * 1 * 0.5 = 0.5, so
+  // P(1,3) * beta equals the floor exactly, and at step 2 it seeds
+  // P(0,3) = 1 * 0.5 * 0.5 = 0.25, exactly the floor.
+  const ProphetParams params{.p_init = 1.0,
+                             .beta = 0.5,
+                             .gamma = 1.0,
+                             .aging_unit = 1,
+                             .transitive_floor = 0.25};
+  const auto reference = expect_encounters_match_reference(
+      {{0, 2, 3}, {1, 1, 2}, {2, 0, 1}}, 4, params, "on the line");
+  EXPECT_EQ(reference.read(1, 3, 2) * params.beta, params.transitive_floor);
+  EXPECT_EQ(reference.read(0, 3, 2), params.transitive_floor);
+}
+
+TEST(ProphetVisitRule, CellDecayedAcrossTheLineIsListedAgainWhenWritten) {
+  // P(1,3) = 0.5 at step 0 decays to 0.0625 by step 3, under the 0.1
+  // line, and the contact (1,2) there prunes it. At step 4 meeting 3
+  // again rewrites it to 0.515625 from the weak 0.03125, which must list
+  // it again: at step 5 it seeds P(0,3) = 0.5 * 0.2578125 = 0.12890625.
+  const ProphetParams params{.p_init = 0.5,
+                             .beta = 1.0,
+                             .gamma = 0.5,
+                             .aging_unit = 1,
+                             .transitive_floor = 0.1};
+  const auto reference = expect_encounters_match_reference(
+      {{0, 1, 3}, {3, 1, 2}, {4, 1, 3}, {5, 0, 1}}, 4, params,
+      "decayed across the line");
+  EXPECT_EQ(reference.read(1, 3, 4), 0.515625);
+  EXPECT_EQ(reference.read(0, 3, 5), 0.12890625);
+}
+
+TEST(ProphetVisitRule, ZeroFloorKeepsEveryCellListed) {
+  // Floor 0: every cell is strong however small. P(1,2) decays for 1,000
+  // steps to ~7e-302 and still seeds P(0,2).
+  const ProphetParams params{.p_init = 0.75,
+                             .beta = 0.25,
+                             .gamma = 0.5,
+                             .aging_unit = 1,
+                             .transitive_floor = 0.0};
+  const auto reference = expect_encounters_match_reference(
+      {{0, 1, 2}, {1000, 0, 1}}, 3, params, "floor 0");
+  EXPECT_GT(reference.read(0, 2, 1000), 0.0);
+  EXPECT_LT(reference.read(0, 2, 1000), 1e-300);
+}
+
+TEST(Prophet, RejectsParametersOutsideTheirDomain) {
+  const Fixture f({Contact::make(0, 1, 0.0, 5.0)}, 2, 60.0);
+  const std::pair<const char*, ProphetParams> out_of_domain[] = {
+      {"p_init", ProphetParams{.p_init = 1.5}},
+      {"beta", ProphetParams{.beta = -0.25}},
+      {"gamma", ProphetParams{.gamma = 1.01}},
+      {"aging_unit", ProphetParams{.aging_unit = 0}},
+      {"transitive_floor",
+       ProphetParams{.transitive_floor =
+                         std::numeric_limits<double>::quiet_NaN()}},
+  };
+  for (const auto& [field, params] : out_of_domain) {
+    EXPECT_THROW(ProphetForwarding{params}, std::invalid_argument) << field;
+    EXPECT_THROW((ProphetSnapshot{f.graph, params}), std::invalid_argument)
+        << field;
+  }
+  // beta > 1 lets predictabilities pass 1; it stays legal.
+  EXPECT_NO_THROW(ProphetForwarding{ProphetParams{.beta = 4.0}});
 }
 
 TEST(Randomized, DeterministicInSeedAndResets) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "psn/engine/sweep.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/forward/algorithm_registry.hpp"
+#include "psn/forward/algorithms/prophet.hpp"
 #include "psn/forward/simulator.hpp"
 #include "psn/graph/space_time_graph.hpp"
 #include "psn/util/parallel.hpp"
@@ -199,6 +201,54 @@ TEST(ScaleTiers, CitySnapshotsStayUnderByteCeilings) {
   }
 }
 
+TEST(ScaleTiers, ProphetPredictabilitiesArePinned) {
+  // The PRoPHET snapshot's values, not only its size: an FNV-1a digest of
+  // the bit pattern of every P(x, c), read through a fresh cursor at four
+  // fixed steps (c outer, x inner). The seeded delivery pins see a
+  // predictability only where it flips a forwarding decision; this sees
+  // every one. The digests depend only on the trace and the default
+  // parameters, so they hold on any machine. Acquired through the cache,
+  // like the byte ceilings above.
+  struct Pin {
+    const char* tier;
+    std::uint64_t digest;
+    std::uint64_t nonzero;
+  };
+  constexpr Pin kPins[] = {
+      {"campus_512", 0x0beea5cde4a6963aull, 911'909},
+      {"city_2048", 0x3017ae9750a3ed70ull, 9'796'294},
+  };
+  auto& cache = ScenarioContextCache::instance();
+  const auto algorithm = forward::make_algorithm("PRoPHET");
+  for (const Pin& pin : kPins) {
+    const auto context = cache.acquire(make_scenario_by_name(pin.tier));
+    const auto [snapshot, built] = context->observations->get_or_build(
+        algorithm->shared_snapshot_key(), [&] {
+          return algorithm->build_shared_snapshot(*context->graph,
+                                                  context->dataset->trace);
+        });
+    if (built) cache.reaccount(*context);
+    const auto* prophet =
+        dynamic_cast<const forward::ProphetSnapshot*>(snapshot.get());
+    ASSERT_TRUE(prophet != nullptr) << pin.tier;
+    forward::ProphetSnapshot::Cursor cursor(*prophet);
+    const graph::Step steps = context->graph->num_steps();
+    const trace::NodeId n = context->graph->num_nodes();
+    std::uint64_t digest = 14'695'981'039'346'656'037ull;
+    std::uint64_t nonzero = 0;
+    for (const graph::Step s : {steps / 4, steps / 2, 3 * steps / 4, steps - 1})
+      for (trace::NodeId c = 0; c < n; ++c)
+        for (trace::NodeId x = 0; x < n; ++x) {
+          const auto bits = std::bit_cast<std::uint64_t>(cursor.read(x, c, s));
+          nonzero += bits != 0 ? 1 : 0;
+          for (int byte = 0; byte < 64; byte += 8)
+            digest = (digest ^ ((bits >> byte) & 0xff)) * 1'099'511'628'211ull;
+        }
+    EXPECT_EQ(digest, pin.digest) << pin.tier;
+    EXPECT_EQ(nonzero, pin.nonzero) << pin.tier;
+  }
+}
+
 TEST(ScaleTiers, MetroNonFloodFastPathMatchesScalarOracle) {
   // metro_16k is the tier the holder-incident replay exists for: the
   // scalar oracle (full per-step scans + a 16k x 16k per-run FRESH
@@ -309,8 +359,8 @@ TEST(ScaleTiers, SeededDeliveriesArePinned) {
   // measured when delta passes landed, so a change that makes the relay
   // do more work fails here on any host, free of wall-clock spread. Not
   // pinned: metro_16k PRoPHET (84 delivered), whose snapshot build alone
-  // is minutes and GiB, and megacity_65k, whose Epidemic runs are
-  // seconds each.
+  // takes about a minute and peaks near 3 GB, and megacity_65k, whose
+  // Epidemic runs are seconds each.
   struct Pin {
     const char* algorithm;
     std::size_t delivered;
