@@ -80,7 +80,7 @@ void ScenarioContextCache::reaccount(const ScenarioContext& context) {
 }
 
 std::shared_ptr<const ScenarioContext> ScenarioContextCache::acquire(
-    const Scenario& scenario, const util::ParallelFor* parallel) {
+    const Scenario& scenario, const util::ParallelFor* /*unused*/) {
   if (!scenario.dataset)
     throw std::invalid_argument(
         "ScenarioContextCache::acquire: scenario without dataset");
@@ -110,13 +110,12 @@ std::shared_ptr<const ScenarioContext> ScenarioContextCache::acquire(
   // parallel; same-key callers serialize on the entry and all but one
   // find the context already present.
   util::LockGuard lock(entry->mu);
-  return find_or_build_in_entry(scenario, *entry, parallel);
+  return find_or_build_in_entry(scenario, *entry);
 }
 
 std::shared_ptr<const ScenarioContext>
 ScenarioContextCache::find_or_build_in_entry(const Scenario& scenario,
-                                             Entry& entry,
-                                             const util::ParallelFor* parallel) {
+                                             Entry& entry) {
   if (auto context = entry.context.lock()) {
     util::LockGuard stats_lock(mu_);
     ++hits_;
@@ -134,15 +133,8 @@ ScenarioContextCache::find_or_build_in_entry(const Scenario& scenario,
   context->dataset = scenario.dataset;
   context->delta = scenario.delta;
   context->observations = std::make_shared<ObservationStore>();
-  // Sharded and serial builds produce byte-identical arenas (asserted by
-  // graph_test / scale_test), so the executor choice never leaks into the
-  // cached context.
-  context->graph =
-      parallel != nullptr
-          ? std::make_shared<const graph::SpaceTimeGraph>(
-                scenario.dataset->trace, scenario.delta, *parallel)
-          : std::make_shared<const graph::SpaceTimeGraph>(
-                scenario.dataset->trace, scenario.delta);
+  context->graph = std::make_shared<const graph::SpaceTimeGraph>(
+      scenario.dataset->trace, scenario.delta);
   graphs_built_.fetch_add(1, std::memory_order_relaxed);
   entry.context = context;
   {

@@ -117,12 +117,11 @@ class ScenarioContextCache {
 
   /// The context for `scenario`, building its graph on first use (or
   /// after eviction once all previous holders released it). Thread-safe.
-  /// When `parallel` is non-null a cache miss runs the sharded graph
-  /// build on it (arenas byte-identical to the serial build, so callers
-  /// sharing a cache entry need not agree on an executor); null builds
-  /// serially.
+  /// The second argument is unused: the graph has one serial build. It
+  /// stays only for perfbench's forward_city, which passes an executor,
+  /// and goes with the next revision of the benchmark.
   [[nodiscard]] std::shared_ptr<const ScenarioContext> acquire(
-      const Scenario& scenario, const util::ParallelFor* parallel = nullptr);
+      const Scenario& scenario, const util::ParallelFor* = nullptr);
 
   /// Number of SpaceTimeGraph constructions acquire() has performed — the
   /// build-count probe engine_test uses to assert a sweep builds each
@@ -211,8 +210,7 @@ class ScenarioContextCache {
   /// The per-entry find-or-build step of acquire(), serialized by the
   /// entry's own mutex (same-key callers collapse into one build).
   std::shared_ptr<const ScenarioContext> find_or_build_in_entry(
-      const Scenario& scenario, Entry& entry,
-      const util::ParallelFor* parallel) PSN_REQUIRES(entry.mu);
+      const Scenario& scenario, Entry& entry) PSN_REQUIRES(entry.mu);
 
   /// Retains `context` in `entry` if it fits the budget, evicting LRU
   /// entries as needed.

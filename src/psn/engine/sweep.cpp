@@ -25,8 +25,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   // Every phase is one fan-out on the caller's pool, or on the calling
   // thread without one: each shard writes only its own pre-sized slot,
   // and the call returns once every shard is done (rethrowing the first
-  // failure). The phase-1 graph builds shard on it too, from inside their
-  // own shard.
+  // failure).
   const util::ParallelFor parallel = options.pool != nullptr
                                          ? parallel_for(*options.pool)
                                          : util::serial_parallel_for();
@@ -46,8 +45,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
                                                      plan.config.runs);
   parallel(num_scenarios + workloads.size(), [&](std::size_t i) {
     if (i < num_scenarios) {
-      contexts[i] = ScenarioContextCache::instance().acquire(
-          plan.scenarios[i], &parallel);
+      contexts[i] = ScenarioContextCache::instance().acquire(plan.scenarios[i]);
       return;
     }
     const std::size_t w = i - num_scenarios;  // s * runs + r.

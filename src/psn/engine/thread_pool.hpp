@@ -65,10 +65,9 @@ class ThreadPool {
 /// Who takes a lane: pool workers only. A caller from outside the pool
 /// just waits, so shards (and their thread_local workspaces) stay on pool
 /// threads. A caller that is itself a worker of `pool` — a nested
-/// fan-out, such as a graph build inside a sweep shard or a sweep entered
-/// from a pool task — takes one lane and drains whatever the helpers it
-/// queued have not reached, so it never waits on tasks queued behind its
-/// own and cannot deadlock.
+/// fan-out, such as a sweep entered from a pool task — takes one lane
+/// and drains whatever the helpers it queued have not reached, so it
+/// never waits on tasks queued behind its own and cannot deadlock.
 ///
 /// The call waits for its own shards only, never for unrelated pool work,
 /// so concurrent fan-outs on one pool do not wait on each other. The

@@ -24,17 +24,16 @@
 // (util::NodeSet), and populations up to the registry's megacity_65k tier
 // are exercised in tests and benches.
 //
-// Construction comes in two flavors with byte-identical results
-// (DESIGN.md §9):
-//  * the serial build — the reference implementation, straight-line passes
-//    over the trace;
-//  * the sharded build — the same counting/fill/sort/adjacency passes
-//    sharded over contact and step ranges on a util::ParallelFor, with
-//    per-shard counts merged by prefix sums so every shard scatters into
-//    a precomputed disjoint region. Shard geometry is a function of the
-//    input alone (never of the executor), so any executor — including the
-//    serial reference executor — produces the same arenas, asserted by
-//    arenas_identical() in graph_test and the scale suite.
+// One serial build writes the arenas in their final order (DESIGN.md §9).
+// It orders the contacts' step spans by (pair, first step) with two
+// counting sorts (the trace is already in start order) and walks each
+// pair's spans as merged runs, so every (step, pair) is emitted once, with
+// its new-contact flag, and pairs arrive in (a, b) order: scattered into
+// per-step slots sized by a counting pass, each step's edges land sorted
+// and deduplicated with no sort. Each active step's adjacency is then a
+// degree count, a prefix sum in ascending node order and a fill over
+// those sorted edges (a < b, so every neighbour list fills ascending),
+// encoded straight into the per-node timeline.
 //
 // Alongside the arena the graph keeps an *active-step index*: the ordered
 // list of steps carrying at least one contact edge, with a
@@ -54,7 +53,6 @@
 #include <vector>
 
 #include "psn/trace/contact_trace.hpp"
-#include "psn/util/parallel.hpp"
 
 namespace psn::graph {
 
@@ -157,23 +155,18 @@ class NeighborRange {
 class SpaceTimeGraph {
  public:
   /// Discretizes the trace with the given step width (default 10 s as in
-  /// the paper), using the serial reference build.
+  /// the paper). Throws std::invalid_argument unless delta is positive
+  /// and finite, and std::length_error when the window spans more than
+  /// 2^32 - 1 steps; both before anything is allocated.
   explicit SpaceTimeGraph(const trace::ContactTrace& trace,
                           Seconds delta = 10.0);
-
-  /// As above, but runs the sharded build on `parallel`. Arenas are
-  /// byte-identical to the serial build (see file comment); the sweep
-  /// engine passes its pool here so one huge scenario builds as parallel
-  /// as a sweep matrix.
-  SpaceTimeGraph(const trace::ContactTrace& trace, Seconds delta,
-                 const util::ParallelFor& parallel);
 
   [[nodiscard]] NodeId num_nodes() const noexcept { return num_nodes_; }
   [[nodiscard]] Seconds delta() const noexcept { return delta_; }
   [[nodiscard]] Step num_steps() const noexcept { return num_steps_; }
 
   /// The step whose interval [step*delta, (step+1)*delta) contains t,
-  /// clamped into range.
+  /// clamped into range; NaN maps to step 0.
   [[nodiscard]] Step step_of(Seconds t) const noexcept;
 
   /// End of step s; we report path arrival times at step ends since the
@@ -266,22 +259,11 @@ class SpaceTimeGraph {
            active_steps_.size() * sizeof(Step);
   }
 
-  /// True iff every arena of the two graphs is byte-for-byte equal — the
-  /// validation probe behind the serial-vs-sharded build equivalence
-  /// tests. Far cheaper than walking the public accessors at megacity
-  /// scale (straight vector comparisons, memcmp speed).
-  [[nodiscard]] bool arenas_identical(const SpaceTimeGraph& o) const noexcept;
-
  private:
-  void build_serial(const trace::ContactTrace& trace);
-  void build_sharded(const trace::ContactTrace& trace,
-                     const util::ParallelFor& parallel);
-  /// Shared tail of both builds: active-step index, per-step adjacency
-  /// offset guard. Runs after edges_/edge_offsets_ are final.
-  void finish_edges();
-  /// Shared adjacency encode: walks the final edge arena once, emitting
-  /// the delta stream and the per-node timeline. Serial in both builds —
-  /// identical arenas by construction, and cheap next to the sort passes.
+  /// Both halves of the build (see file comment): the edge arena, its
+  /// flags and the active-step index, then the adjacency stream and the
+  /// per-node timeline over the finished edges.
+  void build_edges(const trace::ContactTrace& trace);
   void build_adjacency();
 
   NodeId num_nodes_ = 0;
@@ -303,7 +285,7 @@ class SpaceTimeGraph {
   /// groups are indices [node_offsets_[v], node_offsets_[v+1]) into
   /// node_steps_ (the ascending steps v has contacts in) and
   /// node_adj_begin_ (each group's start in adj_data_). 32-bit offsets:
-  /// the builds throw std::length_error before either index overflows.
+  /// the build throws std::length_error before either index overflows.
   std::vector<std::uint32_t> node_offsets_;  ///< size num_nodes_ + 1.
   std::vector<Step> node_steps_;
   std::vector<std::uint32_t> node_adj_begin_;

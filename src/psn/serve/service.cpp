@@ -5,6 +5,7 @@
 #include <future>
 #include <iostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "psn/engine/model_sweep.hpp"
@@ -19,6 +20,22 @@ namespace {
 
 using engine::Clock;
 using engine::seconds_since;
+
+// The config, once it is inside the bounds SweepService states: a thread
+// count the host can start and a window the dispatcher's duration_cast
+// can represent.
+ServiceConfig validated(ServiceConfig config) {
+  if (config.threads > SweepService::kMaxThreads)
+    throw std::invalid_argument(
+        "SweepService: threads must be at most " +
+        std::to_string(SweepService::kMaxThreads) +
+        " (0 = one per hardware thread)");
+  if (!(config.batch_window_seconds >= 0.0 &&
+        config.batch_window_seconds <= SweepService::kMaxBatchWindowSeconds))
+    throw std::invalid_argument(
+        "SweepService: the batch window must be finite and within [0, 60] s");
+  return config;
+}
 
 Json cell_json(const engine::CellSummary& cell) {
   // Deterministic fields only: walls and thread counts stay out of the
@@ -105,9 +122,9 @@ Json model_cell_json(const engine::ModelCell& cell) {
 }  // namespace
 
 SweepService::SweepService(ServiceConfig config)
-    : config_(config),
-      pool_(config.threads == 0 ? engine::ThreadPool::hardware_threads()
-                                : config.threads),
+    : config_(validated(std::move(config))),
+      pool_(config_.threads == 0 ? engine::ThreadPool::hardware_threads()
+                                 : config_.threads),
       latencies_(kLatencyRing, 0.0) {
   if (config_.cache_budget_bytes > 0)
     engine::ScenarioContextCache::instance().set_budget_bytes(

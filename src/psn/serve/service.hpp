@@ -49,10 +49,12 @@ namespace psn::serve {
 
 struct ServiceConfig {
   /// Workers of the shared engine pool; 0 means one per hardware thread.
+  /// At most SweepService::kMaxThreads.
   std::size_t threads = 0;
   /// Admission window: how long the dispatcher waits after the first
   /// request of a batch for more requests to coalesce with it. 0 disables
-  /// batching (every dispatch takes whatever is queued right now).
+  /// batching (every dispatch takes whatever is queued right now). Finite,
+  /// within [0, SweepService::kMaxBatchWindowSeconds].
   double batch_window_seconds = 0.002;
   /// Scenario-cache retention budget; 0 keeps the cache's current budget.
   std::uint64_t cache_budget_bytes = 0;
@@ -94,6 +96,12 @@ class SweepService {
   /// dispatcher thread; must not re-enter the service except enqueue().
   using Callback = std::function<void(const Json&)>;
 
+  /// Bounds on ServiceConfig, checked before any thread starts.
+  static constexpr std::size_t kMaxThreads = 1024;
+  static constexpr double kMaxBatchWindowSeconds = 60.0;
+
+  /// Throws std::invalid_argument, before starting a thread, for a config
+  /// past the bounds above.
   explicit SweepService(ServiceConfig config = {});
   /// Drains the queue, then stops the dispatcher and the pool.
   ~SweepService();

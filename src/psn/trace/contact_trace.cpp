@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace psn::trace {
 
@@ -19,6 +20,9 @@ ContactTrace::ContactTrace(std::vector<Contact> contacts, NodeId num_nodes,
     if (c.a == c.b)
       throw std::invalid_argument("ContactTrace: self contact: " +
                                   c.to_string());
+    // Contact::make normalizes; a hand-built contact may not, and the
+    // space-time graph's build relies on a < b.
+    if (c.a > c.b) std::swap(c.a, c.b);
     // Clip to the observation window; drop contacts fully outside it.
     if (c.end <= 0.0 || c.start >= t_max) continue;
     c.start = std::max(c.start, 0.0);

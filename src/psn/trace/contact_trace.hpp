@@ -22,8 +22,8 @@ class ContactTrace {
   ContactTrace() = default;
 
   /// Builds a trace. Contacts are sorted into canonical order; endpoints are
-  /// validated against `num_nodes`; contacts are clipped to [0, t_max) and
-  /// contacts fully outside the window are dropped.
+  /// validated against `num_nodes` and ordered a < b; contacts are clipped
+  /// to [0, t_max) and contacts fully outside the window are dropped.
   ContactTrace(std::vector<Contact> contacts, NodeId num_nodes,
                Seconds t_max);
 

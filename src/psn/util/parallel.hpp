@@ -1,6 +1,6 @@
 // ParallelFor: the minimal execution abstraction the construction-side
-// kernels (sharded trace generation, the sharded space-time-graph build)
-// are written against.
+// kernel (the metro tiers' sharded trace generation) and the sweeps'
+// fan-outs are written against.
 //
 // A ParallelFor runs `f(shard)` for every shard in [0, num_shards)
 // exactly once and returns only when all shards have completed. Shards
@@ -12,8 +12,8 @@
 // repo, because each shard writes only shard-owned state and merge steps
 // are deterministic in shard index (DESIGN.md §9).
 //
-// This lives in util/ (not engine/) so that synth/ and graph/ can expose
-// sharded builds without depending on the sweep engine's thread pool;
+// This lives in util/ (not engine/) so that synth/ can expose a sharded
+// build without depending on the sweep engine's thread pool;
 // engine::parallel_for (thread_pool.hpp) adapts a ThreadPool to this
 // signature.
 

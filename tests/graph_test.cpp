@@ -4,15 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "psn/engine/thread_pool.hpp"
 #include "psn/graph/components.hpp"
 #include "psn/graph/reachability.hpp"
 #include "psn/graph/space_time_graph.hpp"
-#include "psn/util/parallel.hpp"
 #include "psn/util/rng.hpp"
 
 namespace psn::graph {
@@ -109,6 +112,13 @@ TEST(SpaceTimeGraph, StepOfClampsAndFloors) {
   EXPECT_EQ(g.step_of(9.99), 0u);
   EXPECT_EQ(g.step_of(10.0), 1u);
   EXPECT_EQ(g.step_of(1e9), g.num_steps() - 1);
+  // Past Step's range and non-finite: clamped (or 0 for NaN), never cast
+  // out of range.
+  EXPECT_EQ(g.step_of(1e300), g.num_steps() - 1);
+  EXPECT_EQ(g.step_of(std::numeric_limits<Seconds>::infinity()),
+            g.num_steps() - 1);
+  EXPECT_EQ(g.step_of(-std::numeric_limits<Seconds>::infinity()), 0u);
+  EXPECT_EQ(g.step_of(std::numeric_limits<Seconds>::quiet_NaN()), 0u);
 }
 
 TEST(SpaceTimeGraph, StepEndTimes) {
@@ -170,6 +180,16 @@ TEST(SpaceTimeGraph, ArenaEdgesAndAdjacencyAgree) {
 TEST(SpaceTimeGraph, RejectsNonPositiveDelta) {
   const auto trace = make_trace({Contact::make(0, 1, 0.0, 1.0)}, 2, 10.0);
   EXPECT_THROW(SpaceTimeGraph(trace, 0.0), std::invalid_argument);
+  EXPECT_THROW(SpaceTimeGraph(trace, -1.0), std::invalid_argument);
+  EXPECT_THROW(SpaceTimeGraph(trace, std::numeric_limits<Seconds>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(SpaceTimeGraph(trace, std::numeric_limits<Seconds>::infinity()),
+               std::invalid_argument);
+  // A window of more than 2^32 - 1 steps is refused before any allocation
+  // (60 s at 1 ns would be 6e10 steps; the second is 2^32 exactly).
+  const auto minute = make_trace({Contact::make(0, 1, 0.0, 1.0)}, 2, 60.0);
+  EXPECT_THROW(SpaceTimeGraph(minute, 1e-9), std::length_error);
+  EXPECT_THROW(SpaceTimeGraph(minute, 60.0 / 4294967296.0), std::length_error);
 }
 
 TEST(SpaceTimeGraph, TotalEdges) {
@@ -207,9 +227,9 @@ TEST(SpaceTimeGraph, EmptyTraceStillHasSteps) {
   EXPECT_TRUE(g.edges(0).empty());
 }
 
-/// A deterministic random trace for the build-equivalence and component
-/// oracle tests: `k` contacts over `n` nodes, uniform times, durations up
-/// to three steps so contacts straddle step boundaries.
+/// A deterministic random trace for the build and component oracle tests:
+/// `k` contacts over `n` nodes, uniform times, durations up to three
+/// steps so contacts straddle step boundaries.
 ContactTrace random_contacts(NodeId n, std::size_t k, Seconds t_max,
                              std::uint64_t seed) {
   util::Rng rng(seed);
@@ -226,39 +246,142 @@ ContactTrace random_contacts(NodeId n, std::size_t k, Seconds t_max,
   return ContactTrace(std::move(cs), n, t_max);
 }
 
-TEST(SpaceTimeGraph, ShardedBuildMatchesSerialByteForByte) {
-  // The parallel construction path must reproduce the serial arenas
-  // exactly — same counts, same offsets, same orders — for any executor.
-  // Duplicate pairs within a step, boundary-ending contacts, and empty
-  // steps are all present in the random traces.
-  engine::ThreadPool pool(8);
-  const util::ParallelFor pooled = engine::parallel_for(pool);
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const auto trace = random_contacts(150, 4000, 1800.0, seed);
-    const SpaceTimeGraph serial(trace, 10.0);
-    const SpaceTimeGraph sharded_serial(trace, 10.0,
-                                        util::serial_parallel_for());
-    const SpaceTimeGraph sharded_pooled(trace, 10.0, pooled);
-    EXPECT_TRUE(serial.arenas_identical(sharded_serial)) << "seed " << seed;
-    EXPECT_TRUE(serial.arenas_identical(sharded_pooled)) << "seed " << seed;
+/// The discretization rule the header states, applied contact by contact
+/// into per-step pair sets: a contact occupies every step from its
+/// start's through its end's, except that a positive-length contact
+/// leaves the step beginning exactly at its end; clamped to the last step.
+std::vector<std::set<std::pair<NodeId, NodeId>>> brute_force_steps(
+    const ContactTrace& trace, Seconds delta, Step steps) {
+  const auto step_at = [&](Seconds t) {
+    return std::min(static_cast<Step>(std::floor(t / delta)), steps - 1);
+  };
+  std::vector<std::set<std::pair<NodeId, NodeId>>> pairs(steps);
+  for (const Contact& c : trace.contacts()) {
+    for (Step s = step_at(c.start); s <= step_at(c.end); ++s) {
+      if (c.end > c.start && static_cast<Seconds>(s) * delta == c.end)
+        continue;
+      pairs[s].insert({c.a, c.b});
+    }
   }
+  return pairs;
 }
 
-TEST(SpaceTimeGraph, ShardedBuildMatchesSerialOnDegenerateTraces) {
-  engine::ThreadPool pool(4);
-  const util::ParallelFor pooled = engine::parallel_for(pool);
-  // Empty trace: no contacts to shard over.
-  const ContactTrace empty({}, 3, 50.0);
-  EXPECT_TRUE(SpaceTimeGraph(empty, 10.0).arenas_identical(
-      SpaceTimeGraph(empty, 10.0, pooled)));
-  // One contact: fewer contacts than shards.
-  const auto tiny = make_trace({Contact::make(0, 1, 5.0, 8.0)}, 2, 60.0);
-  EXPECT_TRUE(SpaceTimeGraph(tiny, 10.0).arenas_identical(
-      SpaceTimeGraph(tiny, 10.0, pooled)));
-  // All contacts in one step: every other shard row is empty.
-  const auto burst = random_contacts(64, 500, 10.0, 9);
-  EXPECT_TRUE(SpaceTimeGraph(burst, 10.0).arenas_identical(
-      SpaceTimeGraph(burst, 10.0, pooled)));
+/// Compares every public view of the graph with the brute-force oracle.
+void expect_matches_brute_force(const ContactTrace& trace, Seconds delta,
+                                const std::string& label) {
+  SCOPED_TRACE(label);
+  const SpaceTimeGraph g(trace, delta);
+  const auto oracle = brute_force_steps(trace, delta, g.num_steps());
+  std::vector<std::vector<Step>> contact_steps(trace.num_nodes());
+  std::vector<std::vector<NodeId>> want_nb(trace.num_nodes());
+  std::vector<Step> active;
+  std::size_t total = 0;
+  for (Step s = 0; s < g.num_steps(); ++s) {
+    const auto& want = oracle[s];
+    const auto es = g.edges(s);
+    const auto flags = g.new_edge_flags(s);
+    ASSERT_EQ(es.size(), want.size()) << "step " << s;
+    ASSERT_EQ(flags.size(), want.size()) << "step " << s;
+    std::size_t i = 0;
+    for (const auto& [a, b] : want) {
+      EXPECT_EQ(es[i].a, a) << "step " << s;
+      EXPECT_EQ(es[i].b, b) << "step " << s;
+      const bool fresh = s == 0 || oracle[s - 1].count({a, b}) == 0;
+      EXPECT_EQ(flags[i], fresh ? 1 : 0) << "step " << s << " pair " << a
+                                         << "-" << b;
+      ++i;
+    }
+    for (auto& list : want_nb) list.clear();
+    for (const auto& [a, b] : want) {
+      want_nb[a].push_back(b);
+      want_nb[b].push_back(a);
+    }
+    for (NodeId v = 0; v < trace.num_nodes(); ++v) {
+      std::sort(want_nb[v].begin(), want_nb[v].end());
+      const auto nb = g.neighbors(s, v);
+      EXPECT_TRUE(std::equal(nb.begin(), nb.end(), want_nb[v].begin(),
+                             want_nb[v].end()))
+          << "step " << s << " node " << v;
+      if (!want_nb[v].empty()) contact_steps[v].push_back(s);
+    }
+    if (!want.empty()) active.push_back(s);
+    total += want.size();
+  }
+  for (NodeId v = 0; v < trace.num_nodes(); ++v) {
+    const auto steps = g.contact_steps(v);
+    EXPECT_TRUE(std::equal(steps.begin(), steps.end(),
+                           contact_steps[v].begin(), contact_steps[v].end()))
+        << "node " << v;
+  }
+  const auto got = g.active_steps();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), active.begin(), active.end()));
+  EXPECT_EQ(g.total_edges(), total);
+}
+
+/// A seeded trace of 2-150 nodes built to hit the discretization's edge
+/// cases at delta = 1 and 10 s: starts on and off step boundaries,
+/// zero-length contacts, contacts clipped at 0 and t_max, and same-pair
+/// follow-ups that overlap, abut, or leave one empty step between them.
+ContactTrace edge_case_trace(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto n = static_cast<NodeId>(2 + rng.uniform_index(149));
+  const Seconds t_max = rng.bernoulli(0.5)
+                            ? 10.0 * static_cast<Seconds>(
+                                         1 + rng.uniform_index(30))
+                            : rng.uniform(1.0, 300.0);
+  const auto time = [&](Seconds lo, Seconds hi) {
+    const Seconds t = rng.uniform(lo, hi);
+    switch (rng.uniform_index(3)) {
+      case 0: return 10.0 * std::floor(t / 10.0);  // both grids.
+      case 1: return std::floor(t);                // the 1 s grid.
+      default: return t;
+    }
+  };
+  std::vector<Contact> cs;
+  const std::size_t k = rng.uniform_index(120);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto a = static_cast<NodeId>(rng.uniform_index(n));
+    auto b = static_cast<NodeId>(rng.uniform_index(n - 1));
+    if (b >= a) ++b;
+    const Seconds start = time(-5.0, t_max);
+    Seconds end = start;  // zero-length one time in five.
+    if (!rng.bernoulli(0.2))
+      end = std::max(start, time(start, start + (rng.bernoulli(0.1)
+                                                     ? t_max  // past t_max.
+                                                     : 25.0)));
+    cs.push_back(Contact::make(a, b, start, end));
+    if (!rng.bernoulli(0.4)) continue;
+    const Seconds grid = rng.bernoulli(0.5) ? 1.0 : 10.0;
+    Seconds next = end;  // abuts.
+    switch (rng.uniform_index(3)) {
+      case 0:  // overlaps.
+        next = rng.uniform(start, end);
+        break;
+      case 1:  // one empty step (of `grid`) between the two.
+        next = grid * (std::floor(end / grid) + 2.0) + rng.uniform(0.0, grid);
+        break;
+      default:
+        break;
+    }
+    cs.push_back(Contact::make(a, b, next, next + time(0.0, 20.0)));
+  }
+  return ContactTrace(std::move(cs), n, t_max);
+}
+
+TEST(SpaceTimeGraph, MatchesBruteForceDiscretization) {
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    const auto trace = edge_case_trace(seed);
+    for (const Seconds delta : {1.0, 10.0})
+      expect_matches_brute_force(
+          trace, delta,
+          "seed " + std::to_string(seed) + " delta " + std::to_string(delta));
+  }
+  // Degenerate traces: empty, one contact, and every contact in one step.
+  expect_matches_brute_force(ContactTrace({}, 3, 50.0), 10.0, "empty");
+  expect_matches_brute_force(
+      make_trace({Contact::make(0, 1, 5.0, 8.0)}, 2, 60.0), 10.0, "one");
+  expect_matches_brute_force(random_contacts(64, 500, 10.0, 9), 10.0,
+                             "burst");
 }
 
 TEST(Components, StepComponentsMatchUnionFindOracle) {

@@ -1,8 +1,8 @@
 // Scale-tier tests: metro_16k and megacity_65k, the tiers the parallel
-// scenario construction and the component-index flood kernel exist for,
-// plus machine-independent pins across the whole ladder (town_128 ...
-// megacity_65k): graph arena and shared-snapshot byte ceilings and seeded
-// delivery counts.
+// trace generation and the component-index flood kernel exist for, plus
+// machine-independent pins across the whole ladder (town_128 ...
+// megacity_65k): exact graph sizes and digests, shared-snapshot byte
+// ceilings and seeded delivery counts.
 //
 // These populations are two orders of magnitude past the paper's 98
 // nodes, so every test here runs a deliberately small workload — the
@@ -57,18 +57,6 @@ TEST(ScaleTiers, MetroDatasetMatchesItsBilling) {
   // but enough that the population is actually connected over time.
   EXPECT_GT(scenario.dataset->trace.size(), 100000u);
   EXPECT_LT(scenario.dataset->trace.size(), 10000000u);
-}
-
-TEST(ScaleTiers, MetroShardedGraphBuildMatchesSerialByteForByte) {
-  // The acceptance bar for the parallel construction path: at a tier
-  // where sharding actually matters, serial and pool-sharded builds
-  // produce byte-identical arenas.
-  const auto& scenario = metro_scenario();
-  const graph::SpaceTimeGraph serial(scenario.dataset->trace, scenario.delta);
-  const graph::SpaceTimeGraph sharded(scenario.dataset->trace, scenario.delta,
-                                      parallel_for(shared_pool()));
-  EXPECT_TRUE(serial.arenas_identical(sharded));
-  EXPECT_GT(serial.total_edges(), 0u);
 }
 
 TEST(ScaleTiers, MetroSweepBitIdenticalAcrossThreadsAndKernels) {
@@ -278,10 +266,10 @@ TEST(ScaleTiers, MetroNonFloodFastPathMatchesScalarOracle) {
 }
 
 TEST(ScaleTiers, MegacityBuildsAndCompletesAnEpidemicRun) {
-  // The ceiling tier: 65 536 nodes must generate (sharded), discretize
-  // (sharded CSR build), and carry an epidemic flood to completion with
-  // the component-index kernel — here un-adopted, as a direct simulate()
-  // call extracts each live flood step itself. The scalar oracle is not
+  // The ceiling tier: 65 536 nodes must generate (sharded), discretize,
+  // and carry an epidemic flood to completion with the component-index
+  // kernel — here un-adopted, as a direct simulate() call extracts each
+  // live flood step itself. The scalar oracle is not
   // run here — it is minutes at this scale; kernel equivalence is pinned
   // at metro_16k and below.
   const util::ParallelFor pooled = parallel_for(shared_pool());
@@ -290,8 +278,7 @@ TEST(ScaleTiers, MegacityBuildsAndCompletesAnEpidemicRun) {
   EXPECT_EQ(scenario.dataset->trace.num_nodes(), 65536u);
   EXPECT_GT(scenario.dataset->trace.size(), 500000u);
 
-  const auto context =
-      ScenarioContextCache::instance().acquire(scenario, &pooled);
+  const auto context = ScenarioContextCache::instance().acquire(scenario);
   ASSERT_TRUE(context->graph != nullptr);
   EXPECT_GT(context->graph->total_edges(), 0u);
 
@@ -317,31 +304,71 @@ TEST(ScaleTiers, MegacityBuildsAndCompletesAnEpidemicRun) {
   EXPECT_GT(result.transmissions, 0u);
 }
 
+/// FNV-1a over the graph's public view: per step its edges and their
+/// new-contact flags, per node its contact timeline and each step's
+/// decoded neighbours. Values are mixed as little-endian 64-bit words, so
+/// the digest is the same on any host.
+std::uint64_t graph_digest(const graph::SpaceTimeGraph& g) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8)
+      h = (h ^ (v & 0xFFu)) * 1099511628211ull;
+  };
+  for (graph::Step s = 0; s < g.num_steps(); ++s) {
+    const auto es = g.edges(s);
+    const auto flags = g.new_edge_flags(s);
+    mix(es.size());
+    for (std::size_t i = 0; i < es.size(); ++i) {
+      mix(es[i].a);
+      mix(es[i].b);
+      mix(flags[i]);
+    }
+  }
+  for (trace::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto steps = g.contact_steps(v);
+    mix(steps.size());
+    for (const graph::Step s : steps) {
+      const auto nb = g.neighbors(s, v);
+      mix(s);
+      mix(nb.size());
+      for (const trace::NodeId w : nb) mix(w);
+    }
+  }
+  return h;
+}
+
 TEST(ScaleTiers, GraphArenasStayUnderByteCeilings) {
-  // SpaceTimeGraph::arena_bytes() per tier when these ceilings were set.
-  // Each ceiling sits 5 % above its measurement, and the floor at half of
-  // it catches an arena that lost its edges. Byte counts are a function
-  // of the trace alone, so they hold on any machine. Acquired through the
-  // cache, so the metro and megacity graphs the tests above built are
-  // reused rather than rebuilt.
+  // Every tier's graph, pinned exactly: arena bytes, edge and active-step
+  // counts and a digest of the public view, so a build change that moves
+  // one byte fails here. The values were taken with the sort-based build
+  // the current one replaced. All are functions of the trace alone and
+  // hold on any machine. Acquired through the cache, so the metro and
+  // megacity graphs the tests above built are reused rather than rebuilt.
   struct Tier {
     const char* name;
-    std::uint64_t measured_bytes;
+    std::uint64_t arena_bytes;
+    std::size_t total_edges;
+    std::size_t active_steps;
+    std::uint64_t digest;
   };
   constexpr Tier kTiers[] = {
-      {"town_128", 2'210'515},      {"campus_512", 7'473'525},
-      {"city_2048", 23'939'739},    {"metro_16k", 191'355'236},
-      {"megacity_65k", 368'640'580},
+      {"town_128", 2'210'515, 98'197, 1'080, 0xddd5814131503d98ull},
+      {"campus_512", 7'473'525, 321'005, 1'080, 0x84736c9cc90ef50full},
+      {"city_2048", 23'939'739, 970'415, 1'080, 0xceb3f3ccfc80921bull},
+      {"metro_16k", 191'355'236, 7'748'436, 1'080, 0x33ca2afa96359420ull},
+      {"megacity_65k", 368'640'580, 12'888'070, 1'080,
+       0x9b708ba5ecde5b86ull},
   };
   const util::ParallelFor pooled = parallel_for(shared_pool());
   auto& cache = ScenarioContextCache::instance();
   for (const Tier& tier : kTiers) {
     const auto context =
-        cache.acquire(make_scenario_by_name(tier.name, pooled), &pooled);
-    const std::uint64_t bytes = context->graph->arena_bytes();
-    EXPECT_LT(bytes, tier.measured_bytes + tier.measured_bytes / 20)
-        << tier.name;
-    EXPECT_GT(bytes, tier.measured_bytes / 2) << tier.name;
+        cache.acquire(make_scenario_by_name(tier.name, pooled));
+    const graph::SpaceTimeGraph& g = *context->graph;
+    EXPECT_EQ(g.arena_bytes(), tier.arena_bytes) << tier.name;
+    EXPECT_EQ(g.total_edges(), tier.total_edges) << tier.name;
+    EXPECT_EQ(g.num_active_steps(), tier.active_steps) << tier.name;
+    EXPECT_EQ(graph_digest(g), tier.digest) << tier.name;
   }
 }
 
@@ -451,7 +478,7 @@ TEST(ScaleTiers, MegacityContextWithComponentIndexFitsTheDefaultBudget) {
   const util::ParallelFor pooled = parallel_for(shared_pool());
   auto& cache = ScenarioContextCache::instance();
   const auto context =
-      cache.acquire(make_scenario_by_name("megacity_65k", pooled), &pooled);
+      cache.acquire(make_scenario_by_name("megacity_65k", pooled));
   const auto epidemic = forward::make_algorithm("Epidemic");
   const auto [snapshot, built] = context->observations->get_or_build(
       epidemic->shared_snapshot_key(), [&] {

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -628,6 +630,43 @@ TEST(Service, PeriodicStatsLineEveryNResponses) {
     EXPECT_EQ(lines[i].at("type").as_string(), "stats");
     EXPECT_EQ(lines[i].at("responses_ok").as_number(),
               static_cast<double>(2 * (i + 1)));
+  }
+}
+
+// The config bounds are checked in config_'s initializer, before pool_
+// starts a thread, so none of these cases starts one past the cap.
+TEST(Service, RejectsThreadsPastTheCap) {
+  for (const std::size_t threads : {SweepService::kMaxThreads + 1,
+                                    std::numeric_limits<std::size_t>::max()}) {
+    ServiceConfig config;
+    config.threads = threads;
+    EXPECT_THROW(SweepService{config}, std::invalid_argument) << threads;
+  }
+}
+
+TEST(Service, RejectsBatchWindowOutsideZeroToSixtySeconds) {
+  for (const double window : {-0.001, 60.001, 1e300}) {
+    ServiceConfig config;
+    config.threads = 1;
+    config.batch_window_seconds = window;
+    EXPECT_THROW(SweepService{config}, std::invalid_argument) << window;
+  }
+  for (const double window : {0.0, SweepService::kMaxBatchWindowSeconds}) {
+    ServiceConfig config;
+    config.threads = 1;
+    config.batch_window_seconds = window;
+    EXPECT_NO_THROW(SweepService{config}) << window;
+  }
+}
+
+TEST(Service, RejectsNonFiniteBatchWindow) {
+  for (const double window : {std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    ServiceConfig config;
+    config.threads = 1;
+    config.batch_window_seconds = window;
+    EXPECT_THROW(SweepService{config}, std::invalid_argument) << window;
   }
 }
 

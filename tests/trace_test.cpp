@@ -60,6 +60,15 @@ TEST(ContactTrace, SortsContacts) {
   EXPECT_DOUBLE_EQ(trace[2].start, 50.0);
 }
 
+TEST(ContactTrace, NormalizesHandBuiltEndpoints) {
+  // Contact::make normalizes; an aggregate-built contact may not, and the
+  // trace restores a < b, which the space-time graph's build relies on.
+  const ContactTrace trace({Contact{5, 2, 10.0, 20.0}}, 6, 100.0);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].a, 2u);
+  EXPECT_EQ(trace[0].b, 5u);
+}
+
 TEST(ContactTrace, ClipsToWindow) {
   std::vector<Contact> cs{
       Contact::make(0, 1, -5.0, 5.0),    // clipped at 0

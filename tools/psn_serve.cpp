@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "psn/serve/server.hpp"
@@ -65,6 +67,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  psn::serve::SweepService service(config);
-  return psn::serve::run_stdio_server(service, std::cin, std::cout);
+  std::optional<psn::serve::SweepService> service;
+  try {
+    service.emplace(config);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "psn_serve: " << e.what() << '\n';
+    return 2;
+  }
+  return psn::serve::run_stdio_server(*service, std::cin, std::cout);
 }
