@@ -16,6 +16,7 @@
 #include "psn/engine/path_sweep.hpp"
 #include "psn/stats/summary.hpp"
 #include "psn/stats/table.hpp"
+#include "psn/trace/trace_stats.hpp"
 
 int main() {
   using namespace psn;
@@ -35,10 +36,10 @@ int main() {
       engine::run_path_sweep(plan, options).cells.front().records, ds.rates);
 
   for (std::size_t q = 0; q < 4; ++q) {
-    const auto quadrant = static_cast<core::Quadrant>(q);
+    const auto quadrant = static_cast<trace::Quadrant>(q);
     const auto& records = quadrants.of(quadrant);
     std::cout << "\n(" << static_cast<char>('a' + q) << ") "
-              << core::quadrant_name(quadrant) << "\n";
+              << trace::quadrant_name(quadrant) << "\n";
     stats::TablePrinter table({"T1 (s)", "TE (s)"});
     stats::Accumulator t1_acc;
     stats::Accumulator te_acc;

@@ -16,6 +16,7 @@
 #include "psn/engine/model_sweep.hpp"
 #include "psn/stats/summary.hpp"
 #include "psn/stats/table.hpp"
+#include "psn/trace/trace_stats.hpp"
 
 int main() {
   using namespace psn;
@@ -46,7 +47,7 @@ int main() {
     const auto& t1 = quadrants.t1[q];
     const auto& te = quadrants.te[q];
     table.add_row(
-        {model::pair_type_name(static_cast<model::PairType>(q)),
+        {trace::quadrant_name(static_cast<trace::Quadrant>(q)),
          std::to_string(quadrants.messages[q]),
          t1.count() ? stats::TablePrinter::fmt(t1.mean(), 0) : "-",
          t1.count() > 1

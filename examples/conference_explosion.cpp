@@ -14,6 +14,7 @@
 #include "psn/engine/thread_pool.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/stats/table.hpp"
+#include "psn/trace/trace_stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace psn;
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
   stats::TablePrinter table({"quadrant", "messages", "exploded",
                              "mean T1 (s)", "mean TE (s)"});
   for (std::size_t q = 0; q < 4; ++q) {
-    const auto& quadrant = quadrants.of(static_cast<core::Quadrant>(q));
+    const auto& quadrant = quadrants.of(static_cast<trace::Quadrant>(q));
     double t1_sum = 0.0;
     double te_sum = 0.0;
     std::size_t n_del = 0;
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
       }
     }
     table.add_row(
-        {core::quadrant_name(static_cast<core::Quadrant>(q)),
+        {trace::quadrant_name(static_cast<trace::Quadrant>(q)),
          std::to_string(quadrant.size()), std::to_string(n_exp),
          n_del ? stats::TablePrinter::fmt(
                      t1_sum / static_cast<double>(n_del), 0)

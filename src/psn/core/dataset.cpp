@@ -2,14 +2,11 @@
 
 #include <stdexcept>
 
-#include "psn/synth/conference.hpp"
 #include "psn/synth/random_waypoint.hpp"
 
 namespace psn::core {
 
-namespace {
-
-Dataset from_generated(std::string name, synth::GeneratedTrace generated) {
+Dataset make_dataset(std::string name, synth::GeneratedTrace generated) {
   Dataset ds;
   ds.name = std::move(name);
   ds.trace = std::move(generated.trace);
@@ -17,6 +14,8 @@ Dataset from_generated(std::string name, synth::GeneratedTrace generated) {
   ds.ground_truth_rates = std::move(generated.node_rates);
   return ds;
 }
+
+namespace {
 
 struct WindowSpec {
   const char* name;
@@ -53,7 +52,7 @@ Dataset DatasetFactory::paper_dataset(std::size_t index) {
   config.modulation = synth::default_conference_modulation(config.t_max);
   config.seed = spec.seed;
 
-  return from_generated(spec.name, synth::generate_conference(config));
+  return make_dataset(spec.name, synth::generate_conference(config));
 }
 
 std::vector<Dataset> DatasetFactory::paper_datasets() {
@@ -68,12 +67,8 @@ Dataset DatasetFactory::random_waypoint_dataset() {
   config.num_nodes = 40;
   config.t_max = 3.0 * 3600.0;
   config.seed = 0x77;
-
-  Dataset ds;
-  ds.name = "random-waypoint";
-  ds.trace = synth::generate_random_waypoint(config);
-  ds.rates = trace::classify_rates(ds.trace);
-  return ds;
+  return make_dataset("random-waypoint",
+                      {synth::generate_random_waypoint(config), {}, {}});
 }
 
 }  // namespace psn::core

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "psn/synth/conference.hpp"
 #include "psn/trace/contact_trace.hpp"
 #include "psn/trace/trace_stats.hpp"
 
@@ -23,6 +24,12 @@ struct Dataset {
   trace::Seconds message_horizon = 2.0 * 3600.0;
   std::vector<double> ground_truth_rates;  ///< generator rates, if known.
 };
+
+/// A generated trace as a named dataset: the trace, its rate
+/// classification and the generator's ground-truth rates (none for a
+/// generator that knows no rates).
+[[nodiscard]] Dataset make_dataset(std::string name,
+                                   synth::GeneratedTrace generated);
 
 /// Factory for the standard experiment datasets.
 class DatasetFactory {

@@ -2,36 +2,12 @@
 
 namespace psn::core {
 
-const char* quadrant_name(Quadrant q) noexcept {
-  switch (q) {
-    case Quadrant::in_in:
-      return "in-in";
-    case Quadrant::in_out:
-      return "in-out";
-    case Quadrant::out_in:
-      return "out-in";
-    case Quadrant::out_out:
-      return "out-out";
-  }
-  return "?";
-}
-
-Quadrant classify_pair(trace::NodeId source, trace::NodeId destination,
-                       const trace::RateClassification& rc) {
-  const bool src_in = rc.is_in(source);
-  const bool dst_in = rc.is_in(destination);
-  if (src_in && dst_in) return Quadrant::in_in;
-  if (src_in) return Quadrant::in_out;
-  if (dst_in) return Quadrant::out_in;
-  return Quadrant::out_out;
-}
-
 QuadrantRecords group_by_quadrant(
     const std::vector<paths::ExplosionRecord>& records,
     const trace::RateClassification& rc) {
   QuadrantRecords out;
   for (const auto& rec : records) {
-    const Quadrant q = classify_pair(rec.source, rec.destination, rc);
+    const trace::Quadrant q = rc.quadrant(rec.source, rec.destination);
     out.by_quadrant[static_cast<std::size_t>(q)].push_back(rec);
   }
   return out;

@@ -1,7 +1,7 @@
-// Quadrant classification of messages by source/destination rate class
-// (§5.2): in-in, in-out, out-in, out-out, grouping of explosion records
-// by quadrant (Fig. 8), and per-quadrant statistics of the model layer's
-// Monte-Carlo messages (the §5.2 hypothesis table).
+// Results split by §5.2 quadrant (trace::Quadrant: in-in, in-out, out-in,
+// out-out): explosion records grouped by quadrant (Fig. 8) and
+// per-quadrant statistics of the model layer's Monte-Carlo messages (the
+// §5.2 hypothesis table).
 
 #pragma once
 
@@ -16,26 +16,12 @@
 
 namespace psn::core {
 
-enum class Quadrant : std::size_t {
-  in_in = 0,
-  in_out = 1,
-  out_in = 2,
-  out_out = 3,
-};
-
-[[nodiscard]] const char* quadrant_name(Quadrant q) noexcept;
-
-/// Classifies a (source, destination) pair under a rate classification.
-[[nodiscard]] Quadrant classify_pair(trace::NodeId source,
-                                     trace::NodeId destination,
-                                     const trace::RateClassification& rc);
-
-/// Explosion records grouped by quadrant.
+/// Explosion records grouped by trace::Quadrant.
 struct QuadrantRecords {
   std::array<std::vector<paths::ExplosionRecord>, 4> by_quadrant;
 
   [[nodiscard]] const std::vector<paths::ExplosionRecord>& of(
-      Quadrant q) const noexcept {
+      trace::Quadrant q) const noexcept {
     return by_quadrant[static_cast<std::size_t>(q)];
   }
 };
@@ -45,11 +31,10 @@ struct QuadrantRecords {
     const trace::RateClassification& rc);
 
 /// Per-quadrant statistics of model-layer Monte-Carlo messages (§5.2) —
-/// the model-side analogue of group_by_quadrant. model::PairType and
-/// Quadrant share their index order, so `of(Quadrant)` addresses both.
-/// Only delivered messages contribute to t1 and only exploded ones to te
-/// (their NaN sentinels make a violation loud instead of silently
-/// deflating every mean).
+/// the model-side analogue of group_by_quadrant, indexed by
+/// trace::Quadrant. Only delivered messages contribute to t1 and only
+/// exploded ones to te (their NaN sentinels make a violation loud instead
+/// of silently deflating every mean).
 struct McQuadrantSummary {
   std::array<std::size_t, 4> messages{};
   std::array<std::size_t, 4> delivered{};

@@ -10,7 +10,6 @@
 #include "psn/core/dataset.hpp"
 #include "psn/synth/conference.hpp"
 #include "psn/synth/metropolis.hpp"
-#include "psn/trace/trace_stats.hpp"
 #include "psn/util/parallel.hpp"
 #include "psn/util/thread_annotations.hpp"
 
@@ -55,43 +54,6 @@ Scenario shared_dataset_scenario(const std::string& name,
   return scenario;
 }
 
-// One scale tier: a conference-style population at the given size. The
-// mean per-node contact rate tapers with population so that instantaneous
-// contact-graph density (and hence per-step component sizes) stays in the
-// Bluetooth-sighting regime rather than approaching a clique.
-//
-// Scale tiers use exponential inter-contact gaps rather than the paper
-// windows' Pareto gaps: the Pareto draw has a hard minimum gap of
-// (alpha-1)/(alpha*lambda), and at 512+ nodes the per-pair rates are so
-// small that this minimum exceeds the 3-hour window — most pairs would
-// never meet at all and the population would fragment into isolated
-// nodes. Exponential gaps keep the realized contact volume proportional
-// to the configured rate at every N (DESIGN.md §3).
-core::Dataset conference_at_scale(
-    const char* name, trace::NodeId mobile, trace::NodeId stationary,
-    double mean_node_rate, std::uint64_t seed,
-    std::vector<synth::ModulationSegment> modulation = {}) {
-  synth::ConferenceConfig config;
-  config.mobile_nodes = mobile;
-  config.stationary_nodes = stationary;
-  config.t_max = 3.0 * 3600.0;
-  config.mean_node_rate = mean_node_rate;
-  config.scan_interval = 120.0;
-  config.gaps = synth::GapModel::exponential;
-  config.modulation = modulation.empty()
-                          ? synth::default_conference_modulation(config.t_max)
-                          : std::move(modulation);
-  config.seed = seed;
-  auto generated = synth::generate_conference(config);
-
-  core::Dataset ds;
-  ds.name = name;
-  ds.trace = std::move(generated.trace);
-  ds.rates = trace::classify_rates(ds.trace);
-  ds.ground_truth_rates = std::move(generated.node_rates);
-  return ds;
-}
-
 // The diurnal variant's modulation: the session/break cadence interleaved
 // with quiet half-hours (factor 0 — thinning rejects everything), modeling
 // a district where activity comes in waves with dead time between them.
@@ -115,32 +77,57 @@ std::vector<synth::ModulationSegment> diurnal_modulation(
   return segs;
 }
 
-// A metropolis-generator tier (metro_16k and up): the same trace family as
-// the conference tiers, generated in O(#contacts) by Poisson superposition
-// (synth/metropolis.hpp) — the pairwise conference generator would visit
-// 2.1 billion pairs at 65k nodes. Sharded over `parallel`; the trace is a
-// function of the config alone, so every executor generates it
-// identically.
-core::Dataset metropolis_at_scale(const char* name, trace::NodeId mobile,
-                                  trace::NodeId stationary,
-                                  double mean_node_rate, std::uint64_t seed,
-                                  const util::ParallelFor& parallel) {
-  synth::MetropolisConfig config;
+// One scale tier's config: a conference-style population at the given
+// size over a 3-hour window with 120 s scans, under the paper windows'
+// session/break modulation unless `modulation` is given. The mean
+// per-node contact rate tapers with population so that instantaneous
+// contact-graph density (and hence per-step component sizes) stays in the
+// Bluetooth-sighting regime rather than approaching a clique.
+//
+// Scale tiers use exponential inter-contact gaps rather than the paper
+// windows' Pareto gaps: the Pareto draw has a hard minimum gap of
+// (alpha-1)/(alpha*lambda), and at 512+ nodes the per-pair rates are so
+// small that this minimum exceeds the 3-hour window — most pairs would
+// never meet at all and the population would fragment into isolated
+// nodes. Exponential gaps keep the realized contact volume proportional
+// to the configured rate at every N (DESIGN.md §3), and they are what the
+// metropolis generator's superposition needs.
+synth::ConferenceConfig tier_config(
+    trace::NodeId mobile, trace::NodeId stationary, double mean_node_rate,
+    std::uint64_t seed, std::vector<synth::ModulationSegment> modulation = {}) {
+  synth::ConferenceConfig config;
   config.mobile_nodes = mobile;
   config.stationary_nodes = stationary;
   config.t_max = 3.0 * 3600.0;
   config.mean_node_rate = mean_node_rate;
   config.scan_interval = 120.0;
-  config.modulation = synth::default_conference_modulation(config.t_max);
+  config.gaps = synth::GapModel::exponential;
+  config.modulation = modulation.empty()
+                          ? synth::default_conference_modulation(config.t_max)
+                          : std::move(modulation);
   config.seed = seed;
-  auto generated = synth::generate_metropolis(config, parallel);
+  return config;
+}
 
-  core::Dataset ds;
-  ds.name = name;
-  ds.trace = std::move(generated.trace);
-  ds.rates = trace::classify_rates(ds.trace);
-  ds.ground_truth_rates = std::move(generated.node_rates);
-  return ds;
+// A tier of the pairwise conference generator (up to city_2048).
+Scenario conference_tier(const char* name, synth::ConferenceConfig config) {
+  return shared_dataset_scenario(name, [name, &config] {
+    return core::make_dataset(name, synth::generate_conference(config));
+  });
+}
+
+// A metropolis-generator tier (metro_16k and up): the same trace family
+// as the conference tiers, generated in O(#contacts) by Poisson
+// superposition (synth/metropolis.hpp) — the pairwise conference
+// generator would visit 2.1 billion pairs at 65k nodes. Sharded over
+// `parallel`; the trace is a function of the config alone, so every
+// executor generates it identically.
+Scenario metropolis_tier(const char* name, synth::ConferenceConfig config,
+                         const util::ParallelFor& parallel) {
+  return shared_dataset_scenario(name, [name, &config, &parallel] {
+    return core::make_dataset(name,
+                              synth::generate_metropolis(config, parallel));
+  });
 }
 
 }  // namespace
@@ -169,39 +156,28 @@ Scenario make_scenario_by_name(std::string_view name,
       return core::DatasetFactory::random_waypoint_dataset();
     });
   if (name == "town_128")
-    return shared_dataset_scenario("town_128", [] {
-      return conference_at_scale("town_128", 108, 20, 0.020, 0x128);
-    });
+    return conference_tier("town_128", tier_config(108, 20, 0.020, 0x128));
   if (name == "campus_512")
-    return shared_dataset_scenario("campus_512", [] {
-      return conference_at_scale("campus_512", 480, 32, 0.016, 0x512);
-    });
+    return conference_tier("campus_512", tier_config(480, 32, 0.016, 0x512));
   if (name == "city_2048")
-    return shared_dataset_scenario("city_2048", [] {
-      return conference_at_scale("city_2048", 2000, 48, 0.012, 0x2048);
-    });
+    return conference_tier("city_2048",
+                           tier_config(2000, 48, 0.012, 0x2048));
   if (name == "city_2048_diurnal")
-    return shared_dataset_scenario("city_2048_diurnal", [] {
-      return conference_at_scale("city_2048_diurnal", 2000, 48, 0.012,
-                                 0x2049,
-                                 diurnal_modulation(3.0 * 3600.0));
-    });
+    return conference_tier("city_2048_diurnal",
+                           tier_config(2000, 48, 0.012, 0x2049,
+                                       diurnal_modulation(3.0 * 3600.0)));
+  // metro_16k runs at 0.012 (not the taper's 0.008): at 0.008 a node meets
+  // ~0.5% of the population over the window, the freshness gradient never
+  // forms, and FRESH delivers exactly nothing (the 0%-success pathology
+  // the node-scaling bench recorded). 0.012 matches city_2048's per-node
+  // contact volume, where FRESH still functions, while the contact graph
+  // stays Bluetooth-sighting sparse (~9 contacts/pair-million).
   if (name == "metro_16k")
-    return shared_dataset_scenario("metro_16k", [&parallel] {
-      // 0.012 (not the taper's 0.008): at 0.008 a node meets ~0.5% of the
-      // population over the window, the freshness gradient never forms,
-      // and FRESH delivers exactly nothing (the 0%-success pathology the
-      // node-scaling bench recorded). 0.012 matches city_2048's per-node
-      // contact volume, where FRESH still functions, while the contact
-      // graph stays Bluetooth-sighting sparse (~9 contacts/pair-million).
-      return metropolis_at_scale("metro_16k", 16000, 384, 0.012, 0x16000,
-                                 parallel);
-    });
+    return metropolis_tier("metro_16k",
+                           tier_config(16000, 384, 0.012, 0x16000), parallel);
   if (name == "megacity_65k")
-    return shared_dataset_scenario("megacity_65k", [&parallel] {
-      return metropolis_at_scale("megacity_65k", 64600, 936, 0.005, 0x65000,
-                                 parallel);
-    });
+    return metropolis_tier("megacity_65k",
+                           tier_config(64600, 936, 0.005, 0x65000), parallel);
   // Unknown names list the registry so a typo'd sweep config is
   // self-diagnosing instead of opaque.
   std::string message = "make_scenario_by_name: unknown scenario '" +

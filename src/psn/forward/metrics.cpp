@@ -38,16 +38,6 @@ std::vector<double> pooled_delays(std::span<const Run> runs) {
   return out;
 }
 
-std::size_t pair_type_of(const Message& message,
-                         const trace::RateClassification& rc) {
-  const bool src_in = rc.is_in(message.source);
-  const bool dst_in = rc.is_in(message.destination);
-  if (src_in && dst_in) return 0;
-  if (src_in && !dst_in) return 1;
-  if (!src_in && dst_in) return 2;
-  return 3;
-}
-
 PairTypePerformance split_by_pair_type(const std::string& algorithm,
                                        std::span<const Run> runs,
                                        const trace::RateClassification& rc) {
@@ -61,7 +51,9 @@ PairTypePerformance split_by_pair_type(const std::string& algorithm,
       throw std::invalid_argument(
           "split_by_pair_type: run messages/outcomes size mismatch");
     for (std::size_t i = 0; i < run.messages.size(); ++i) {
-      const std::size_t t = pair_type_of(run.messages[i], rc);
+      const Message& m = run.messages[i];
+      const auto t =
+          static_cast<std::size_t>(rc.quadrant(m.source, m.destination));
       auto& perf = out.per_type[t];
       ++perf.messages;
       const auto& o = run.result.outcomes[i];

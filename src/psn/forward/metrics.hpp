@@ -39,17 +39,14 @@ struct Performance {
 /// Delays of all delivered messages pooled across runs (Fig. 10's CDFs).
 [[nodiscard]] std::vector<double> pooled_delays(std::span<const Run> runs);
 
-/// Fig. 13: metrics broken down by source/destination rate class.
-/// Indexed: 0 = in-in, 1 = in-out, 2 = out-in, 3 = out-out.
+/// Fig. 13: metrics broken down by source/destination rate class,
+/// indexed by trace::Quadrant.
 struct PairTypePerformance {
   Performance per_type[4];
 };
 
-/// Pair-type index of a message under a rate classification.
-[[nodiscard]] std::size_t pair_type_of(const Message& message,
-                                       const trace::RateClassification& rc);
-
-/// Splits pooled run results by pair type.
+/// Splits pooled run results by the quadrant of each message's
+/// (source, destination) under `rc`.
 [[nodiscard]] PairTypePerformance split_by_pair_type(
     const std::string& algorithm, std::span<const Run> runs,
     const trace::RateClassification& rc);

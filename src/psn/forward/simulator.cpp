@@ -91,7 +91,6 @@ SimulationResult simulate(const SimulationRequest& request,
 
   algorithm.prepare(graph, *request.trace);
 
-  util::Rng rng(request.seed);
   detail::SimulatorState& ws = workspace.internal_state();
 
   // Messages sorted by creation time for activation.
@@ -248,11 +247,12 @@ SimulationResult simulate(const SimulationRequest& request,
     }
   };
 
-  // Evicts resident copies at `node` until `incoming` more bytes fit,
-  // per the configured policy. Only called when incoming <= capacity, so
-  // it always succeeds: the per-node list holds every byte-accounted copy,
-  // and evicting all of them frees the whole buffer. Evicting the last
-  // copy of a message drops the message for good.
+  // Evicts resident copies at `node`, oldest first (earliest creation
+  // time, then lowest message id), until `incoming` more bytes fit. Only
+  // called when incoming <= capacity, so it always succeeds: the per-node
+  // list holds every byte-accounted copy, and evicting all of them frees
+  // the whole buffer. Evicting the last copy of a message drops the
+  // message for good.
   const auto make_room = [&](NodeId node, std::uint64_t incoming) {
     const std::uint64_t capacity = traffic.buffer_capacity_bytes;
     if (store_bytes[node] + incoming <= capacity) return;
@@ -268,34 +268,12 @@ SimulationResult simulate(const SimulationRequest& request,
     list.resize(k);
     while (store_bytes[node] + incoming > capacity) {
       std::size_t victim = 0;
-      switch (traffic.eviction) {
-        case EvictionPolicy::kDropOldest:
-          for (std::size_t i = 1; i < list.size(); ++i) {
-            const Message& cand = messages[list[i].id];
-            const Message& best = messages[list[victim].id];
-            if (cand.created < best.created ||
-                (cand.created == best.created && cand.id < best.id))
-              victim = i;
-          }
-          break;
-        case EvictionPolicy::kDropLargestHop:
-          for (std::size_t i = 1; i < list.size(); ++i) {
-            const auto ch = state[list[i].id].hops[node];
-            const auto bh = state[list[victim].id].hops[node];
-            if (ch > bh) {
-              victim = i;
-            } else if (ch == bh) {
-              const Message& cand = messages[list[i].id];
-              const Message& best = messages[list[victim].id];
-              if (cand.created < best.created ||
-                  (cand.created == best.created && cand.id < best.id))
-                victim = i;
-            }
-          }
-          break;
-        case EvictionPolicy::kRandom:
-          victim = rng.uniform_index(list.size());
-          break;
+      for (std::size_t i = 1; i < list.size(); ++i) {
+        const Message& cand = messages[list[i].id];
+        const Message& best = messages[list[victim].id];
+        if (cand.created < best.created ||
+            (cand.created == best.created && cand.id < best.id))
+          victim = i;
       }
       const std::uint32_t vid = list[victim].id;
       auto& vst = state[vid];
@@ -305,7 +283,7 @@ SimulationResult simulate(const SimulationRequest& request,
       if (fast_scan && --holder_count[node] == 0) --holder_nodes;
       // Order-preserving removal: the live order of every per-node list
       // is the canonical insertion order in both scan modes, which keeps
-      // victim draws and algorithm callbacks subset-invariant.
+      // algorithm callbacks subset-invariant.
       list.erase(list.begin() + static_cast<std::ptrdiff_t>(victim));
       if (vst.holders.count() == 0) {
         vst.dropped = true;

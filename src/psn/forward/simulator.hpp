@@ -34,11 +34,10 @@
 //    step, pooled across directions and relay passes; a blocked transfer
 //    is counted and retried at later contacts.
 //  * bounded buffers — a node stores at most buffer_capacity_bytes;
-//    admission evicts residents per the eviction policy, and evicting the
-//    last copy of an undelivered message drops it for good.
+//    admission evicts residents oldest first, and evicting the last copy
+//    of an undelivered message drops it for good.
 // With every limit infinite (the defaults) the replay is bit-identical to
-// the historical unconstrained simulator, including its RNG stream (the
-// eviction stream draws only when an eviction actually happens).
+// the historical unconstrained simulator.
 //
 // Modeling choices mirror the paper where unconstrained: zero transmission
 // time, symmetric contacts, and minimal progress (delivery to an
@@ -125,11 +124,10 @@ struct SimulationRequest {
   /// Maximum relay passes within one step (a safety bound on the fixpoint
   /// loop; chains longer than this are truncated).
   std::uint32_t max_relay_passes = 128;
-  /// Seed of the per-run stream: it keys the stateless per-(seed, step)
-  /// edge-order hash (the tie-break among simultaneous forwarding
-  /// opportunities — hashed per edge rather than shuffled, so any subset
-  /// of a step's edges sorts into the same relative order) and, under
-  /// EvictionPolicy::kRandom, the eviction victim draws.
+  /// Seed of the run: it keys the stateless per-(seed, step) edge-order
+  /// hash (the tie-break among simultaneous forwarding opportunities —
+  /// hashed per edge rather than shuffled, so any subset of a step's edges
+  /// sorts into the same relative order).
   std::uint64_t seed = 1;
   /// Step sequence to replay (see ReplayMode).
   ReplayMode replay = ReplayMode::kSparse;

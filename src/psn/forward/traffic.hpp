@@ -1,5 +1,5 @@
 // The contended-forwarding traffic model: per-contact bandwidth budgets
-// and bounded per-node message stores with a pluggable eviction policy.
+// and bounded per-node message stores with drop-oldest eviction.
 //
 // The paper's §6.1 simulator moves messages through infinite-bandwidth
 // contacts into infinite buffers, so it can only characterize *unloaded*
@@ -12,9 +12,10 @@
 //    blocked for that step (counted, not dropped: the copy stays where it
 //    is and may cross on a later contact).
 //  * buffer_capacity_bytes — how many bytes one node can store. A transfer
-//    into a full node evicts resident copies per `eviction` until the
-//    incoming message fits; evicting the last copy of an undelivered
-//    message drops the message for good.
+//    into a full node evicts resident copies, oldest first (earliest
+//    creation time, then lowest message id, so constrained runs stay
+//    bit-reproducible), until the incoming message fits; evicting the
+//    last copy of an undelivered message drops the message for good.
 //
 // The message-side dimensions (per-message size and TTL) live on
 // forward::Message. Every limit defaults to "unlimited": a default
@@ -35,15 +36,6 @@
 
 namespace psn::forward {
 
-/// Which resident copy a full buffer sacrifices for an incoming message.
-/// All policies break ties deterministically (older creation time, then
-/// lower message id), so constrained runs stay bit-reproducible.
-enum class EvictionPolicy : std::uint8_t {
-  kDropOldest,     ///< evict the copy with the earliest creation time.
-  kDropLargestHop, ///< evict the most-traveled copy (max hop count here).
-  kRandom,         ///< evict a uniform random resident (per-run stream).
-};
-
 struct TrafficConfig {
   /// Sentinel for "no limit" on both byte-denominated knobs.
   static constexpr std::uint64_t kUnlimited =
@@ -53,8 +45,6 @@ struct TrafficConfig {
   std::uint64_t contact_budget_bytes = kUnlimited;
   /// Bytes one node can store across all held message copies.
   std::uint64_t buffer_capacity_bytes = kUnlimited;
-  /// Victim selection when a bounded buffer must make room.
-  EvictionPolicy eviction = EvictionPolicy::kDropOldest;
 
   [[nodiscard]] constexpr bool budget_limited() const noexcept {
     return contact_budget_bytes != kUnlimited;

@@ -8,20 +8,6 @@
 
 namespace psn::model {
 
-const char* pair_type_name(PairType t) noexcept {
-  switch (t) {
-    case PairType::in_in:
-      return "in-in";
-    case PairType::in_out:
-      return "in-out";
-    case PairType::out_in:
-      return "out-in";
-    case PairType::out_out:
-      return "out-out";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Samples an index proportionally to `weights` given their prefix sums.
@@ -37,13 +23,6 @@ std::size_t sample_weighted(const std::vector<double>& prefix,
 constexpr double kCountCap = 1e15;  // doubles stay exact well past 2000.
 
 }  // namespace
-
-PairType HeterogeneousPopulation::classify(std::size_t source,
-                                           std::size_t destination) const {
-  return is_in(source)
-             ? (is_in(destination) ? PairType::in_in : PairType::in_out)
-             : (is_in(destination) ? PairType::out_in : PairType::out_out);
-}
 
 HeterogeneousPopulation make_heterogeneous_population(
     const HeterogeneousMcConfig& config, util::Rng& rng) {

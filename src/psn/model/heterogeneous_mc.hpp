@@ -27,6 +27,8 @@
 #include <limits>
 #include <vector>
 
+#include "psn/trace/trace_stats.hpp"
+
 namespace psn::util {
 class Rng;
 }  // namespace psn::util
@@ -45,17 +47,12 @@ struct HeterogeneousMcConfig {
   std::uint64_t seed = 1;
 };
 
-/// Quadrants of §5.2 by source/destination rate class.
-enum class PairType { in_in, in_out, out_in, out_out };
-
-[[nodiscard]] const char* pair_type_name(PairType t) noexcept;
-
 /// Result for one simulated message. The time fields are NaN until their
 /// flag is set: a consumer that forgets to check delivered/exploded gets
 /// a poisoned value that propagates loudly, not a silent 0.0 that
 /// deflates every average (use the checked accessors).
 struct McMessageResult {
-  PairType type = PairType::in_in;
+  trace::Quadrant type = trace::Quadrant::in_in;
   bool delivered = false;
   bool exploded = false;
   double t1 = std::numeric_limits<double>::quiet_NaN();  ///< first arrival.
@@ -85,8 +82,11 @@ struct HeterogeneousPopulation {
   [[nodiscard]] bool is_in(std::size_t node) const {
     return rate[node] > median;
   }
-  [[nodiscard]] PairType classify(std::size_t source,
-                                  std::size_t destination) const;
+  /// The §5.2 quadrant of (source, destination) under this median split.
+  [[nodiscard]] trace::Quadrant classify(std::size_t source,
+                                         std::size_t destination) const {
+    return trace::quadrant_of(is_in(source), is_in(destination));
+  }
 };
 
 /// Draws the Uniform(0, max_rate) per-node rates — config.population

@@ -57,21 +57,47 @@ double max_modulation(const std::vector<ModulationSegment>& segs) {
   return mx;
 }
 
-GeneratedTrace generate_conference(const ConferenceConfig& config) {
-  const auto n = config.total_nodes();
-  if (n < 2) throw std::invalid_argument("conference needs at least 2 nodes");
-
-  util::Rng rng(config.seed);
-
-  GeneratedTrace out;
-  out.node_weights.resize(n);
-  for (trace::NodeId i = 0; i < n; ++i) {
-    double w = rng.uniform();
-    if (i >= config.mobile_nodes) w *= config.stationary_weight_boost;
-    out.node_weights[i] = std::max(w, 1e-9);
+double draw_intercontact_gap(GapModel model, double pareto_shape,
+                             double rate, util::Rng& rng) {
+  // For Pareto(x_m, alpha): mean = alpha * x_m / (alpha - 1), so
+  // x_m = (alpha - 1) / (alpha * rate) preserves the pair's mean rate.
+  if (model == GapModel::pareto) {
+    const double scale = (pareto_shape - 1.0) / (pareto_shape * rate);
+    return rng.pareto(scale, pareto_shape);
   }
-  const auto& w = out.node_weights;
+  return rng.exponential(rate);
+}
 
+std::vector<double> draw_node_weights(const ConferenceConfig& config,
+                                      util::Rng& rng) {
+  const auto n = config.total_nodes();
+  if (n < 2) throw std::invalid_argument("generator needs at least 2 nodes");
+  if (!(config.t_max > 0.0) || !std::isfinite(config.t_max))
+    throw std::invalid_argument("t_max must be positive and finite");
+  if (!(config.mean_node_rate > 0.0) || !std::isfinite(config.mean_node_rate))
+    throw std::invalid_argument("mean_node_rate must be positive and finite");
+  if (config.gaps == GapModel::pareto && !(config.pareto_gap_shape > 1.0))
+    throw std::invalid_argument("pareto_gap_shape must exceed 1");
+
+  std::vector<double> w(n);
+  for (trace::NodeId i = 0; i < n; ++i) {
+    double x = rng.uniform();
+    if (i >= config.mobile_nodes) x *= config.stationary_weight_boost;
+    w[i] = std::max(x, 1e-9);
+  }
+  return w;
+}
+
+GeneratedTrace generate_conference(const ConferenceConfig& config) {
+  util::Rng rng(config.seed);
+  GeneratedTrace out;
+  out.node_weights = draw_node_weights(config, rng);
+  const auto& w = out.node_weights;
+  const auto n = config.total_nodes();
+
+  // Pair rate lambda_ij = scale * w_i * w_j. Node i's aggregate rate is
+  // scale * w_i * (sum_j w_j - w_i); pick `scale` so the population mean of
+  // the aggregate rates equals config.mean_node_rate.
   double weight_sum = 0.0;
   for (const double x : w) weight_sum += x;
   double raw_mean = 0.0;
@@ -90,11 +116,13 @@ GeneratedTrace generate_conference(const ConferenceConfig& config) {
     for (trace::NodeId j = i + 1; j < n; ++j) {
       const double rate = scale * w[i] * w[j] * peak;
       if (rate <= 0.0) continue;
-      // Per-pair scan phase (see pairwise_poisson.cpp): avoids a global
-      // sighting grid in the Fig. 1 time series.
+      // Each device pair sees sightings on its own scan phase; without the
+      // per-pair phase every contact would land on a global grid and the
+      // Fig. 1 time series would alternate between full and empty bins.
       const double phase = config.scan_interval > 0.0
                                ? rng.uniform(0.0, config.scan_interval)
                                : 0.0;
+      // Renewal arrivals on [0, t_max): exponential or heavy-tailed gaps.
       double t = draw_intercontact_gap(config.gaps, config.pareto_gap_shape,
                                        rate, rng);
       while (t < config.t_max) {

@@ -27,25 +27,22 @@ double pair_phase(std::uint64_t seed, trace::NodeId i, trace::NodeId j,
 
 }  // namespace
 
-GeneratedTrace generate_metropolis(const MetropolisConfig& config,
+GeneratedTrace generate_metropolis(const ConferenceConfig& config,
                                    const util::ParallelFor& parallel) {
-  const trace::NodeId n = config.total_nodes();
-  if (n < 2) throw std::invalid_argument("metropolis needs at least 2 nodes");
+  if (config.gaps != GapModel::exponential)
+    throw std::invalid_argument(
+        "generate_metropolis: superposition needs exponential gaps");
   if (!parallel)
     throw std::invalid_argument("generate_metropolis: empty ParallelFor");
 
-  // Weights and calibration mirror generate_conference exactly (same
-  // formulas, same stream layout), so metro tiers are the conference
-  // family at scale rather than a new model.
+  // Weights and their checks are generate_conference's own (same draws,
+  // same stream layout), so metro tiers are the conference family at
+  // scale rather than a new model.
   util::Rng rng(config.seed);
   GeneratedTrace out;
-  out.node_weights.resize(n);
-  for (trace::NodeId i = 0; i < n; ++i) {
-    double w = rng.uniform();
-    if (i >= config.mobile_nodes) w *= config.stationary_weight_boost;
-    out.node_weights[i] = std::max(w, 1e-9);
-  }
+  out.node_weights = draw_node_weights(config, rng);
   const auto& w = out.node_weights;
+  const trace::NodeId n = config.total_nodes();
 
   double weight_sum = 0.0;
   double weight_sq_sum = 0.0;
@@ -63,12 +60,12 @@ GeneratedTrace generate_metropolis(const MetropolisConfig& config,
 
   const double peak = max_modulation(config.modulation);
   // The superposed peak-rate process (see file comment): Lambda =
-  // scale * peak * sum_{i<j} w_i w_j.
+  // scale * peak * sum_{i<j} w_i w_j. A NaN or huge stationary boost
+  // overflows S^2 - Q, and the shard count below must not come from NaN.
   const double lambda = scale * peak * pair_mass / 2.0;
-  if (lambda <= 0.0 || config.t_max <= 0.0) {
-    out.trace = trace::ContactTrace({}, n, config.t_max);
-    return out;
-  }
+  if (!(lambda > 0.0) || !std::isfinite(lambda))
+    throw std::invalid_argument(
+        "generate_metropolis: node weights overflow the superposed rate");
 
   // Weight-proportional node sampling by binary search over the prefix
   // mass. (An alias table would be O(1) per draw but the draw is not the
@@ -144,7 +141,7 @@ GeneratedTrace generate_metropolis(const MetropolisConfig& config,
   return out;
 }
 
-GeneratedTrace generate_metropolis(const MetropolisConfig& config) {
+GeneratedTrace generate_metropolis(const ConferenceConfig& config) {
   return generate_metropolis(config, util::serial_parallel_for());
 }
 

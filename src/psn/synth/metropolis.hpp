@@ -30,52 +30,30 @@
 //    avoids a global sighting grid.
 //
 // The price of superposition is the gap model: only exponential gaps are
-// memoryless, so this generator has no Pareto-gap mode. The scale tiers
-// (metro_16k, megacity_65k, and the existing conference tiers they
-// extend) already use exponential gaps for exactly this reason.
+// memoryless, so this generator rejects any other GapModel. The scale
+// tiers (metro_16k, megacity_65k, and the conference tiers they extend)
+// use exponential gaps for exactly this reason.
 
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "psn/synth/conference.hpp"
-#include "psn/synth/pairwise_poisson.hpp"
-#include "psn/trace/contact_trace.hpp"
 #include "psn/util/parallel.hpp"
 
 namespace psn::synth {
 
-/// Parameters of the metropolis generator; field semantics match
-/// ConferenceConfig (nodes [0, mobile_nodes) are mobile, the rest are
-/// stationary with boosted weights). Gaps are always exponential (see
-/// file comment).
-struct MetropolisConfig {
-  trace::NodeId mobile_nodes = 16000;
-  trace::NodeId stationary_nodes = 384;
-  trace::Seconds t_max = 3.0 * 3600.0;
-  /// Population-mean per-node contact rate at modulation factor 1.
-  double mean_node_rate = 0.05;
-  double stationary_weight_boost = 1.5;
-  double mean_contact_duration = 60.0;
-  double scan_interval = 120.0;
-  /// Session/break structure; empty means a flat rate.
-  std::vector<ModulationSegment> modulation;
-  std::uint64_t seed = 1;
-
-  [[nodiscard]] trace::NodeId total_nodes() const noexcept {
-    return mobile_nodes + stationary_nodes;
-  }
-};
-
 /// Generates a metropolis trace, sharding event generation over
-/// `parallel`. Deterministic in `config` alone: every executor produces
-/// the identical trace.
+/// `parallel`. Takes the conference generator's config with the same
+/// field semantics (nodes [0, mobile_nodes) are mobile, the rest are
+/// stationary with boosted weights) and the same checks; it also throws
+/// std::invalid_argument unless `config.gaps` is exponential (see file
+/// comment), `parallel` is set and the weights' pair mass is finite (a
+/// NaN or huge stationary_weight_boost overflows it). Deterministic in
+/// `config` alone: every executor produces the identical trace.
 [[nodiscard]] GeneratedTrace generate_metropolis(
-    const MetropolisConfig& config, const util::ParallelFor& parallel);
+    const ConferenceConfig& config, const util::ParallelFor& parallel);
 
 /// Serial convenience overload (the reference executor).
 [[nodiscard]] GeneratedTrace generate_metropolis(
-    const MetropolisConfig& config);
+    const ConferenceConfig& config);
 
 }  // namespace psn::synth

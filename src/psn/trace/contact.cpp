@@ -8,7 +8,9 @@ namespace psn::trace {
 
 Contact Contact::make(NodeId x, NodeId y, Seconds start, Seconds end) {
   if (x == y) throw std::invalid_argument("Contact: self-contact");
-  if (end < start) throw std::invalid_argument("Contact: end before start");
+  // Negated so a NaN time fails too: every comparison with NaN is false.
+  if (!(end >= start))
+    throw std::invalid_argument("Contact: end before start or NaN time");
   if (x > y) std::swap(x, y);
   return Contact{x, y, start, end};
 }

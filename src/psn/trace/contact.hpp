@@ -25,7 +25,8 @@ struct Contact {
   Seconds start = 0.0;
   Seconds end = 0.0;
 
-  /// Normalizes endpoint order (a < b). Precondition: a != b, end >= start.
+  /// Normalizes endpoint order (a < b). Throws std::invalid_argument
+  /// unless a != b and end >= start (so neither time may be NaN).
   [[nodiscard]] static Contact make(NodeId x, NodeId y, Seconds start,
                                     Seconds end);
 

@@ -1,6 +1,7 @@
 #include "psn/trace/contact_trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -10,8 +11,9 @@ namespace psn::trace {
 ContactTrace::ContactTrace(std::vector<Contact> contacts, NodeId num_nodes,
                            Seconds t_max)
     : num_nodes_(num_nodes), t_max_(t_max) {
-  if (t_max <= 0.0)
-    throw std::invalid_argument("ContactTrace: t_max must be positive");
+  if (!(t_max > 0.0) || !std::isfinite(t_max))
+    throw std::invalid_argument(
+        "ContactTrace: t_max must be positive and finite");
   contacts_.reserve(contacts.size());
   for (Contact c : contacts) {
     if (c.a >= num_nodes || c.b >= num_nodes)
@@ -20,6 +22,12 @@ ContactTrace::ContactTrace(std::vector<Contact> contacts, NodeId num_nodes,
     if (c.a == c.b)
       throw std::invalid_argument("ContactTrace: self contact: " +
                                   c.to_string());
+    // Contact::make's check, for aggregate-built contacts: a NaN time
+    // would pass the window clip below and land in an arbitrary graph
+    // step, a reversed one would count a negative duration.
+    if (!(c.end >= c.start))
+      throw std::invalid_argument(
+          "ContactTrace: end before start or NaN time: " + c.to_string());
     // Contact::make normalizes; a hand-built contact may not, and the
     // space-time graph's build relies on a < b.
     if (c.a > c.b) std::swap(c.a, c.b);

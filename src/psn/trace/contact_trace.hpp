@@ -24,6 +24,9 @@ class ContactTrace {
   /// Builds a trace. Contacts are sorted into canonical order; endpoints are
   /// validated against `num_nodes` and ordered a < b; contacts are clipped
   /// to [0, t_max) and contacts fully outside the window are dropped.
+  /// Throws std::invalid_argument on a bad endpoint, a contact that ends
+  /// before it starts or has a NaN time, or a t_max that is not positive
+  /// and finite.
   ContactTrace(std::vector<Contact> contacts, NodeId num_nodes,
                Seconds t_max);
 

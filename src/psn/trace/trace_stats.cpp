@@ -8,6 +8,20 @@
 
 namespace psn::trace {
 
+const char* quadrant_name(Quadrant q) noexcept {
+  switch (q) {
+    case Quadrant::in_in:
+      return "in-in";
+    case Quadrant::in_out:
+      return "in-out";
+    case Quadrant::out_in:
+      return "out-in";
+    case Quadrant::out_out:
+      return "out-out";
+  }
+  return "?";
+}
+
 RateClassification classify_rates(const ContactTrace& trace) {
   RateClassification out;
   out.rates = trace.contact_rates();

@@ -21,6 +21,22 @@ namespace psn::trace {
 /// rates greater than the median rate").
 enum class RateClass { in_node, out_node };
 
+/// The four classes of a (source, destination) pair by the rate classes of
+/// its ends (§5.2), indexed 0-3 in this order wherever results are split
+/// by pair (Fig. 8, Fig. 13, the model's hypothesis table).
+enum class Quadrant : std::size_t { in_in, in_out, out_in, out_out };
+
+/// "in-in", "in-out", "out-in" or "out-out".
+[[nodiscard]] const char* quadrant_name(Quadrant q) noexcept;
+
+/// The quadrant of a pair whose source and destination are (or are not)
+/// in-nodes.
+[[nodiscard]] constexpr Quadrant quadrant_of(bool source_in,
+                                             bool destination_in) noexcept {
+  return source_in ? (destination_in ? Quadrant::in_in : Quadrant::in_out)
+                   : (destination_in ? Quadrant::out_in : Quadrant::out_out);
+}
+
 /// Per-node rate summary plus the derived in/out classification.
 struct RateClassification {
   std::vector<double> rates;        ///< contacts per second, per node.
@@ -29,6 +45,11 @@ struct RateClassification {
 
   [[nodiscard]] bool is_in(NodeId n) const noexcept {
     return classes[n] == RateClass::in_node;
+  }
+  /// The quadrant of the pair (source, destination).
+  [[nodiscard]] Quadrant quadrant(NodeId source,
+                                  NodeId destination) const noexcept {
+    return quadrant_of(is_in(source), is_in(destination));
   }
 };
 
@@ -50,9 +71,10 @@ struct RateClassification {
     const ContactTrace& trace);
 
 /// Mean inter-contact time matrix (num_nodes x num_nodes, row-major).
-/// Pairs that never meet get +infinity; pairs meeting once get the span
-/// from their only meeting to t_max (an optimistic lower bound, as in MEED
-/// implementations). Used by the Dynamic Programming forwarding oracle.
+/// Pairs that never meet get +infinity; pairs meeting once get the window
+/// length t_max (an optimistic stand-in for the gap they never showed, as
+/// in MEED implementations). Used by the Dynamic Programming forwarding
+/// oracle.
 [[nodiscard]] std::vector<double> mean_intercontact_matrix(
     const ContactTrace& trace);
 

@@ -67,18 +67,6 @@ double Rng::exponential(double rate) noexcept {
   return -std::log1p(-uniform()) / rate;
 }
 
-double Rng::normal() noexcept {
-  // Box-Muller; draw both uniforms every call so the stream is predictable.
-  const double u1 = 1.0 - uniform();  // (0, 1]
-  const double u2 = uniform();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * 3.14159265358979323846 * u2);
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 double Rng::pareto(double scale, double shape) noexcept {

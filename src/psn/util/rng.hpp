@@ -19,9 +19,9 @@ namespace psn::util {
 /// A small, fast, deterministic random engine (xoshiro256**).
 ///
 /// Satisfies the C++ UniformRandomBitGenerator requirements, so it can be
-/// handed to <random> distributions, but the common draws (uniform, exp,
-/// Poisson, normal) are provided as members to keep results identical across
-/// standard library implementations.
+/// handed to <random> distributions, but the common draws (uniform,
+/// exponential, Bernoulli, Pareto) are provided as members to keep results
+/// identical across standard library implementations.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -48,12 +48,6 @@ class Rng {
 
   /// Exponentially distributed value with the given rate (mean 1/rate).
   [[nodiscard]] double exponential(double rate) noexcept;
-
-  /// Standard normal via Box-Muller (no cached spare: deterministic order).
-  [[nodiscard]] double normal() noexcept;
-
-  /// Normal with the given mean and standard deviation.
-  [[nodiscard]] double normal(double mean, double stddev) noexcept;
 
   /// Bernoulli draw.
   [[nodiscard]] bool bernoulli(double p) noexcept;

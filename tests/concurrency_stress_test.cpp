@@ -32,8 +32,7 @@
 #include "psn/serve/json.hpp"
 #include "psn/serve/request.hpp"
 #include "psn/serve/service.hpp"
-#include "psn/synth/pairwise_poisson.hpp"
-#include "psn/trace/trace_stats.hpp"
+#include "psn/synth/conference.hpp"
 
 namespace psn {
 namespace {
@@ -42,19 +41,16 @@ namespace {
 // snapshot builds take real time (widening the race window), small
 // enough that a stress test stays in the sub-second range per build.
 core::Dataset stress_dataset(std::uint64_t seed, const std::string& name) {
-  synth::PairwisePoissonConfig config;
-  config.num_nodes = 24;
+  synth::ConferenceConfig config;
+  config.mobile_nodes = 24;
+  config.stationary_nodes = 0;
   config.t_max = 2700.0;
   config.mean_node_rate = 0.08;
+  config.gaps = synth::GapModel::exponential;
+  config.scan_interval = 0.0;
   config.seed = seed;
-  auto generated = synth::generate_pairwise_poisson(config);
-
-  core::Dataset dataset;
-  dataset.name = name;
-  dataset.trace = std::move(generated.trace);
-  dataset.rates = trace::classify_rates(dataset.trace);
+  auto dataset = core::make_dataset(name, synth::generate_conference(config));
   dataset.message_horizon = 1800.0;
-  dataset.ground_truth_rates = std::move(generated.node_rates);
   return dataset;
 }
 

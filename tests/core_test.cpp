@@ -178,17 +178,23 @@ TEST(QuadrantTest, ClassifyPairMatrix) {
   rc.rates = {10.0, 1.0};
   rc.median_rate = 5.0;
   rc.classes = {trace::RateClass::in_node, trace::RateClass::out_node};
-  EXPECT_EQ(classify_pair(0, 0, rc), Quadrant::in_in);
-  EXPECT_EQ(classify_pair(0, 1, rc), Quadrant::in_out);
-  EXPECT_EQ(classify_pair(1, 0, rc), Quadrant::out_in);
-  EXPECT_EQ(classify_pair(1, 1, rc), Quadrant::out_out);
+  EXPECT_EQ(rc.quadrant(0, 0), trace::Quadrant::in_in);
+  EXPECT_EQ(rc.quadrant(0, 1), trace::Quadrant::in_out);
+  EXPECT_EQ(rc.quadrant(1, 0), trace::Quadrant::out_in);
+  EXPECT_EQ(rc.quadrant(1, 1), trace::Quadrant::out_out);
+  // The index order every per-quadrant array (Fig. 8, Fig. 13, the
+  // model's table) is laid out in.
+  EXPECT_EQ(static_cast<std::size_t>(rc.quadrant(0, 0)), 0u);
+  EXPECT_EQ(static_cast<std::size_t>(rc.quadrant(0, 1)), 1u);
+  EXPECT_EQ(static_cast<std::size_t>(rc.quadrant(1, 0)), 2u);
+  EXPECT_EQ(static_cast<std::size_t>(rc.quadrant(1, 1)), 3u);
 }
 
 TEST(QuadrantTest, NamesStable) {
-  EXPECT_STREQ(quadrant_name(Quadrant::in_in), "in-in");
-  EXPECT_STREQ(quadrant_name(Quadrant::in_out), "in-out");
-  EXPECT_STREQ(quadrant_name(Quadrant::out_in), "out-in");
-  EXPECT_STREQ(quadrant_name(Quadrant::out_out), "out-out");
+  EXPECT_STREQ(trace::quadrant_name(trace::Quadrant::in_in), "in-in");
+  EXPECT_STREQ(trace::quadrant_name(trace::Quadrant::in_out), "in-out");
+  EXPECT_STREQ(trace::quadrant_name(trace::Quadrant::out_in), "out-in");
+  EXPECT_STREQ(trace::quadrant_name(trace::Quadrant::out_out), "out-out");
 }
 
 TEST(QuadrantTest, GroupingPreservesAllRecords) {
@@ -209,10 +215,10 @@ TEST(QuadrantTest, GroupingPreservesAllRecords) {
   records[4].source = 2;
   records[4].destination = 0;  // in-in
   const auto grouped = group_by_quadrant(records, rc);
-  EXPECT_EQ(grouped.of(Quadrant::in_in).size(), 2u);
-  EXPECT_EQ(grouped.of(Quadrant::in_out).size(), 1u);
-  EXPECT_EQ(grouped.of(Quadrant::out_in).size(), 1u);
-  EXPECT_EQ(grouped.of(Quadrant::out_out).size(), 1u);
+  EXPECT_EQ(grouped.of(trace::Quadrant::in_in).size(), 2u);
+  EXPECT_EQ(grouped.of(trace::Quadrant::in_out).size(), 1u);
+  EXPECT_EQ(grouped.of(trace::Quadrant::out_in).size(), 1u);
+  EXPECT_EQ(grouped.of(trace::Quadrant::out_out).size(), 1u);
 }
 
 TEST(PathStudyTest, SmallStudyProducesExplosions) {

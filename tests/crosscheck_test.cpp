@@ -19,7 +19,7 @@
 #include "psn/forward/simulator.hpp"
 #include "psn/graph/reachability.hpp"
 #include "psn/paths/enumerator.hpp"
-#include "psn/synth/pairwise_poisson.hpp"
+#include "psn/synth/conference.hpp"
 #include "psn/util/rng.hpp"
 
 namespace psn {
@@ -37,13 +37,16 @@ struct RandomScenario {
       : trace(make_trace(seed)), graph(trace, 10.0) {}
 
   static trace::ContactTrace make_trace(std::uint64_t seed) {
-    synth::PairwisePoissonConfig config;
-    config.num_nodes = 24;
+    synth::ConferenceConfig config;
+    config.mobile_nodes = 24;
+    config.stationary_nodes = 0;
     config.t_max = 1800.0;
     config.mean_node_rate = 0.05;
     config.mean_contact_duration = 40.0;
+    config.gaps = synth::GapModel::exponential;
+    config.scan_interval = 0.0;
     config.seed = seed;
-    return generate_pairwise_poisson(config).trace;
+    return generate_conference(config).trace;
   }
 };
 

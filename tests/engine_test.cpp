@@ -28,8 +28,9 @@
 #include "psn/engine/sweep.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/forward/algorithm_registry.hpp"
-#include "psn/synth/pairwise_poisson.hpp"
-#include "psn/trace/trace_stats.hpp"
+#include "psn/synth/conference.hpp"
+
+#include "dataset_digest.hpp"
 
 namespace psn::engine {
 namespace {
@@ -37,19 +38,17 @@ namespace {
 // A small but non-trivial dataset: 24 nodes, 45 minutes, heterogeneous
 // weights so the pair-type split is exercised.
 core::Dataset small_dataset(std::uint64_t seed) {
-  synth::PairwisePoissonConfig config;
-  config.num_nodes = 24;
+  synth::ConferenceConfig config;
+  config.mobile_nodes = 24;
+  config.stationary_nodes = 0;
   config.t_max = 2700.0;
   config.mean_node_rate = 0.08;
+  config.gaps = synth::GapModel::exponential;
+  config.scan_interval = 0.0;
   config.seed = seed;
-  auto generated = synth::generate_pairwise_poisson(config);
-
-  core::Dataset dataset;
-  dataset.name = "engine-test";
-  dataset.trace = std::move(generated.trace);
-  dataset.rates = trace::classify_rates(dataset.trace);
+  auto dataset =
+      core::make_dataset("engine-test", synth::generate_conference(config));
   dataset.message_horizon = 1800.0;
-  dataset.ground_truth_rates = std::move(generated.node_rates);
   return dataset;
 }
 
@@ -388,6 +387,41 @@ TEST(ScenarioRegistry, DiurnalTierHasQuietHours) {
             context->graph->num_steps() / 2);
 }
 
+TEST(ScenarioRegistry, DatasetBytesArePinned) {
+  // Every registered dataset below the metro tiers (scale_test pins
+  // those) and the three other paper windows, byte for byte: contact
+  // times the 10 s graph step rounds away still move the digest, which
+  // the graph digests cannot see. Functions of the generators and their
+  // configs alone, so they hold on any machine and thread count.
+  struct Pin {
+    const char* name;
+    std::uint64_t digest;
+  };
+  constexpr Pin kScenarios[] = {
+      {"conference_small", 0xbd674e7d3d7aa877ull},
+      {"random_waypoint", 0x5900cd10ad21e08full},
+      {"town_128", 0xf142e27f9c0387b5ull},
+      {"campus_512", 0xb82cfb4a9b368735ull},
+      {"city_2048", 0xeb2cb05439af4d24ull},
+      {"city_2048_diurnal", 0xf2c3885d560bd298ull},
+  };
+  for (const Pin& pin : kScenarios)
+    EXPECT_EQ(dataset_digest(*make_scenario_by_name(pin.name).dataset),
+              pin.digest)
+        << pin.name;
+  constexpr Pin kOtherWindows[] = {
+      {"infocom06-3-6", 0x5093e989de835711ull},
+      {"conext06-9-12", 0xb7b4409ac77ffeefull},
+      {"conext06-3-6", 0x12a4c85153b8ca33ull},
+  };
+  for (std::size_t i = 0; i < std::size(kOtherWindows); ++i) {
+    const auto dataset = core::DatasetFactory::paper_dataset(i + 1);
+    EXPECT_EQ(dataset.name, kOtherWindows[i].name);
+    EXPECT_EQ(dataset_digest(dataset), kOtherWindows[i].digest)
+        << kOtherWindows[i].name;
+  }
+}
+
 // The flood-kernel choice run_sweep forwards must never change results,
 // only walls: the scalar kernel is the component-index kernel's oracle.
 TEST(Sweep, FloodKernelsAreBitIdentical) {
@@ -411,9 +445,8 @@ TEST(Sweep, FloodKernelsAreBitIdentical) {
 }
 
 // Contention does not break the parallel determinism guarantee: a sweep
-// with finite budgets, finite buffers (random eviction — the policy that
-// consumes RNG draws), and TTLs is bit-identical serially and at 8 threads,
-// down to the traffic event counters.
+// with finite budgets, finite buffers and TTLs is bit-identical serially
+// and at 8 threads, down to the traffic event counters.
 TEST(Sweep, FiniteTrafficBitIdenticalAcrossThreadCounts) {
   const auto ds = small_dataset(29);
   PlanConfig config;
@@ -422,7 +455,6 @@ TEST(Sweep, FiniteTrafficBitIdenticalAcrossThreadCounts) {
   config.message_rate = 0.05;
   config.traffic.contact_budget_bytes = 2;
   config.traffic.buffer_capacity_bytes = 3;
-  config.traffic.eviction = forward::EvictionPolicy::kRandom;
   config.message_ttl = 900.0;
   const auto plan =
       make_plan({make_scenario(ds)}, {"Epidemic", "Spray+Wait"}, config);
@@ -586,8 +618,8 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleOnInfocomMatrix) {
   }
 }
 
-// Same equivalence under contention: finite budgets, tight buffers with
-// the RNG-consuming random eviction policy, and TTLs.
+// Same equivalence under contention: finite budgets, tight buffers and
+// TTLs.
 TEST(Sweep, HolderIncidentSharedObservationMatchesOracleUnderTraffic) {
   const auto ds = small_dataset(29);
   PlanConfig config;
@@ -596,7 +628,6 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleUnderTraffic) {
   config.message_rate = 0.05;
   config.traffic.contact_budget_bytes = 2;
   config.traffic.buffer_capacity_bytes = 3;
-  config.traffic.eviction = forward::EvictionPolicy::kRandom;
   config.message_ttl = 900.0;
   const auto plan = make_plan(
       {make_scenario(ds)}, {"FRESH", "PRoPHET", "Spray+Wait"}, config);

@@ -1108,14 +1108,10 @@ TEST(SimulatorHolderIncident, ConstrainedTrafficMatchesFullOracle) {
     m.size_bytes = 2;
     m.ttl = 320.0;
   }
-  for (const auto policy :
-       {EvictionPolicy::kDropOldest, EvictionPolicy::kRandom}) {
-    TrafficConfig traffic;
-    traffic.contact_budget_bytes = 4;
-    traffic.buffer_capacity_bytes = 6;
-    traffic.eviction = policy;
-    expect_fast_matches_full(f, msgs, traffic);
-  }
+  TrafficConfig traffic;
+  traffic.contact_budget_bytes = 4;
+  traffic.buffer_capacity_bytes = 6;
+  expect_fast_matches_full(f, msgs, traffic);
 }
 
 // --- Seeded random traces: delta passes vs the full-pass oracle. ---
@@ -1149,9 +1145,6 @@ TEST(SimulatorHolderIncident, SeededRandomTracesMatchFullOracle) {
   for (const auto& name : extended_algorithm_names())
     algorithms.push_back(make_algorithm(name));
   algorithms.push_back(std::make_unique<AlwaysMove>());
-  const EvictionPolicy policies[] = {EvictionPolicy::kDropOldest,
-                                     EvictionPolicy::kDropLargestHop,
-                                     EvictionPolicy::kRandom};
   ScanEfforts sum;  // registry algorithms only.
   bool three_passes = false;
   for (int t = 0; t < 200; ++t) {
@@ -1176,16 +1169,13 @@ TEST(SimulatorHolderIncident, SeededRandomTracesMatchFullOracle) {
       msgs.push_back(msg(i, src, dst, 10.0 * uniform(0, steps - 1)));
       msgs.back().size_bytes = uniform(1, 3);
     }
-    for (int regime = 0; regime < 6; ++regime) {
+    for (int regime = 0; regime < 4; ++regime) {
       TrafficConfig traffic;
       std::vector<Message> batch = msgs;
       if (regime == 1)
         for (auto& m : batch) m.ttl = 10.0 * uniform(1, 10);
       if (regime == 2) traffic.contact_budget_bytes = uniform(1, 4);
-      if (regime >= 3) {
-        traffic.buffer_capacity_bytes = uniform(2, 6);
-        traffic.eviction = policies[regime - 3];
-      }
+      if (regime == 3) traffic.buffer_capacity_bytes = uniform(2, 6);
       for (const std::uint32_t passes : {0u, 1u, 2u, 128u}) {
         for (const auto& alg : algorithms) {
           auto request = f.request(*alg, batch);

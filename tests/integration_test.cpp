@@ -31,12 +31,8 @@ core::Dataset mini_dataset() {
   config.scan_interval = 120.0;
   config.modulation = synth::default_conference_modulation(config.t_max);
   config.seed = 0xE2E;
-  auto generated = synth::generate_conference(config);
-
-  core::Dataset ds;
-  ds.name = "mini-conference";
-  ds.trace = std::move(generated.trace);
-  ds.rates = trace::classify_rates(ds.trace);
+  auto ds = core::make_dataset("mini-conference",
+                               synth::generate_conference(config));
   ds.message_horizon = 1.0 * 3600.0;
   return ds;
 }
@@ -79,7 +75,7 @@ TEST(Integration, QuadrantOrderingHeadline) {
   double t1_sum[4] = {0, 0, 0, 0};
   std::size_t t1_n[4] = {0, 0, 0, 0};
   for (std::size_t q = 0; q < 4; ++q) {
-    for (const auto& rec : quadrants.of(static_cast<core::Quadrant>(q))) {
+    for (const auto& rec : quadrants.of(static_cast<trace::Quadrant>(q))) {
       if (!rec.delivered) continue;
       t1_sum[q] += rec.optimal_duration;
       ++t1_n[q];

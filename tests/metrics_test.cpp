@@ -56,14 +56,6 @@ trace::RateClassification fake_rc() {
   return rc;
 }
 
-TEST(Metrics, PairTypeOfQuadrants) {
-  const auto rc = fake_rc();
-  EXPECT_EQ(pair_type_of({0, 0, 1, 0.0}, rc), 0u);  // in-in
-  EXPECT_EQ(pair_type_of({0, 0, 2, 0.0}, rc), 1u);  // in-out
-  EXPECT_EQ(pair_type_of({0, 2, 1, 0.0}, rc), 2u);  // out-in
-  EXPECT_EQ(pair_type_of({0, 2, 3, 0.0}, rc), 3u);  // out-out
-}
-
 TEST(Metrics, SplitByPairType) {
   const auto rc = fake_rc();
   std::vector<::psn::forward::Run> runs;

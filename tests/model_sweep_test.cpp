@@ -315,7 +315,7 @@ TEST(ModelSweep, McStatisticsMatchSerialSingleStreamOracle) {
   }
   // §5.2 hypotheses on the engine side: T1 by source class, TE by
   // destination class.
-  using core::Quadrant;
+  using trace::Quadrant;
   const auto t1_mean = [&](Quadrant q) {
     return engine.t1[static_cast<std::size_t>(q)].mean();
   };
@@ -452,11 +452,11 @@ TEST(ModelSweep, MultiScenarioDeterministicAcrossThreadCounts) {
 // `messages` but never touch the t1/te accumulators.
 TEST(McQuadrantSummary, UndeliveredMessagesNeverTouchTheAccumulators) {
   std::vector<model::McMessageResult> results(3);
-  results[0].type = model::PairType::in_in;
+  results[0].type = trace::Quadrant::in_in;
   results[0].delivered = true;
   results[0].t1 = 12.0;
-  results[1].type = model::PairType::in_in;  // undelivered: NaN sentinels.
-  results[2].type = model::PairType::out_out;
+  results[1].type = trace::Quadrant::in_in;  // undelivered: NaN sentinels.
+  results[2].type = trace::Quadrant::out_out;
   results[2].delivered = true;
   results[2].exploded = true;
   results[2].t1 = 30.0;

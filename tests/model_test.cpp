@@ -370,17 +370,17 @@ TEST(HeterogeneousMc, GoldenSeedResults) {
     EXPECT_TRUE(r.delivered);
     EXPECT_TRUE(r.exploded);
   }
-  EXPECT_EQ(results[0].type, PairType::out_in);
+  EXPECT_EQ(results[0].type, trace::Quadrant::out_in);
   EXPECT_DOUBLE_EQ(results[0].t1, 56.761956367123375);
   EXPECT_DOUBLE_EQ(results[0].te, 29.514618004016725);
-  EXPECT_EQ(results[1].type, PairType::in_in);
+  EXPECT_EQ(results[1].type, trace::Quadrant::in_in);
   EXPECT_DOUBLE_EQ(results[1].t1, 22.55041063058809);
   EXPECT_DOUBLE_EQ(results[1].te, 23.158815760475115);
   // Exploded on the delivering contact itself: a legitimate zero wait,
   // which the NaN sentinel now distinguishes from "never exploded".
   EXPECT_DOUBLE_EQ(results[7].t1, 64.414114886802835);
   EXPECT_DOUBLE_EQ(results[7].explosion_wait(), 0.0);
-  EXPECT_EQ(results[10].type, PairType::out_out);
+  EXPECT_EQ(results[10].type, trace::Quadrant::out_out);
   EXPECT_DOUBLE_EQ(results[10].t1, 81.685470377563476);
   EXPECT_DOUBLE_EQ(results[39].t1, 31.556444592296245);
   EXPECT_DOUBLE_EQ(results[39].te, 30.101551928853624);
@@ -455,19 +455,20 @@ TEST(HeterogeneousMc, QuadrantOrderingHypotheses) {
     ASSERT_GT(t1_n[q], 10u) << "quadrant " << q;
     ASSERT_GT(te_n[q], 10u) << "quadrant " << q;
   }
-  const auto t1_mean = [&](PairType t) {
+  using trace::Quadrant;
+  const auto t1_mean = [&](Quadrant t) {
     const auto q = static_cast<std::size_t>(t);
     return t1_sum[q] / static_cast<double>(t1_n[q]);
   };
-  const auto te_mean = [&](PairType t) {
+  const auto te_mean = [&](Quadrant t) {
     const auto q = static_cast<std::size_t>(t);
     return te_sum[q] / static_cast<double>(te_n[q]);
   };
   // §5.2 hypotheses: T1 driven by the source class, TE by the destination.
-  EXPECT_LT(t1_mean(PairType::in_in), t1_mean(PairType::out_in));
-  EXPECT_LT(t1_mean(PairType::in_out), t1_mean(PairType::out_out));
-  EXPECT_LT(te_mean(PairType::in_in), te_mean(PairType::in_out));
-  EXPECT_LT(te_mean(PairType::out_in), te_mean(PairType::out_out));
+  EXPECT_LT(t1_mean(Quadrant::in_in), t1_mean(Quadrant::out_in));
+  EXPECT_LT(t1_mean(Quadrant::in_out), t1_mean(Quadrant::out_out));
+  EXPECT_LT(te_mean(Quadrant::in_in), te_mean(Quadrant::in_out));
+  EXPECT_LT(te_mean(Quadrant::out_in), te_mean(Quadrant::out_out));
 }
 
 // Parameterized sweep: the ODE mean matches e^{lambda t} for a range of
@@ -495,11 +496,6 @@ INSTANTIATE_TEST_SUITE_P(
     Rates, LambdaSweep,
     ::testing::Combine(::testing::Values(0.01, 0.05, 0.2),
                        ::testing::Values<std::size_t>(50, 500)));
-
-TEST(HeterogeneousMc, PairTypeNames) {
-  EXPECT_STREQ(pair_type_name(PairType::in_in), "in-in");
-  EXPECT_STREQ(pair_type_name(PairType::out_out), "out-out");
-}
 
 }  // namespace
 }  // namespace psn::model

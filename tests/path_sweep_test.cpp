@@ -16,7 +16,7 @@
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/scenario_registry.hpp"
 #include "psn/engine/thread_pool.hpp"
-#include "psn/synth/pairwise_poisson.hpp"
+#include "psn/synth/conference.hpp"
 #include "psn/trace/trace_stats.hpp"
 
 namespace psn::engine {
@@ -28,19 +28,17 @@ using trace::ContactTrace;
 // A small but non-trivial dataset: 24 nodes, 45 minutes, heterogeneous
 // weights.
 core::Dataset small_dataset(std::uint64_t seed) {
-  synth::PairwisePoissonConfig config;
-  config.num_nodes = 24;
+  synth::ConferenceConfig config;
+  config.mobile_nodes = 24;
+  config.stationary_nodes = 0;
   config.t_max = 2700.0;
   config.mean_node_rate = 0.08;
+  config.gaps = synth::GapModel::exponential;
+  config.scan_interval = 0.0;
   config.seed = seed;
-  auto generated = synth::generate_pairwise_poisson(config);
-
-  core::Dataset dataset;
-  dataset.name = "path-sweep-test";
-  dataset.trace = std::move(generated.trace);
-  dataset.rates = trace::classify_rates(dataset.trace);
+  auto dataset = core::make_dataset("path-sweep-test",
+                                    synth::generate_conference(config));
   dataset.message_horizon = 1800.0;
-  dataset.ground_truth_rates = std::move(generated.node_rates);
   return dataset;
 }
 

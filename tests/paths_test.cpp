@@ -12,7 +12,7 @@
 #include "psn/paths/enumerator.hpp"
 #include "psn/paths/explosion.hpp"
 #include "psn/paths/path.hpp"
-#include "psn/synth/pairwise_poisson.hpp"
+#include "psn/synth/conference.hpp"
 
 namespace psn::paths {
 namespace {
@@ -592,12 +592,15 @@ TEST(Enumerator, MembershipStrideDoesNotChangeResults) {
   // W = 1, so the original is the reference; a small k makes trims,
   // purges and admission budgets fire on wide members.
   constexpr NodeId kNodes = 48;
-  synth::PairwisePoissonConfig gen;
-  gen.num_nodes = kNodes;
+  synth::ConferenceConfig gen;
+  gen.mobile_nodes = kNodes;
+  gen.stationary_nodes = 0;
   gen.t_max = 2700.0;
   gen.mean_node_rate = 0.08;
+  gen.gaps = synth::GapModel::exponential;
+  gen.scan_interval = 0.0;
   gen.seed = 21;
-  const ContactTrace base = synth::generate_pairwise_poisson(gen).trace;
+  const ContactTrace base = synth::generate_conference(gen).trace;
   const graph::SpaceTimeGraph base_graph(base, 10.0);
   const auto messages =
       core::uniform_message_sample(kNodes, 12, 1800.0, 23);

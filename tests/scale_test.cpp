@@ -2,7 +2,8 @@
 // trace generation and the component-index flood kernel exist for, plus
 // machine-independent pins across the whole ladder (town_128 ...
 // megacity_65k): exact graph sizes and digests, shared-snapshot byte
-// ceilings and seeded delivery counts.
+// ceilings and seeded delivery counts, plus the metro tiers' dataset
+// bytes.
 //
 // These populations are two orders of magnitude past the paper's 98
 // nodes, so every test here runs a deliberately small workload — the
@@ -31,6 +32,8 @@
 #include "psn/forward/simulator.hpp"
 #include "psn/graph/space_time_graph.hpp"
 #include "psn/util/parallel.hpp"
+
+#include "dataset_digest.hpp"
 
 namespace psn::engine {
 namespace {
@@ -222,15 +225,14 @@ TEST(ScaleTiers, ProphetPredictabilitiesArePinned) {
     forward::ProphetSnapshot::Cursor cursor(*prophet);
     const graph::Step steps = context->graph->num_steps();
     const trace::NodeId n = context->graph->num_nodes();
-    std::uint64_t digest = 14'695'981'039'346'656'037ull;
+    std::uint64_t digest = kFnv1aBasis;
     std::uint64_t nonzero = 0;
     for (const graph::Step s : {steps / 4, steps / 2, 3 * steps / 4, steps - 1})
       for (trace::NodeId c = 0; c < n; ++c)
         for (trace::NodeId x = 0; x < n; ++x) {
           const auto bits = std::bit_cast<std::uint64_t>(cursor.read(x, c, s));
           nonzero += bits != 0 ? 1 : 0;
-          for (int byte = 0; byte < 64; byte += 8)
-            digest = (digest ^ ((bits >> byte) & 0xff)) * 1'099'511'628'211ull;
+          fnv1a_mix(digest, bits);
         }
     EXPECT_EQ(digest, pin.digest) << pin.tier;
     EXPECT_EQ(nonzero, pin.nonzero) << pin.tier;
@@ -309,11 +311,8 @@ TEST(ScaleTiers, MegacityBuildsAndCompletesAnEpidemicRun) {
 /// decoded neighbours. Values are mixed as little-endian 64-bit words, so
 /// the digest is the same on any host.
 std::uint64_t graph_digest(const graph::SpaceTimeGraph& g) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i, v >>= 8)
-      h = (h ^ (v & 0xFFu)) * 1099511628211ull;
-  };
+  std::uint64_t h = kFnv1aBasis;
+  const auto mix = [&h](std::uint64_t v) { fnv1a_mix(h, v); };
   for (graph::Step s = 0; s < g.num_steps(); ++s) {
     const auto es = g.edges(s);
     const auto flags = g.new_edge_flags(s);
@@ -490,6 +489,17 @@ TEST(ScaleTiers, MegacityContextWithComponentIndexFitsTheDefaultBudget) {
   EXPECT_GT(snapshot->bytes(), kIndexBytes / 2);
   EXPECT_LT(ScenarioContextCache::context_bytes(*context),
             ScenarioContextCache::kDefaultBudgetBytes);
+}
+
+TEST(ScaleTiers, MetroDatasetBytesArePinned) {
+  // The metropolis generator's tiers, byte for byte (engine_test pins the
+  // smaller datasets the same way). Functions of the config alone, so
+  // they hold on any machine and executor. Last in the suite, so both
+  // datasets come from the contexts the tests above cached.
+  EXPECT_EQ(dataset_digest(*metro_scenario().dataset), 0x9d501ff20bbea86cull);
+  const auto megacity =
+      make_scenario_by_name("megacity_65k", parallel_for(shared_pool()));
+  EXPECT_EQ(dataset_digest(*megacity.dataset), 0xe133a56a22a1a26full);
 }
 
 }  // namespace

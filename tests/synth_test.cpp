@@ -4,15 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <vector>
 
 #include "psn/engine/thread_pool.hpp"
 #include "psn/stats/summary.hpp"
 #include "psn/synth/conference.hpp"
 #include "psn/synth/homogeneous.hpp"
 #include "psn/synth/metropolis.hpp"
-#include "psn/synth/pairwise_poisson.hpp"
 #include "psn/synth/random_waypoint.hpp"
 #include "psn/trace/trace_stats.hpp"
 #include "psn/util/rng.hpp"
@@ -20,36 +21,42 @@
 namespace psn::synth {
 namespace {
 
-TEST(PairwisePoisson, DeterministicInSeed) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 20;
-  config.t_max = 600.0;
-  config.seed = 5;
-  const auto a = generate_pairwise_poisson(config);
-  const auto b = generate_pairwise_poisson(config);
+// A flat conference population: no stationary class, no modulation,
+// exponential gaps and unquantized starts, i.e. the plain heterogeneous
+// pairwise-Poisson trace.
+ConferenceConfig flat_config(trace::NodeId nodes, trace::Seconds t_max,
+                             std::uint64_t seed) {
+  ConferenceConfig config;
+  config.mobile_nodes = nodes;
+  config.stationary_nodes = 0;
+  config.t_max = t_max;
+  config.gaps = GapModel::exponential;
+  config.scan_interval = 0.0;
+  config.seed = seed;
+  return config;
+}
+
+TEST(Conference, DeterministicInSeed) {
+  const auto config = flat_config(20, 600.0, 5);
+  const auto a = generate_conference(config);
+  const auto b = generate_conference(config);
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (std::size_t i = 0; i < a.trace.size(); ++i)
     EXPECT_EQ(a.trace[i], b.trace[i]);
 }
 
-TEST(PairwisePoisson, DifferentSeedsDiffer) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 20;
-  config.t_max = 600.0;
-  config.seed = 5;
-  const auto a = generate_pairwise_poisson(config);
+TEST(Conference, DifferentSeedsDiffer) {
+  auto config = flat_config(20, 600.0, 5);
+  const auto a = generate_conference(config);
   config.seed = 6;
-  const auto b = generate_pairwise_poisson(config);
+  const auto b = generate_conference(config);
   EXPECT_NE(a.trace.size(), b.trace.size());
 }
 
-TEST(PairwisePoisson, MeanNodeRateCalibrated) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 60;
-  config.t_max = 4.0 * 3600.0;
+TEST(Conference, MeanNodeRateCalibrated) {
+  auto config = flat_config(60, 4.0 * 3600.0, 11);
   config.mean_node_rate = 0.05;
-  config.seed = 11;
-  const auto g = generate_pairwise_poisson(config);
+  const auto g = generate_conference(config);
   // Ground-truth rates average to the configured mean by construction.
   const double gt_mean = stats::mean_of(g.node_rates);
   EXPECT_NEAR(gt_mean, config.mean_node_rate, 1e-12);
@@ -59,25 +66,17 @@ TEST(PairwisePoisson, MeanNodeRateCalibrated) {
               config.mean_node_rate * 0.1);
 }
 
-TEST(PairwisePoisson, RealizedRatesTrackGroundTruth) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 50;
-  config.t_max = 6.0 * 3600.0;
+TEST(Conference, RealizedRatesTrackGroundTruth) {
+  auto config = flat_config(50, 6.0 * 3600.0, 17);
   config.mean_node_rate = 0.06;
-  config.seed = 17;
-  const auto g = generate_pairwise_poisson(config);
+  const auto g = generate_conference(config);
   const auto realized = g.trace.contact_rates();
   std::vector<double> gt(g.node_rates.begin(), g.node_rates.end());
   EXPECT_GT(stats::pearson(gt, realized), 0.95);
 }
 
-TEST(PairwisePoisson, UniformWeightsGiveSpreadOutRates) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 90;
-  config.t_max = 3.0 * 3600.0;
-  config.weights = WeightModel::uniform;
-  config.seed = 23;
-  const auto g = generate_pairwise_poisson(config);
+TEST(Conference, UniformWeightsGiveSpreadOutRates) {
+  const auto g = generate_conference(flat_config(90, 3.0 * 3600.0, 23));
   // Fig. 7: rates approximately uniform on (0, max) -> the coefficient of
   // variation of a U(0, m) sample is 1/sqrt(3) ~ 0.577.
   stats::Accumulator acc;
@@ -86,25 +85,10 @@ TEST(PairwisePoisson, UniformWeightsGiveSpreadOutRates) {
   EXPECT_NEAR(cv, 0.577, 0.12);
 }
 
-TEST(PairwisePoisson, ConstantWeightsGiveTightRates) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 90;
-  config.t_max = 3.0 * 3600.0;
-  config.weights = WeightModel::constant;
-  config.seed = 23;
-  const auto g = generate_pairwise_poisson(config);
-  stats::Accumulator acc;
-  for (const double r : g.node_rates) acc.add(r);
-  EXPECT_LT(acc.stddev() / acc.mean(), 0.01);
-}
-
-TEST(PairwisePoisson, ScanIntervalQuantizesStartsPerPairPhase) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 30;
-  config.t_max = 3600.0;
+TEST(Conference, ScanIntervalQuantizesStartsPerPairPhase) {
+  auto config = flat_config(30, 3600.0, 29);
   config.scan_interval = 120.0;
-  config.seed = 29;
-  const auto g = generate_pairwise_poisson(config);
+  const auto g = generate_conference(config);
   ASSERT_GT(g.trace.size(), 0u);
   // Each pair has its own scan phase: within a pair, start times differ by
   // multiples of the scan interval (unless clamped at 0).
@@ -120,36 +104,29 @@ TEST(PairwisePoisson, ScanIntervalQuantizesStartsPerPairPhase) {
   }
 }
 
-TEST(PairwisePoisson, ParetoGapsPreserveMeanRate) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 60;
-  config.t_max = 6.0 * 3600.0;
+TEST(Conference, ParetoGapsPreserveMeanRate) {
+  auto config = flat_config(60, 6.0 * 3600.0, 71);
   config.mean_node_rate = 0.03;
   config.gaps = GapModel::pareto;
   config.pareto_gap_shape = 1.6;
-  config.seed = 71;
-  const auto g = generate_pairwise_poisson(config);
+  const auto g = generate_conference(config);
   const auto realized = g.trace.contact_rates();
   // Heavy tails add variance, but the mean rate calibration must hold.
   EXPECT_NEAR(stats::mean_of(realized), config.mean_node_rate,
               config.mean_node_rate * 0.25);
 }
 
-TEST(PairwisePoisson, ParetoGapsHaveHeavierTailThanExponential) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 40;
-  config.t_max = 8.0 * 3600.0;
-  config.mean_node_rate = 0.05;
-  // Equal weights so every pair has the same rate: the pooled gap
-  // distribution then isolates the gap model's shape (uniform weights
-  // would make the pooled distribution heavy-tailed by mixing alone).
-  config.weights = WeightModel::constant;
-  config.seed = 73;
+TEST(Conference, ParetoGapsHaveHeavierTailThanExponential) {
+  // One pair, so every gap has the same rate: the pooled gap distribution
+  // then isolates the gap model's shape (pairs of different rates would
+  // make the pooled distribution heavy-tailed by mixing alone). The pair
+  // meets at mean_node_rate, about once per 780 s, over 8000 hours.
+  auto config = flat_config(2, 8000.0 * 3600.0, 73);
+  config.mean_node_rate = 0.05 / 39.0;
 
-  config.gaps = GapModel::exponential;
-  const auto exp_trace = generate_pairwise_poisson(config).trace;
+  const auto exp_trace = generate_conference(config).trace;
   config.gaps = GapModel::pareto;
-  const auto par_trace = generate_pairwise_poisson(config).trace;
+  const auto par_trace = generate_conference(config).trace;
 
   const auto tail_fraction = [](const trace::ContactTrace& t) {
     const auto gaps = trace::all_inter_contact_times(t);
@@ -167,7 +144,7 @@ TEST(PairwisePoisson, ParetoGapsHaveHeavierTailThanExponential) {
   EXPECT_GT(tail_fraction(par_trace), 2.0 * tail_fraction(exp_trace));
 }
 
-TEST(PairwisePoisson, GapHelperMatchesRequestedMean) {
+TEST(Conference, GapHelperMatchesRequestedMean) {
   util::Rng rng(79);
   const double rate = 0.02;
   double sum_exp = 0.0;
@@ -182,13 +159,46 @@ TEST(PairwisePoisson, GapHelperMatchesRequestedMean) {
   EXPECT_NEAR(sum_par / n, 1.0 / rate, 1.0 / rate * 0.25);
 }
 
-TEST(PairwisePoisson, RejectsDegenerateConfigs) {
-  PairwisePoissonConfig config;
-  config.num_nodes = 1;
-  EXPECT_THROW((void)generate_pairwise_poisson(config), std::invalid_argument);
-  config.num_nodes = 5;
-  config.mean_node_rate = 0.0;
-  EXPECT_THROW((void)generate_pairwise_poisson(config), std::invalid_argument);
+TEST(Conference, RejectsDegenerateConfigs) {
+  // Each config either cannot be calibrated or would never advance time
+  // (Pareto gaps with shape <= 1 have a scale <= 0), so both generators
+  // must refuse it rather than hang or emit garbage. Small populations
+  // over 10 minutes keep a generator that lacks a check cheap to catch.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto base = flat_config(4, 600.0, 1);
+  std::vector<ConferenceConfig> bad(8, base);
+  bad[0].mobile_nodes = 1;
+  bad[1].mean_node_rate = 0.0;
+  bad[2].mean_node_rate = kNaN;
+  bad[3].mean_node_rate = kInf;
+  bad[4].t_max = 0.0;
+  bad[5].t_max = kInf;
+  bad[6].t_max = kNaN;
+  bad[7].gaps = GapModel::pareto;
+  bad[7].pareto_gap_shape = 1.0;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW((void)generate_conference(bad[i]), std::invalid_argument)
+        << "config " << i;
+    if (bad[i].gaps == GapModel::exponential) {
+      EXPECT_THROW((void)generate_metropolis(bad[i]), std::invalid_argument)
+          << "config " << i;
+    }
+  }
+  // The superposed process exists only for memoryless gaps.
+  auto pareto = base;
+  pareto.gaps = GapModel::pareto;
+  EXPECT_NO_THROW((void)generate_conference(pareto));
+  EXPECT_THROW((void)generate_metropolis(pareto), std::invalid_argument);
+  // A NaN or huge boost makes its pair mass S^2 - Q NaN, from which the
+  // shard count would be cast.
+  for (const double boost : {kNaN, 1e300}) {
+    auto boosted = base;
+    boosted.stationary_nodes = 2;
+    boosted.stationary_weight_boost = boost;
+    EXPECT_THROW((void)generate_metropolis(boosted), std::invalid_argument)
+        << boost;
+  }
 }
 
 TEST(Homogeneous, PerNodeRateMatches) {
@@ -315,13 +325,13 @@ TEST(RandomWaypoint, HomogeneousRates) {
   EXPECT_LT(acc.stddev() / acc.mean(), 0.45);
 }
 
-MetropolisConfig small_metropolis_config() {
-  MetropolisConfig config;
+ConferenceConfig small_metropolis_config() {
+  ConferenceConfig config;
   config.mobile_nodes = 900;
   config.stationary_nodes = 24;
   config.t_max = 3600.0;
   config.mean_node_rate = 0.02;
-  config.scan_interval = 120.0;
+  config.gaps = GapModel::exponential;
   config.modulation = default_conference_modulation(config.t_max);
   config.seed = 44;
   return config;

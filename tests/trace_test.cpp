@@ -29,6 +29,13 @@ TEST(ContactTest, RejectsReversedInterval) {
   EXPECT_THROW((void)Contact::make(1, 2, 5.0, 4.0), std::invalid_argument);
 }
 
+TEST(ContactTest, RejectsNaNTimes) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)Contact::make(0, 1, kNaN, kNaN), std::invalid_argument);
+  EXPECT_THROW((void)Contact::make(0, 1, 5.0, kNaN), std::invalid_argument);
+  EXPECT_THROW((void)Contact::make(0, 1, kNaN, 8.0), std::invalid_argument);
+}
+
 TEST(ContactTest, OverlapSemantics) {
   const auto c = Contact::make(0, 1, 10.0, 20.0);
   EXPECT_TRUE(c.overlaps(15.0, 16.0));
@@ -84,6 +91,26 @@ TEST(ContactTrace, ClipsToWindow) {
 TEST(ContactTrace, RejectsOutOfRangeNode) {
   std::vector<Contact> cs{Contact::make(0, 5, 0.0, 1.0)};
   EXPECT_THROW(ContactTrace(cs, 3, 100.0), std::invalid_argument);
+}
+
+TEST(ContactTrace, RejectsBadTimesAndNonFiniteWindows) {
+  // A NaN time passes the window clip and a NaN t_max passes a plain
+  // `t_max <= 0` check; either would put contacts in arbitrary graph
+  // steps (a NaN window once merged contacts at 5-8 s and 500-800 s).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Aggregate-built contacts skip Contact::make's check; a reversed one
+  // once counted a negative duration.
+  EXPECT_THROW(ContactTrace({Contact{0, 1, kNaN, kNaN}}, 2, 60.0),
+               std::invalid_argument);
+  EXPECT_THROW(ContactTrace({Contact{0, 1, 5.0, kNaN}}, 2, 60.0),
+               std::invalid_argument);
+  EXPECT_THROW(ContactTrace({Contact{0, 1, 50.0, 10.0}}, 2, 60.0),
+               std::invalid_argument);
+  const std::vector<Contact> cs{Contact::make(0, 1, 5.0, 8.0),
+                                Contact::make(0, 1, 500.0, 800.0)};
+  for (const double t_max : {kNaN, kInf, -kInf, 0.0, -1.0})
+    EXPECT_THROW(ContactTrace(cs, 2, t_max), std::invalid_argument) << t_max;
 }
 
 TEST(ContactTrace, ContactCountsBothEndpoints) {

@@ -225,7 +225,6 @@ TEST(Buffer, ActivationEvictsOldestResidentAtSource) {
   const Fixture f({Contact::make(0, 1, 10.0, 15.0)}, 3, 60.0);
   TrafficConfig traffic;
   traffic.buffer_capacity_bytes = 1;
-  traffic.eviction = EvictionPolicy::kDropOldest;
   EpidemicForwarding epidemic;
   const auto r = run_both_modes(
       f, epidemic, {msg(0, 0, 2, 0.0), msg(1, 0, 2, 1.0)}, traffic);
@@ -255,8 +254,8 @@ TEST(Buffer, MessageLargerThanBufferIsStillborn) {
 // copy parks B's spare at node 0. C then activates at node 1 in step 3,
 // whose only contact is between bystanders 6-7, so make_room must pick a
 // victim with no relay churn in the way: activation order is fixed, the
-// choice is purely the policy's. The victim's message survives at node 0
-// (eviction, not a drop) but misses the final delivery contact.
+// choice is purely the eviction rule's. The victim's message survives at
+// node 0 (eviction, not a drop) but misses the final delivery contact.
 Fixture relay_eviction_fixture() {
   return Fixture(
       {
@@ -279,7 +278,6 @@ TEST(Buffer, DropOldestEvictsEarliestCreation) {
   const auto f = relay_eviction_fixture();
   TrafficConfig traffic;
   traffic.buffer_capacity_bytes = 2;
-  traffic.eviction = EvictionPolicy::kDropOldest;
   EpidemicForwarding epidemic;
   const auto r =
       run_both_modes(f, epidemic, relay_eviction_messages(), traffic);
@@ -291,45 +289,6 @@ TEST(Buffer, DropOldestEvictsEarliestCreation) {
   EXPECT_TRUE(r.outcomes[2].delivered);
   EXPECT_EQ(r.evictions, 1u);
   EXPECT_EQ(r.drops, 0u);
-}
-
-TEST(Buffer, DropLargestHopEvictsMostTraveled) {
-  const auto f = relay_eviction_fixture();
-  TrafficConfig traffic;
-  traffic.buffer_capacity_bytes = 2;
-  traffic.eviction = EvictionPolicy::kDropLargestHop;
-  EpidemicForwarding epidemic;
-  const auto r =
-      run_both_modes(f, epidemic, relay_eviction_messages(), traffic);
-  // A's copy at node 1 is the relayed one (hop 1 vs B's 0): evicted; the
-  // original at node 0 survives. The delivery pattern is the exact
-  // inverse of drop-oldest's.
-  EXPECT_FALSE(r.outcomes[0].delivered);
-  EXPECT_FALSE(r.outcomes[0].dropped);
-  EXPECT_TRUE(r.outcomes[1].delivered);
-  EXPECT_TRUE(r.outcomes[2].delivered);
-  EXPECT_EQ(r.evictions, 1u);
-  EXPECT_EQ(r.drops, 0u);
-}
-
-TEST(Buffer, RandomEvictionIsDeterministicInSeed) {
-  const auto f = relay_eviction_fixture();
-  TrafficConfig traffic;
-  traffic.buffer_capacity_bytes = 2;
-  traffic.eviction = EvictionPolicy::kRandom;
-  EpidemicForwarding epidemic;
-  // Dense and sparse agree (run_both_modes asserts it), and repeated runs
-  // with one seed are bit-identical.
-  const auto a =
-      run_both_modes(f, epidemic, relay_eviction_messages(), traffic);
-  const auto b =
-      run_both_modes(f, epidemic, relay_eviction_messages(), traffic);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].delivered, b.outcomes[i].delivered);
-    EXPECT_EQ(a.outcomes[i].dropped, b.outcomes[i].dropped);
-  }
-  EXPECT_EQ(a.evictions, b.evictions);
 }
 
 // ------------------------------------------------------ contact budgets --
@@ -413,23 +372,16 @@ TEST(TrafficEquivalence, ConstrainedGapTraceMatchesDenseForAllAlgorithms) {
                        static_cast<NodeId>((i + 2) % 5), i * 70.0,
                        1 + i % 3, i % 4 == 0 ? 150.0 : kNoTtl));
 
-  for (const auto policy :
-       {EvictionPolicy::kDropOldest, EvictionPolicy::kDropLargestHop,
-        EvictionPolicy::kRandom}) {
-    TrafficConfig traffic;
-    traffic.contact_budget_bytes = 3;
-    traffic.buffer_capacity_bytes = 4;
-    traffic.eviction = policy;
-    for (const auto& name : extended_algorithm_names())
-      (void)run_both_modes(f, *make_algorithm(name), msgs, traffic);
-  }
+  TrafficConfig traffic;
+  traffic.contact_budget_bytes = 3;
+  traffic.buffer_capacity_bytes = 4;
+  for (const auto& name : extended_algorithm_names())
+    (void)run_both_modes(f, *make_algorithm(name), msgs, traffic);
 }
 
 TEST(TrafficEquivalence, ExplicitUnlimitedMatchesDefaultBitForBit) {
-  // TrafficConfig{kUnlimited, kUnlimited, any policy} must be
-  // indistinguishable from the default-constructed request — including
-  // the kRandom policy, whose eviction stream draws nothing when no
-  // eviction happens.
+  // TrafficConfig{kUnlimited, kUnlimited} spelled out must be
+  // indistinguishable from the default-constructed request.
   std::vector<Contact> cs;
   for (int i = 0; i < 30; ++i)
     cs.push_back(Contact::make(static_cast<NodeId>(i % 5),
@@ -442,7 +394,8 @@ TEST(TrafficEquivalence, ExplicitUnlimitedMatchesDefaultBitForBit) {
                        static_cast<NodeId>((i + 3) % 6), i * 30.0));
 
   TrafficConfig unlimited;
-  unlimited.eviction = EvictionPolicy::kRandom;
+  unlimited.contact_budget_bytes = TrafficConfig::kUnlimited;
+  unlimited.buffer_capacity_bytes = TrafficConfig::kUnlimited;
   ASSERT_TRUE(unlimited.unconstrained());
   for (const auto& name : extended_algorithm_names()) {
     const auto alg = make_algorithm(name);
@@ -482,7 +435,6 @@ TEST(OfferedLoad, EpidemicCollapsesWhereQuotaSchemeHolds) {
   config.runs = 2;
   config.master_seed = 7;
   config.traffic.buffer_capacity_bytes = 64;
-  config.traffic.eviction = EvictionPolicy::kDropOldest;
   engine::ThreadPool pool(2);
   engine::SweepOptions options;
   options.pool = &pool;

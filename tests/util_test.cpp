@@ -83,20 +83,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / n, 1.0 / rate, 0.05);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(41);
-  double sum = 0.0;
-  double sq = 0.0;
-  constexpr int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal();
-    sum += x;
-    sq += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sq / n, 1.0, 0.03);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(43);
   int hits = 0;
