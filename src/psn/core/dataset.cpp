@@ -11,7 +11,6 @@ Dataset make_dataset(std::string name, synth::GeneratedTrace generated) {
   ds.name = std::move(name);
   ds.trace = std::move(generated.trace);
   ds.rates = trace::classify_rates(ds.trace);
-  ds.ground_truth_rates = std::move(generated.node_rates);
   return ds;
 }
 

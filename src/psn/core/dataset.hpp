@@ -22,12 +22,10 @@ struct Dataset {
   /// Messages are generated only during [0, message_horizon) so every
   /// message has at least an hour to be delivered (paper §3).
   trace::Seconds message_horizon = 2.0 * 3600.0;
-  std::vector<double> ground_truth_rates;  ///< generator rates, if known.
 };
 
-/// A generated trace as a named dataset: the trace, its rate
-/// classification and the generator's ground-truth rates (none for a
-/// generator that knows no rates).
+/// A generated trace as a named dataset: the trace and its rate
+/// classification.
 [[nodiscard]] Dataset make_dataset(std::string name,
                                    synth::GeneratedTrace generated);
 

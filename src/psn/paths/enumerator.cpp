@@ -43,6 +43,9 @@ namespace psn::paths {
 
 namespace {
 constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+/// A pool's index is emptied entry by entry, not filled whole, while the
+/// live entries number under 1/kSparseClearRatio of its slots.
+constexpr std::size_t kSparseClearRatio = 16;
 
 [[nodiscard]] constexpr std::uint64_t bit_of(NodeId v) noexcept {
   return std::uint64_t{1} << (v & 63);
@@ -172,15 +175,29 @@ struct EnumerationRun {
     if (recording) pool.repr[to] = std::move(pool.repr[from]);
   }
 
-  static void clear(Pool& pool) {
+  /// Empties the pool. Its index keeps its high-water table, which the
+  /// live entries may fill only sparsely (a fresh pool that admitted 2k
+  /// classes once and a handful since): then each entry's slot is found
+  /// by its probe and emptied alone, instead of filling the whole table.
+  void clear(Pool& pool) const {
+    EntryIndex& index = pool.index;
+    if (pool.size() * kSparseClearRatio < index.slots.size()) {
+      const std::size_t mask = index.slots.size() - 1;
+      for (std::uint32_t e = 0; e < pool.size(); ++e) {
+        std::size_t i = hash(members(pool, e)) & mask;
+        while (index.slots[i] != e) i = (i + 1) & mask;
+        index.slots[i] = kEmptySlot;
+      }
+    } else {
+      std::fill(index.slots.begin(), index.slots.end(), kEmptySlot);
+    }
+    index.size = 0;
     pool.words.clear();
     pool.mult.clear();
     pool.hops.clear();
     pool.propagated.clear();
     pool.repr.clear();
     pool.mult_sum = 0;
-    std::fill(pool.index.slots.begin(), pool.index.slots.end(), kEmptySlot);
-    pool.index.size = 0;
   }
 
   [[nodiscard]] const Path* repr_of(const Pool& pool, std::size_t i) const {
@@ -314,6 +331,81 @@ struct EnumerationRun {
 
   // --- per-node end-of-step maintenance (phase 3) ---
 
+  /// Merges node t's fresh arrivals into its stored pool and keeps the k
+  /// shortest: one pass folds each arrival whose class is already stored
+  /// into that entry and lists the new classes; when the merged pool holds
+  /// more than k paths, its per-hop-count totals give the cut
+  /// (detail::TrimCut), and only surviving stored entries are compacted
+  /// and only kept new classes appended, so the stored arrays never hold
+  /// more than k classes.
+  void merge_fresh(NodeTable& t) {
+    Pool& stored = t.stored;
+    Pool& fresh = t.fresh;
+    const std::uint64_t merged = stored.mult_sum + fresh.mult_sum;
+    const bool trim = merged > k;
+    auto& levels = ws.level_totals_;
+    if (trim) {
+      // t.worst_hops bounds every stored and fresh hop count.
+      levels.assign(std::size_t{t.worst_hops} + 1, 0);
+      for (std::size_t r = 0; r < stored.size(); ++r)
+        levels[stored.hops[r]] += stored.mult[r];
+    }
+    auto& added = ws.new_classes_;
+    added.clear();
+    for (std::uint32_t i = 0; i < fresh.size(); ++i) {
+      const std::uint64_t mult = fresh.mult[i];
+      if (trim) levels[fresh.hops[i]] += mult;
+      const std::uint32_t idx = index_find(stored, members(fresh, i));
+      if (idx != kEmptySlot) {
+        stored.mult[idx] += mult;
+        stored.mult_sum += mult;
+      } else {
+        added.push_back(i);
+      }
+    }
+    total_stored += fresh.mult_sum;
+
+    if (!trim) {
+      for (const std::uint32_t i : added) adopt(stored, fresh, i, true);
+      clear(fresh);
+      return;
+    }
+    const std::uint64_t excess = merged - k;
+    detail::TrimCut cut(levels, excess);
+    std::size_t live = 0;
+    for (std::size_t r = 0; r < stored.size(); ++r) {
+      const std::uint64_t kept = cut.keep(stored.hops[r], stored.mult[r]);
+      if (kept == 0) continue;
+      stored.mult[r] = kept;
+      if (live != r) move_down(stored, r, live);
+      ++live;
+    }
+    // The index stays valid while no stored entry moved.
+    const bool moved = live != stored.size();
+    truncate(stored, live);
+    for (const std::uint32_t i : added) {
+      const std::uint64_t kept = cut.keep(fresh.hops[i], fresh.mult[i]);
+      if (kept == 0) continue;
+      fresh.mult[i] = kept;
+      adopt(stored, fresh, i, !moved);
+    }
+    if (moved) index_rebuild(stored);
+    stored.mult_sum = k;
+    result.effort.truncated_candidates += excess;
+    total_stored -= excess;
+    clear(fresh);
+  }
+
+  /// Appends fresh entry i (multiplicity fresh.mult[i]) to the stored
+  /// pool, taking its representative, and registers it in the index
+  /// unless a rebuild follows.
+  void adopt(Pool& stored, Pool& fresh, std::uint32_t i,
+             bool register_entry) const {
+    push(stored, members(fresh, i), fresh.hops[i], fresh.mult[i]);
+    if (recording) stored.repr.push_back(std::move(fresh.repr[i]));
+    if (register_entry) index_insert(stored);
+  }
+
   /// Purges first-preference violators, merges fresh arrivals into
   /// storage, and enforces the k bound at node u.
   void settle_node(NodeId u, bool dst_active) {
@@ -343,57 +435,9 @@ struct EnumerationRun {
       }
     }
 
-    // Merge fresh arrivals, in insertion order, into the stored pool.
     if (fresh.size() > 0) {
       dirty = true;
-      for (std::size_t i = 0; i < fresh.size(); ++i) {
-        const std::uint64_t* set = members(fresh, i);
-        const std::uint64_t mult = fresh.mult[i];
-        const std::uint32_t idx = index_find(stored, set);
-        if (idx != kEmptySlot) {
-          stored.mult[idx] += mult;
-          stored.mult_sum += mult;
-        } else {
-          push(stored, set, fresh.hops[i], mult);
-          if (recording) stored.repr.push_back(std::move(fresh.repr[i]));
-          index_insert(stored);
-        }
-        total_stored += mult;
-      }
-      clear(fresh);
-    }
-
-    // Trim to the k shortest: shed multiplicity from the longest entries;
-    // among equal hop counts the most recently admitted shed first.
-    if (stored.mult_sum > k) {
-      auto& order = ws.trim_order_;
-      order.clear();
-      for (std::size_t i = 0; i < stored.size(); ++i)
-        order.push_back(static_cast<std::uint32_t>(i));
-      const std::vector<std::uint16_t>& hops = stored.hops;
-      std::sort(order.begin(), order.end(),
-                [&hops](std::uint32_t lhs, std::uint32_t rhs) {
-                  if (hops[lhs] != hops[rhs]) return hops[lhs] > hops[rhs];
-                  return lhs > rhs;
-                });
-      std::uint64_t excess = stored.mult_sum - k;
-      for (const std::uint32_t i : order) {
-        if (excess == 0) break;
-        const std::uint64_t cut = std::min(excess, stored.mult[i]);
-        stored.mult[i] -= cut;
-        excess -= cut;
-        result.effort.truncated_candidates += cut;
-        total_stored -= cut;
-      }
-      std::size_t live = 0;
-      for (std::size_t r = 0; r < stored.size(); ++r) {
-        if (stored.mult[r] == 0) continue;
-        if (live != r) move_down(stored, r, live);
-        ++live;
-      }
-      truncate(stored, live);
-      index_rebuild(stored);
-      stored.mult_sum = k;
+      merge_fresh(t);
     }
 
     if (dirty) {
@@ -569,7 +613,6 @@ struct EnumerationRun {
   void run() {
     k = config.k;
     recording = config.record_paths;
-    stride = (static_cast<std::size_t>(g.num_nodes()) + 63) / 64;
     // Both budgets scale with k; k is clamped first so that no k a caller
     // can pass wraps them (the admission cap is reached at k = 2^19, and
     // the record cap stays below kNoPath, far beyond any step's arrivals).
@@ -581,15 +624,19 @@ struct EnumerationRun {
     record_cap = 4 * std::min<std::uint64_t>(k, kNoPath / 4);
 
     // Lazy reset: undo exactly what the previous message on this
-    // workspace touched, then stamp a new message generation.
+    // workspace touched, then stamp a new message generation. Its pools
+    // are cleared under the stride their entries were written with, since
+    // one workspace serves graphs of any size.
     ++ws.message_stamp_;
     if (ws.nodes_.size() < g.num_nodes()) ws.nodes_.resize(g.num_nodes());
+    stride = ws.stride_;
     for (const NodeId v : ws.touched_) {
       NodeTable& t = ws.nodes_[v];
       clear(t.stored);
       clear(t.fresh);
       t.worst_hops = 0;
     }
+    stride = ws.stride_ = (static_cast<std::size_t>(g.num_nodes()) + 63) / 64;
     ws.touched_.clear();
     ws.active_.clear();
     ws.dst_mask_.assign(stride, 0);
@@ -631,7 +678,8 @@ std::size_t EnumeratorWorkspace::bytes() const noexcept {
   std::size_t total = held(nodes_) + held(touched_) + held(active_) +
                       held(fresh_nodes_) + held(worklist_) +
                       held(step_deliveries_) + held(step_paths_) +
-                      held(trim_order_) + held(dst_mask_) + held(probe_);
+                      held(new_classes_) + held(level_totals_) +
+                      held(dst_mask_) + held(probe_);
   for (const NodeTable& t : nodes_) {
     for (const Pool* pool : {&t.stored, &t.fresh}) {
       total += held(pool->words) + held(pool->mult) + held(pool->hops) +
@@ -640,6 +688,18 @@ std::size_t EnumeratorWorkspace::bytes() const noexcept {
     }
   }
   return total;
+}
+
+detail::TrimCut::TrimCut(std::span<const std::uint64_t> level_totals,
+                         std::uint64_t excess) {
+  for (std::size_t h = level_totals.size(); h-- > 0;) {
+    if (excess <= level_totals[h]) {
+      level_ = static_cast<std::uint16_t>(h);
+      left_ = level_totals[h] - excess;
+      return;
+    }
+    excess -= level_totals[h];
+  }
 }
 
 KPathEnumerator::KPathEnumerator(const graph::SpaceTimeGraph& graph,

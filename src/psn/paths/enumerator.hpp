@@ -25,8 +25,10 @@
 //
 // Truncation: as in the paper, each node stores at most k paths by hop
 // count; a candidate whose hop count does not beat the node's current k-th
-// shortest is rejected (and not extended further within the step). The
-// rejected volume is surfaced in EnumerationEffort.
+// shortest is rejected (and not extended further within the step), and at
+// the step's end the node keeps the k shortest of what it held and
+// received, cut per hop count while the arrivals merge (detail::TrimCut).
+// The rejected volume is surfaced in EnumerationEffort.
 //
 // All scratch lives in an EnumeratorWorkspace (per-node path-table pools,
 // generation-stamped marks, frontier scratch) that is grown, never shrunk:
@@ -36,18 +38,23 @@
 // membership words in one u64 arena per pool, then multiplicities and hop
 // counts — so a pooled path class costs W = ceil(nodes / 64) words, a
 // multiplicity and a hop count (26 bytes at paper scale), plus a
-// representative Path only while paths are recorded. Workspaces never
-// influence results: every iteration the enumerator performs walks
-// insertion-ordered pools (the hash indexes are probed, never iterated),
-// so the outcome is a pure function of (graph, message, config)
-// regardless of what the workspace served before — the property that
-// makes the parallel message fan-out bit-identical at any thread count.
+// representative Path only while paths are recorded. A stored pool holds
+// at most k classes and a fresh pool at most 2k new classes per step, and
+// a pool's membership index is emptied slot by slot when its live entries
+// are sparse in it. Workspaces never influence results: every iteration
+// the enumerator performs walks insertion-ordered pools (the hash indexes
+// are probed, never iterated), so the outcome is a pure function of
+// (graph, message, config) regardless of what the workspace served before
+// — the property that makes the parallel message fan-out bit-identical at
+// any thread count.
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "psn/paths/path.hpp"
@@ -144,6 +151,41 @@ struct EnumerationResult {
   [[nodiscard]] std::optional<Seconds> time_to_explosion(std::size_t k) const;
 };
 
+namespace detail {
+
+/// The end-of-step k-shortest trim at one node (enumerator.cpp's
+/// settle_node), over the node's merged pool: its stored entries in order,
+/// then the step's new classes in arrival order. The trim sheds `excess`
+/// multiplicity, longest paths first and, among equal hop counts, the most
+/// recently admitted first. So whole hop levels are shed from the top
+/// until the excess runs out inside one level, the cut level, which keeps
+/// its oldest paths up to what the excess leaves of it; shorter levels
+/// keep everything. That is exactly what sorting the entries by (hops
+/// descending, position descending) and shedding `excess` from the front
+/// keeps.
+class TrimCut {
+ public:
+  /// `level_totals[h]` is the merged pool's multiplicity at hop count h;
+  /// 0 < excess < the sum of all levels.
+  TrimCut(std::span<const std::uint64_t> level_totals, std::uint64_t excess);
+
+  /// The multiplicity an entry with this hop count keeps. Call it once per
+  /// entry of the merged pool, in merged order.
+  [[nodiscard]] std::uint64_t keep(std::uint16_t hops,
+                                   std::uint64_t mult) noexcept {
+    if (hops != level_) return hops < level_ ? mult : 0;
+    const std::uint64_t kept = std::min(mult, left_);
+    left_ -= kept;
+    return kept;
+  }
+
+ private:
+  std::uint16_t level_ = 0;  ///< the cut level.
+  std::uint64_t left_ = 0;   ///< paths the cut level may still keep.
+};
+
+}  // namespace detail
+
 /// Reusable enumeration scratch: per-node path tables (a stored and a
 /// fresh pool per node, each laid out as parallel arrays over one
 /// member-word arena, plus open-addressed membership indexes that are
@@ -151,7 +193,11 @@ struct EnumerationResult {
 /// zero-weight-closure frontier, and the per-step delivery buffer.
 /// Capacities are retained, never shrunk; stale state is made unreadable
 /// by 64-bit generation stamps instead of being cleared, so starting the
-/// next message costs O(nodes touched by the previous one).
+/// next message costs O(nodes touched by the previous one). A stored pool
+/// holds at most k path classes, since arrivals are trimmed to the k
+/// shortest as they merge, and a fresh pool at most the 2k new classes a
+/// step may admit; a pool's index is emptied slot by slot while its live
+/// entries are sparse in its high-water table.
 ///
 /// Not thread-safe: one workspace serves one enumerate() call at a time.
 /// Any graph size is accepted — the workspace grows to the largest
@@ -236,9 +282,13 @@ class EnumeratorWorkspace {
   std::size_t worklist_head_ = 0;
   std::vector<StepDelivery> step_deliveries_;
   std::vector<Path> step_paths_;  ///< recorded delivery paths this step.
-  std::vector<std::uint32_t> trim_order_;  ///< trim sort scratch.
+  /// Merge scratch: a node's fresh entries that are new classes, and its
+  /// merged multiplicity per hop count when it must trim.
+  std::vector<std::uint32_t> new_classes_;
+  std::vector<std::uint64_t> level_totals_;
   std::vector<std::uint64_t> dst_mask_;  ///< nodes meeting dst (W words).
   std::vector<std::uint64_t> probe_;     ///< candidate membership (W words).
+  std::size_t stride_ = 0;  ///< W of the message the pools were filled by.
   std::uint64_t stamp_ = 0;          ///< per-step generation, never reset.
   std::uint64_t message_stamp_ = 0;  ///< per-message generation, never reset.
 };

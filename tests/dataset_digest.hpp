@@ -1,8 +1,8 @@
 // FNV-1a-64 digests for the suites that pin exact bytes: a dataset's
-// trace and its generator's ground-truth rates (engine_test and
-// scale_test pin every registered dataset with it, so a generator change
-// that moves one contact time by one ulp fails there), and the word
-// mixer scale_test's graph and PRoPHET digests share.
+// trace (engine_test and scale_test pin every registered dataset with it,
+// so a generator change that moves one contact time by one ulp fails
+// there), and the word mixer that scale_test's graph and PRoPHET digests
+// and path_sweep_test's enumeration digests share.
 
 #pragma once
 
@@ -23,9 +23,8 @@ inline void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
     h = (h ^ (v & 0xFFu)) * 1099511628211ull;
 }
 
-/// Mixes num_nodes, t_max's bits, the contact count, each contact's a, b,
-/// start bits and end bits, the ground-truth rate count and each rate's
-/// bits.
+/// Mixes num_nodes, t_max's bits, the contact count, and each contact's
+/// a, b, start bits and end bits.
 inline std::uint64_t dataset_digest(const core::Dataset& dataset) {
   std::uint64_t h = kFnv1aBasis;
   const auto mix = [&h](std::uint64_t v) { fnv1a_mix(h, v); };
@@ -40,8 +39,6 @@ inline std::uint64_t dataset_digest(const core::Dataset& dataset) {
     mix(bits(c.start));
     mix(bits(c.end));
   }
-  mix(dataset.ground_truth_rates.size());
-  for (const double rate : dataset.ground_truth_rates) mix(bits(rate));
   return h;
 }
 

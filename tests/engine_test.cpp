@@ -398,21 +398,21 @@ TEST(ScenarioRegistry, DatasetBytesArePinned) {
     std::uint64_t digest;
   };
   constexpr Pin kScenarios[] = {
-      {"conference_small", 0xbd674e7d3d7aa877ull},
-      {"random_waypoint", 0x5900cd10ad21e08full},
-      {"town_128", 0xf142e27f9c0387b5ull},
-      {"campus_512", 0xb82cfb4a9b368735ull},
-      {"city_2048", 0xeb2cb05439af4d24ull},
-      {"city_2048_diurnal", 0xf2c3885d560bd298ull},
+      {"conference_small", 0xeba85e1790632070ull},
+      {"random_waypoint", 0x17c2fa942b8fb4afull},
+      {"town_128", 0xf8fc72912df91c02ull},
+      {"campus_512", 0xe430b401e5a1fd42ull},
+      {"city_2048", 0x3593de9af4a15085ull},
+      {"city_2048_diurnal", 0xa2067a4b1c91c860ull},
   };
   for (const Pin& pin : kScenarios)
     EXPECT_EQ(dataset_digest(*make_scenario_by_name(pin.name).dataset),
               pin.digest)
         << pin.name;
   constexpr Pin kOtherWindows[] = {
-      {"infocom06-3-6", 0x5093e989de835711ull},
-      {"conext06-9-12", 0xb7b4409ac77ffeefull},
-      {"conext06-3-6", 0x12a4c85153b8ca33ull},
+      {"infocom06-3-6", 0xce153f246a428af1ull},
+      {"conext06-9-12", 0x8b8e05412facc670ull},
+      {"conext06-3-6", 0xd1fa642790955805ull},
   };
   for (std::size_t i = 0; i < std::size(kOtherWindows); ++i) {
     const auto dataset = core::DatasetFactory::paper_dataset(i + 1);

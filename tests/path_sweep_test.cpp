@@ -1,15 +1,19 @@
 // Tests for the engine's path-study sweep: determinism of the parallel
 // message fan-out (bit-identical records serially and at 8 threads, with
 // and without recorded paths), the sparse replay's active-step bound on a
-// gap-engineered trace, the enumerator workspace's byte ceiling, and the
-// sweep's ScenarioContextCache probe. The dense/sparse
-// enumeration oracle runs at enumerator level (paths_test).
+// gap-engineered trace, pinned digests of the enumerations themselves,
+// the enumerator workspace's byte ceiling, and the sweep's
+// ScenarioContextCache probe. The dense/sparse enumeration oracle runs at
+// enumerator level (paths_test).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "dataset_digest.hpp"
 #include "psn/core/dataset.hpp"
 #include "psn/core/workload.hpp"
 #include "psn/engine/path_sweep.hpp"
@@ -209,16 +213,86 @@ TEST(PathSweep, SparseReplayBoundedByActiveStepsAcrossGaps) {
   EXPECT_GT(delivered, 0u);
 }
 
+// FNV-1a over every retained result of a sweep, in slot order: each
+// delivery's arrival bits, step, hops and count, each recorded path's
+// (node, step) sequence, and the four effort counters.
+std::uint64_t results_digest(const PathSweepResult& sweep) {
+  std::uint64_t h = kFnv1aBasis;
+  const auto mix = [&h](std::uint64_t v) { fnv1a_mix(h, v); };
+  for (const PathCell& cell : sweep.cells) {
+    for (const paths::EnumerationResult& r : cell.results) {
+      mix(r.deliveries.size());
+      for (const paths::Delivery& d : r.deliveries) {
+        mix(std::bit_cast<std::uint64_t>(d.arrival));
+        mix(d.step);
+        mix(d.hops);
+        mix(d.count);
+        if (!d.path.valid()) continue;
+        const auto sequence = d.path.sequence();
+        mix(sequence.size());
+        for (const auto& [node, step] : sequence) {
+          mix(node);
+          mix(step);
+        }
+      }
+      mix(r.effort.steps_replayed);
+      mix(r.effort.contact_events);
+      mix(r.effort.peak_stored_paths);
+      mix(r.effort.truncated_candidates);
+    }
+  }
+  return h;
+}
+
+// Which path classes survive each node's k-shortest trim decides every
+// later delivery, and every other check of the trim runs the same code
+// on both sides. These digests pin the enumerator's output itself: the
+// paper's k = 2000 on conference_small, a small k with recorded paths
+// (so trims cut inside hop levels and representatives must follow their
+// classes), and campus_512's W = 8 member words per class.
+TEST(PathSweep, EnumerationDigestsArePinned) {
+  struct Pin {
+    const char* scenario;
+    std::size_t k;
+    bool record_paths;
+    std::size_t messages;
+    std::uint64_t digest;
+  };
+  constexpr Pin kPins[] = {
+      {"conference_small", 2000, false, 24, 0x607d76ea6fe053beull},
+      {"conference_small", 64, true, 60, 0x2aa901badda4033bull},
+      {"campus_512", 256, false, 8, 0x534ce86878996d29ull},
+  };
+  ThreadPool pool(4);
+  PathSweepOptions options;
+  options.pool = &pool;
+  for (const Pin& pin : kPins) {
+    PathSweepPlan plan;
+    plan.scenarios = {make_scenario_by_name(pin.scenario)};
+    plan.config.messages = pin.messages;
+    plan.config.k = pin.k;
+    plan.config.record_paths = pin.record_paths;
+    const auto sweep = run_path_sweep(plan, options);
+    ASSERT_EQ(sweep.cells[0].results.size(), pin.messages);
+    EXPECT_EQ(results_digest(sweep), pin.digest)
+        << pin.scenario << " at k = " << pin.k << std::hex << ": 0x"
+        << results_digest(sweep);
+  }
+}
+
 // One warm enumerator workspace at the paper's k = 2000 on conference_small
 // (98 nodes, W = 2 member words per pooled path class). The pools hold
-// W words + a multiplicity + a hop count per class, and nearly every
-// node's stored/fresh arrays reach the k-shortest working set of a dense
-// step: 36,805,712 B for this sample when the ceiling was set, which sits
-// 5 % above that (the floor at half of it catches a workspace that stopped
-// holding its pools). Capacities are a function of the graph, the sample
-// and the standard library's growth policy, not of the machine.
+// W words + a multiplicity + a hop count per class. A stored pool is
+// trimmed to the k shortest as arrivals merge, so it never holds more
+// than k classes, and a fresh pool holds at most the 2k new classes of
+// one step: 23,883,888 B for this sample when the ceiling was set, which
+// sits 5 % above that, so a return of the pre-trim growth (stored arrays
+// of up to 3k classes, 36,805,712 B) fails here; the floor at half of it
+// catches a workspace that stopped holding its pools. Capacities are a
+// function of the graph, the sample and the standard library's growth
+// policy, not of the machine.
 TEST(PathSweep, ConferenceWorkspaceStaysUnderByteCeiling) {
-  constexpr std::size_t kCeilingBytes = 38'650'000;
+  constexpr std::size_t kCeilingBytes = 25'078'000;
   const auto context = ScenarioContextCache::instance().acquire(
       make_scenario_by_name("conference_small"));
   const core::Dataset& ds = *context->dataset;

@@ -1,9 +1,13 @@
 // Tests for psn::paths: the Path value type and the k-shortest valid path
 // enumerator (Fig. 3), including validity rules: loop avoidance, minimal
-// progress, first preference, and the zero-weight closure.
+// progress, first preference, and the zero-weight closure, and the
+// per-node k-shortest trim's cut against the sort it replaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "psn/core/workload.hpp"
@@ -13,6 +17,7 @@
 #include "psn/paths/explosion.hpp"
 #include "psn/paths/path.hpp"
 #include "psn/synth/conference.hpp"
+#include "psn/util/rng.hpp"
 
 namespace psn::paths {
 namespace {
@@ -720,6 +725,93 @@ TEST(Enumerator, EffortStepsReplayedBoundedByTimeline) {
   // Two active steps, and enumeration ends early once nothing is stored.
   EXPECT_LE(r.effort.steps_replayed, g.num_active_steps());
   EXPECT_EQ(r.effort.contact_events, 2u);
+}
+
+// The per-node trim keeps what a sort by (hops descending, position
+// descending) that sheds total - k from its front keeps: the reference
+// below is that sort, detail::TrimCut the enumerator's cut, applied in
+// merged order as settle_node applies it.
+std::vector<std::uint64_t> kept_by_sort(const std::vector<std::uint16_t>& hops,
+                                        std::vector<std::uint64_t> mult,
+                                        std::uint64_t k) {
+  std::vector<std::size_t> order(hops.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&hops](std::size_t l, std::size_t r) {
+    if (hops[l] != hops[r]) return hops[l] > hops[r];
+    return l > r;
+  });
+  std::uint64_t excess =
+      std::accumulate(mult.begin(), mult.end(), std::uint64_t{0}) - k;
+  for (const std::size_t i : order) {
+    const std::uint64_t cut = std::min(excess, mult[i]);
+    mult[i] -= cut;
+    excess -= cut;
+  }
+  return mult;
+}
+
+std::vector<std::uint64_t> kept_by_cut(const std::vector<std::uint16_t>& hops,
+                                       const std::vector<std::uint64_t>& mult,
+                                       std::uint64_t k) {
+  std::vector<std::uint64_t> levels;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (hops[i] >= levels.size()) levels.resize(hops[i] + 1u, 0);
+    levels[hops[i]] += mult[i];
+    total += mult[i];
+  }
+  detail::TrimCut cut(levels, total - k);
+  std::vector<std::uint64_t> kept;
+  for (std::size_t i = 0; i < hops.size(); ++i)
+    kept.push_back(cut.keep(hops[i], mult[i]));
+  return kept;
+}
+
+TEST(TrimCut, KeepsWhatTheSortKept) {
+  struct Case {
+    const char* name;
+    std::vector<std::uint16_t> hops;
+    std::vector<std::uint64_t> mult;
+    std::uint64_t k;
+  };
+  const std::vector<Case> cases = {
+      {"one hop level", {3, 3, 3, 3}, {2, 5, 1, 4}, 7},
+      // Levels 3 and 2 total 6 and 7: excess 6 sheds level 3 whole,
+      // excess 13 levels 3 and 2.
+      {"excess is one level", {1, 2, 3, 3, 2}, {4, 3, 5, 1, 4}, 11},
+      {"excess is two levels", {1, 2, 3, 3, 2}, {4, 3, 5, 1, 4}, 4},
+      // Level 4 holds 3 paths and the cut level 2 holds 10, in entries 1, 3
+      // and 5: keeping 2 of them cuts entry 1, keeping 9 cuts entry 5.
+      {"cut on the level's first entry", {1, 2, 4, 2, 1, 2}, {2, 5, 3, 3, 1, 2},
+       5},
+      {"cut on the level's last entry", {1, 2, 4, 2, 1, 2}, {2, 5, 3, 3, 1, 2},
+       12},
+      {"empty levels between", {7, 1, 4, 7, 1, 4}, {3, 2, 6, 1, 2, 2}, 9},
+      {"k = 1", {2, 0, 1, 1}, {3, 1, 2, 2}, 1},
+      {"k = 1, shortest level not first", {2, 1, 1}, {3, 2, 2}, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(kept_by_cut(c.hops, c.mult, c.k), kept_by_sort(c.hops, c.mult, c.k));
+  }
+
+  util::Rng rng(0x7219);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(40);
+    const std::uint64_t top = 1 + rng.uniform_index(12);
+    std::vector<std::uint16_t> hops(n);
+    std::vector<std::uint64_t> mult(n);
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      hops[i] = static_cast<std::uint16_t>(rng.uniform_index(top));
+      mult[i] = 1 + rng.uniform_index(trial % 2 == 0 ? 3 : 500);
+      total += mult[i];
+    }
+    if (total < 2) continue;
+    const std::uint64_t k = 1 + rng.uniform_index(total - 1);  // < total.
+    SCOPED_TRACE(testing::Message() << "trial " << trial << ", k = " << k);
+    ASSERT_EQ(kept_by_cut(hops, mult, k), kept_by_sort(hops, mult, k));
+  }
 }
 
 TEST(StructuralValidity, DetectsViolations) {

@@ -496,10 +496,10 @@ TEST(ScaleTiers, MetroDatasetBytesArePinned) {
   // smaller datasets the same way). Functions of the config alone, so
   // they hold on any machine and executor. Last in the suite, so both
   // datasets come from the contexts the tests above cached.
-  EXPECT_EQ(dataset_digest(*metro_scenario().dataset), 0x9d501ff20bbea86cull);
+  EXPECT_EQ(dataset_digest(*metro_scenario().dataset), 0xe0452673e8f3b07dull);
   const auto megacity =
       make_scenario_by_name("megacity_65k", parallel_for(shared_pool()));
-  EXPECT_EQ(dataset_digest(*megacity.dataset), 0xe133a56a22a1a26full);
+  EXPECT_EQ(dataset_digest(*megacity.dataset), 0x9542d9b8e93dea87ull);
 }
 
 }  // namespace
