@@ -51,7 +51,7 @@ int main() {
          std::to_string(quadrants.messages[q]),
          t1.count() ? stats::TablePrinter::fmt(t1.mean(), 0) : "-",
          t1.count() > 1
-             ? "+/- " + stats::TablePrinter::fmt(ci_halfwidth(t1, 0.99), 0)
+             ? "+/- " + stats::TablePrinter::fmt(ci99_halfwidth(t1), 0)
              : "-",
          te.count() ? stats::TablePrinter::fmt(te.mean(), 0) : "-",
          std::to_string(quadrants.exploded[q])});

@@ -2,12 +2,10 @@
 // process (one message per 4 seconds) over the first two hours of each
 // window, with source and destination drawn uniformly at random.
 //
-// Both generators — the Poisson-rate process and the fixed-count uniform
-// sample used by path enumeration — live behind one config-driven entry
-// point, generate_workload(), selected by WorkloadConfig::mode. A given
-// (mode, seed) pair always yields the same message stream (pinned by
-// core_test), with the traffic dimensions (size, TTL) stamped on
-// afterwards.
+// generate_workload() is that Poisson process; uniform_message_sample()
+// draws the fixed-size message sample the path enumeration studies (§1,
+// §4) use. Each is deterministic in its seed, and core_test pins the
+// head of both streams bit for bit.
 
 #pragma once
 
@@ -19,20 +17,8 @@
 
 namespace psn::core {
 
-/// How generate_workload decides how many messages to emit.
-enum class WorkloadMode : std::uint8_t {
-  /// Poisson arrivals at `message_rate` per second until `horizon` (the
-  /// paper's workload; message count is a random variable).
-  kPoissonRate,
-  /// Exactly `count` messages with creation times uniform in [0, horizon)
-  /// (the path-enumeration sample of §1/§4).
-  kFixedCount,
-};
-
 struct WorkloadConfig {
-  WorkloadMode mode = WorkloadMode::kPoissonRate;
   double message_rate = 0.25;  ///< messages per second (1 per 4 s).
-  std::size_t count = 0;       ///< message count under kFixedCount.
   trace::Seconds horizon = 2.0 * 3600.0;  ///< creation window.
   std::uint64_t seed = 1;
   /// Traffic dimensions stamped on every generated message; the defaults
@@ -41,13 +27,15 @@ struct WorkloadConfig {
   forward::Seconds ttl = forward::kNoTtl;
 };
 
-/// Generates the configured workload over `num_nodes` nodes; deterministic
-/// in (mode, seed). Throws std::invalid_argument for < 2 nodes or a
-/// non-positive rate under kPoissonRate.
+/// Poisson arrivals at `message_rate` per second until `horizon` over
+/// `num_nodes` nodes (the message count is a random variable);
+/// deterministic in the seed. Throws std::invalid_argument for < 2 nodes
+/// or a rate that is not positive.
 [[nodiscard]] std::vector<forward::Message> generate_workload(
     trace::NodeId num_nodes, const WorkloadConfig& config);
 
-/// The kFixedCount mode projected onto paths::MessageSpec.
+/// Exactly `count` messages with creation times uniform in [0, horizon);
+/// deterministic in the seed. Throws std::invalid_argument for < 2 nodes.
 [[nodiscard]] std::vector<paths::MessageSpec> uniform_message_sample(
     trace::NodeId num_nodes, std::size_t count, trace::Seconds horizon,
     std::uint64_t seed);

@@ -53,7 +53,6 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     const Scenario& scenario = plan.scenarios[s];
     const RunSpec& spec = plan.runs[plan.slot(s, 0, w % plan.config.runs)];
     core::WorkloadConfig wc;
-    wc.mode = core::WorkloadMode::kPoissonRate;
     wc.message_rate = spec.message_rate;
     wc.horizon = scenario.dataset->message_horizon;
     wc.seed = spec.workload_seed;

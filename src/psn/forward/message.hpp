@@ -107,8 +107,9 @@ struct SimulationResult {
   /// Transfers refused because the contact edge's per-step byte budget
   /// could not fit the message (the copy stays put; not a message death).
   std::uint64_t budget_blocked = 0;
-  /// Transfers refused because the message exceeds the receiving node's
-  /// whole buffer capacity (only possible when size > capacity).
+  /// Messages refused at activation because they exceed the whole buffer
+  /// capacity every node has: stillborn at their source, so each is also
+  /// counted in `drops`.
   std::uint64_t buffer_rejections = 0;
   /// The run's work counters (see SimulationEffort).
   SimulationEffort effort;

@@ -179,9 +179,9 @@ SimulationResult simulate(const SimulationRequest& request,
 
   // Delta passes (semi-naive evaluation, DESIGN §11): after a step's
   // first relay pass, a direction x→y offers only the entries x acquired
-  // since it last ran. Budget and buffer checks count (and evict) per
-  // offer, and a drawing algorithm's stream moves per call, so those runs
-  // keep full passes, as does the kFull oracle.
+  // since it last ran. The budget check counts per offer, a buffer's
+  // make_room evicts per transfer, and a drawing algorithm's stream moves
+  // per call, so those runs keep full passes, as does the kFull oracle.
   const bool delta = request.contact_scan == ContactScan::kHolderIncident &&
                      !budget_limited && !capacity_limited &&
                      algorithm.pure_decisions();
@@ -701,15 +701,11 @@ SimulationResult simulate(const SimulationRequest& request,
           };
           if (!st.holders.test(y) && decide()) {
             // Quota schemes only hand over copies while budget remains;
-            // the traffic checks run after that gate so the counters see
-            // only transfers that would actually happen.
-            const bool wants = !quota_scheme || st.copies[x] > 1;
-            bool admitted = wants;
-            if (admitted && capacity_limited &&
-                sz > traffic.buffer_capacity_bytes) {
-              ++result.buffer_rejections;
-              admitted = false;
-            }
+            // the budget check runs after that gate so budget_blocked
+            // counts only transfers that would actually happen. (A message
+            // larger than the buffer every node has was dropped at
+            // activation, so none held here can overflow y's whole buffer.)
+            bool admitted = !quota_scheme || st.copies[x] > 1;
             if (admitted && budget_limited && work[ei].budget < sz) {
               ++result.budget_blocked;
               admitted = false;

@@ -20,9 +20,10 @@
 // the encoding cuts megacity_65k's arena from 272 to well under
 // 230 bytes/contact; the timeline also serves neighbors(s, v) point
 // lookups and sizes the contact-component index. There is no
-// architectural node-count ceiling: membership sets are dynamic
-// (util::NodeSet), and populations up to the registry's megacity_65k tier
-// are exercised in tests and benches.
+// architectural node-count ceiling: holder sets (util::NodeSet) and the
+// enumerator's membership words are sized to the population, and
+// populations up to the registry's megacity_65k tier are exercised in
+// tests and benches.
 //
 // One serial build writes the arenas in their final order (DESIGN.md §9).
 // It orders the contacts' step spans by (pair, first step) with two

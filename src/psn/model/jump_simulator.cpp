@@ -7,6 +7,12 @@
 
 namespace psn::model {
 
+namespace {
+/// Counts saturate here to avoid overflow during the explosive phase;
+/// chosen far above any k used in analyses.
+constexpr std::uint64_t kCountCap = std::uint64_t{1} << 62;
+}  // namespace
+
 std::vector<JumpSample> run_jump_simulation(const JumpSimConfig& config,
                                             ModelWorkspace& workspace,
                                             JumpRunTelemetry* telemetry) {
@@ -73,11 +79,11 @@ std::vector<JumpSample> run_jump_simulation(const JumpSimConfig& config,
     if (telemetry != nullptr) ++telemetry->events;
 
     // Transition: S_peer += S_initiator (paths flow with the contact),
-    // saturating at count_cap.
+    // saturating at kCountCap.
     const std::uint64_t gain = s[initiator];
     if (gain > 0) {
-      if (s[peer] > config.count_cap - gain)
-        s[peer] = config.count_cap;
+      if (s[peer] > kCountCap - gain)
+        s[peer] = kCountCap;
       else
         s[peer] += gain;
     }

@@ -22,9 +22,6 @@ struct JumpSimConfig {
   double t_end = 200.0;
   std::size_t samples = 50;       ///< trajectory sample count (0 = none).
   std::uint64_t seed = 1;
-  /// Counts saturate here to avoid overflow during the explosive phase;
-  /// chosen far above any k used in analyses.
-  std::uint64_t count_cap = std::uint64_t{1} << 62;
 };
 
 /// One sampled time point of the jump process. Sample times never exceed

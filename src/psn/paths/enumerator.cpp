@@ -95,7 +95,7 @@ struct EnumerationRun {
   }
 
   [[nodiscard]] std::size_t hash(const std::uint64_t* set) const noexcept {
-    return util::NodeSetHash{}(std::span<const std::uint64_t>(set, stride));
+    return detail::member_hash(std::span<const std::uint64_t>(set, stride));
   }
 
   // --- membership index: open addressing, probed but never iterated ---

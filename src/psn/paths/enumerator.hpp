@@ -153,6 +153,31 @@ struct EnumerationResult {
 
 namespace detail {
 
+/// The membership index's hash of a member set whose word i is words[i]:
+/// a SplitMix-style mix of the first two words (a missing second word
+/// reads as zero), then of each nonzero word after them, so trailing zero
+/// words leave it unchanged. Where an entry lands in the index, and so
+/// what a probe costs, follows from it; paths_test pins its values.
+[[nodiscard]] inline std::size_t member_hash(
+    std::span<const std::uint64_t> words) noexcept {
+  const auto word = [words](std::size_t i) -> std::uint64_t {
+    return i < words.size() ? words[i] : 0;
+  };
+  std::uint64_t h = word(0) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 32;
+  h += word(1) * 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 29;
+  for (std::size_t i = 2; i < words.size(); ++i) {
+    const std::uint64_t w = words[i];
+    if (w == 0) continue;
+    std::uint64_t z = w + 0x9e3779b97f4a7c15ULL * (i + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    h ^= z ^ (z >> 31);
+  }
+  return static_cast<std::size_t>(h);
+}
+
 /// The end-of-step k-shortest trim at one node (enumerator.cpp's
 /// settle_node), over the node's merged pool: its stored entries in order,
 /// then the step's new classes in arrival order. The trim sheds `excess`

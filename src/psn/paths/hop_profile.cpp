@@ -37,7 +37,7 @@ HopRateProfile HopProfileCollector::rate_profile() const {
   for (const auto& acc : rate_acc_) {
     if (acc.count() == 0) break;
     out.mean.push_back(acc.mean());
-    out.ci99.push_back(stats::ci_halfwidth(acc, 0.99));
+    out.ci99.push_back(stats::ci99_halfwidth(acc));
     out.samples.push_back(acc.count());
   }
   return out;

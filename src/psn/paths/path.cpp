@@ -8,7 +8,6 @@ namespace psn::paths {
 Path Path::origin(NodeId node, Step step) {
   Path p;
   p.head_ = std::make_shared<const PathHop>(PathHop{node, step, nullptr});
-  p.members_ = util::NodeSet::single(node);
   p.hops_ = 0;
   return p;
 }
@@ -19,10 +18,15 @@ Path Path::extend(NodeId node, Step step) const {
   assert(step >= head_->step);
   Path p;
   p.head_ = std::make_shared<const PathHop>(PathHop{node, step, head_});
-  p.members_ = members_;
-  p.members_.set(node);
   p.hops_ = static_cast<std::uint16_t>(hops_ + 1);
   return p;
+}
+
+bool Path::visits(NodeId node) const noexcept {
+  for (const PathHop* hop = head_.get(); hop != nullptr;
+       hop = hop->prev.get())
+    if (hop->node == node) return true;
+  return false;
 }
 
 std::vector<std::pair<NodeId, Step>> Path::sequence() const {

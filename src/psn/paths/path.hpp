@@ -4,8 +4,8 @@
 // where each consecutive tuple is justified by a contact. Paths are
 // immutable and share suffixes: extending a path allocates one node that
 // points at its predecessor, so the enumerator can hold hundreds of
-// thousands of live paths cheaply. Each path carries a node membership
-// set making the loop-freedom test O(1).
+// thousands of live paths cheaply. A path is its hop chain and hop count
+// alone; the enumerator keeps loop freedom with its own membership words.
 
 #pragma once
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "psn/graph/space_time_graph.hpp"
-#include "psn/util/node_set.hpp"
 
 namespace psn::paths {
 
@@ -44,17 +43,11 @@ class Path {
   /// Number of hops (tuples minus one); the paper's shortest-path metric.
   [[nodiscard]] std::uint16_t hops() const noexcept { return hops_; }
 
-  /// True if `node` appears anywhere on the path.
-  [[nodiscard]] bool visits(NodeId node) const noexcept {
-    return members_.test(node);
-  }
+  /// True if `node` appears anywhere on the path (walks the hop chain).
+  [[nodiscard]] bool visits(NodeId node) const noexcept;
 
   [[nodiscard]] NodeId last_node() const noexcept { return head_->node; }
   [[nodiscard]] Step last_step() const noexcept { return head_->step; }
-
-  [[nodiscard]] const util::NodeSet& members() const noexcept {
-    return members_;
-  }
 
   [[nodiscard]] bool valid() const noexcept { return head_ != nullptr; }
 
@@ -63,7 +56,6 @@ class Path {
 
  private:
   std::shared_ptr<const PathHop> head_;
-  util::NodeSet members_;
   std::uint16_t hops_ = 0;
 };
 

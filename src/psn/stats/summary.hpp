@@ -32,9 +32,9 @@ class Accumulator {
   double max_ = 0.0;
 };
 
-/// Symmetric normal-approximation confidence interval half-width for the
-/// mean at the given confidence level (e.g. 0.99 -> z ~ 2.576).
-[[nodiscard]] double ci_halfwidth(const Accumulator& acc, double confidence);
+/// Half-width of the symmetric normal-approximation 99% confidence
+/// interval for the mean (z ~ 2.576); 0 for fewer than two samples.
+[[nodiscard]] double ci99_halfwidth(const Accumulator& acc) noexcept;
 
 /// Sample mean of a vector; 0 for empty input.
 [[nodiscard]] double mean_of(const std::vector<double>& xs) noexcept;

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -143,32 +142,36 @@ TEST(Workload, GenerateWorkloadPinsSeededPoissonStream) {
   }
 }
 
-TEST(Workload, GenerateWorkloadReproducesLegacyFixedCountStream) {
-  const auto legacy = uniform_message_sample(50, 120, 3600.0, 9);
-
-  WorkloadConfig config;
-  config.mode = WorkloadMode::kFixedCount;
-  config.count = 120;
-  config.horizon = 3600.0;
-  config.seed = 9;
-  const auto msgs = generate_workload(50, config);
-
-  ASSERT_EQ(msgs.size(), legacy.size());
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(msgs[i].source, legacy[i].source);
-    EXPECT_EQ(msgs[i].destination, legacy[i].destination);
-    EXPECT_EQ(msgs[i].created, legacy[i].t_start);  // bit-identical.
-    EXPECT_EQ(msgs[i].size_bytes, 1u);
-    EXPECT_TRUE(std::isinf(msgs[i].ttl));
+TEST(Workload, UniformMessageSamplePinsSeededStream) {
+  // The path studies draw their message samples from this stream, so a
+  // seed must keep meaning the same sample. The literals were captured
+  // from the generator; the creation times are exact doubles (hex), so a
+  // change to the draw order or to the uniform draw shows up here.
+  const auto sample = uniform_message_sample(50, 120, 3600.0, 9);
+  ASSERT_EQ(sample.size(), 120u);
+  const paths::MessageSpec head[] = {
+      {0, 13, 0x1.dcdd35af2a0cdp+8},    // 476.86410040642369
+      {36, 46, 0x1.4efbe22c4505bp+11},  // 2679.8713590000239
+      {34, 24, 0x1.0cfe989d92c26p+9},   // 537.98903245607357
+      {22, 37, 0x1.bd2102e21ef2dp+11},  // 3561.0316019634688
+      {8, 38, 0x1.a3a65a3f74c45p+11},   // 3357.1985165863612
+      {47, 2, 0x1.810162f7f767ep+10},   // 1540.0216655651161
+  };
+  for (std::size_t i = 0; i < std::size(head); ++i) {
+    EXPECT_EQ(sample[i].source, head[i].source) << i;
+    EXPECT_EQ(sample[i].destination, head[i].destination) << i;
+    EXPECT_EQ(sample[i].t_start, head[i].t_start) << i;  // bit-identical.
   }
+  EXPECT_EQ(sample.back().source, 6u);
+  EXPECT_EQ(sample.back().destination, 23u);
+  EXPECT_EQ(sample.back().t_start, 0x1.059f899c621dbp+11);
 }
 
-TEST(Workload, FixedCountValidatesConfig) {
+TEST(Workload, GeneratorsRejectBadInputs) {
+  EXPECT_THROW((void)uniform_message_sample(1, 5, 3600.0, 1),
+               std::invalid_argument);
   WorkloadConfig config;
-  config.mode = WorkloadMode::kFixedCount;
-  config.count = 5;
   EXPECT_THROW((void)generate_workload(1, config), std::invalid_argument);
-  config.mode = WorkloadMode::kPoissonRate;
   config.message_rate = 0.0;
   EXPECT_THROW((void)generate_workload(10, config), std::invalid_argument);
 }

@@ -1,13 +1,15 @@
 // Tests for psn::paths: the Path value type and the k-shortest valid path
 // enumerator (Fig. 3), including validity rules: loop avoidance, minimal
-// progress, first preference, and the zero-weight closure, and the
-// per-node k-shortest trim's cut against the sort it replaced.
+// progress, first preference, and the zero-weight closure, the membership
+// index's hash, and the per-node k-shortest trim's cut against the sort it
+// replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "psn/core/workload.hpp"
@@ -77,10 +79,56 @@ TEST(PathTest, SharedSuffixIndependence) {
 }
 
 TEST(PathTest, MembershipCountMatchesHops) {
-  // Loop-free: |members| = hops + 1 always.
+  // Loop-free: the chain holds hops + 1 tuples, and visits() finds each
+  // of their nodes and no other.
   auto p = Path::origin(5, 0);
   for (NodeId v : {7u, 9u, 11u, 13u}) p = p.extend(v, p.last_step() + 1);
-  EXPECT_EQ(p.members().count(), p.hops() + 1u);
+  const auto seq = p.sequence();
+  EXPECT_EQ(seq.size(), p.hops() + 1u);
+  for (const auto& [node, step] : seq) EXPECT_TRUE(p.visits(node));
+  for (NodeId v = 0; v < 16; ++v)
+    EXPECT_EQ(p.visits(v), v == 5 || v == 7 || v == 9 || v == 11 || v == 13)
+        << v;
+}
+
+TEST(MemberHash, PinsValuesOnWordImages) {
+  // Where an entry lands in a pool's membership index, and so what each
+  // probe costs, follows from this hash. The values were captured from
+  // the formula; W = 1, 2 and 8 with zero and nonzero high words.
+  struct Case {
+    std::vector<std::uint64_t> words;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {{0}, 0x0000000000000000ull},
+      {{1}, 0x9e3779bd10c6c863ull},
+      {{0x8000000000000001ull}, 0x1e3779b990c6c867ull},
+      {{0x00000000deadbeefull, 0}, 0x00dfed9728f2ecb5ull},
+      {{0x0123456789abcdefull, 0xfedcba9876543210ull}, 0x6af73b0797e7549aull},
+      {{0, 0x40ull}, 0xd611db4189b7b479ull},
+      {{0x5ull, 0, 0, 0, 0, 0, 0, 0}, 0x1715609fd3ca080dull},
+      {{0x0123456789abcdefull, 0xfedcba9876543210ull, 0, 0x1ull, 0, 0, 0,
+        0x8000000000000000ull},
+       0x7966f5cc457b662cull},
+      {{0, 0, 0, 0, 0, 0, 0, 0x10ull}, 0x0001fcef7ea09599ull},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(detail::member_hash(c.words), c.hash)
+        << "W=" << c.words.size() << " word0=" << c.words[0];
+  // Trailing zero words leave the hash unchanged.
+  EXPECT_EQ(detail::member_hash(std::vector<std::uint64_t>{1, 0, 0, 0}),
+            detail::member_hash(std::vector<std::uint64_t>{1}));
+}
+
+TEST(MemberHash, SpreadsOverBuckets) {
+  std::set<std::size_t> hashes;
+  std::vector<std::uint64_t> words(32);
+  for (std::uint32_t b = 0; b < 2048; ++b) {
+    std::fill(words.begin(), words.end(), 0);
+    words[b >> 6] = std::uint64_t{1} << (b & 63);
+    hashes.insert(detail::member_hash(words));
+  }
+  EXPECT_EQ(hashes.size(), 2048u);
 }
 
 TEST(Enumerator, DirectContactSingleFirstPreferencePath) {

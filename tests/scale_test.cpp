@@ -284,14 +284,12 @@ TEST(ScaleTiers, MegacityBuildsAndCompletesAnEpidemicRun) {
   ASSERT_TRUE(context->graph != nullptr);
   EXPECT_GT(context->graph->total_edges(), 0u);
 
-  core::WorkloadConfig wc;
-  wc.mode = core::WorkloadMode::kFixedCount;
-  wc.count = 6;
-  wc.horizon = scenario.dataset->message_horizon;
-  wc.seed = 5;
-  const auto messages =
-      core::generate_workload(scenario.dataset->trace.num_nodes(), wc);
-  ASSERT_EQ(messages.size(), 6u);
+  std::vector<forward::Message> messages;
+  for (const paths::MessageSpec& m : core::uniform_message_sample(
+           scenario.dataset->trace.num_nodes(), 6,
+           scenario.dataset->message_horizon, 5))
+    messages.push_back({static_cast<std::uint32_t>(messages.size()), m.source,
+                        m.destination, m.t_start});
 
   const auto algorithm = forward::make_algorithm("Epidemic");
   forward::SimulationRequest request;

@@ -129,15 +129,14 @@ TEST(CiHalfwidth, MatchesNormalQuantile) {
   // 99% CI half-width: 2.5758 * sigma / sqrt(n); the sample's shape does
   // not enter, only its standard deviation.
   const double expected = 2.5758 * acc.stddev() / std::sqrt(10000.0);
-  EXPECT_NEAR(ci_halfwidth(acc, 0.99), expected, expected * 0.01);
-}
-
-TEST(CiHalfwidth, RejectsBadConfidence) {
-  Accumulator acc;
-  acc.add(1.0);
-  acc.add(2.0);
-  EXPECT_THROW((void)ci_halfwidth(acc, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)ci_halfwidth(acc, 1.0), std::invalid_argument);
+  EXPECT_NEAR(ci99_halfwidth(acc), expected, expected * 0.01);
+  // At a standard error of exactly 1 the half-width is z itself: the
+  // double the printed intervals were computed with.
+  Accumulator unit;
+  unit.add(0.0);
+  unit.add(2.0);
+  ASSERT_EQ(unit.stderr_mean(), 1.0);
+  EXPECT_EQ(ci99_halfwidth(unit), 0x1.49b4c653a0a4bp+1);
 }
 
 TEST(Pearson, PerfectCorrelation) {

@@ -108,15 +108,17 @@ TEST(Rng, ShufflePreservesElements) {
 
 TEST(NodeSet, EmptyByDefault) {
   NodeSet s;
-  EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.num_words(), 0u);
   for (std::uint32_t b = 0; b < 128; ++b) EXPECT_FALSE(s.test(b));
-  // Probing past the backing storage is safe and false.
+  // Probing past the words is safe and false.
   EXPECT_FALSE(s.test(100000));
+  EXPECT_EQ(s.word(7), 0u);
 }
 
 TEST(NodeSet, SetTestResetAcrossWordBoundaries) {
-  NodeSet s(1000);
+  NodeSet s;
+  s.ensure_capacity(1000);
   for (std::uint32_t b : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 511u, 999u}) {
     s.set(b);
     EXPECT_TRUE(s.test(b));
@@ -127,96 +129,66 @@ TEST(NodeSet, SetTestResetAcrossWordBoundaries) {
   s.reset(511);
   EXPECT_FALSE(s.test(511));
   EXPECT_EQ(s.count(), 7u);
-  // Resetting beyond storage is a no-op.
+  // Resetting beyond the words is a no-op.
   s.reset(100000);
   EXPECT_EQ(s.count(), 7u);
 }
 
-TEST(NodeSet, SingleFactory) {
-  const auto s = NodeSet::single(97);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_TRUE(s.test(97));
-  const auto big = NodeSet::single(2048, 1733);
-  EXPECT_EQ(big.count(), 1u);
-  EXPECT_TRUE(big.test(1733));
-}
-
-TEST(NodeSet, GrowsOnDemandBeyondConstructionCapacity) {
-  NodeSet s(64);
-  s.set(700);  // far past the declared capacity
+TEST(NodeSet, GrowsOnDemandBeyondCapacity) {
+  NodeSet s;
+  s.ensure_capacity(64);
+  s.set(700);  // far past the pre-sized capacity
   EXPECT_TRUE(s.test(700));
+  EXPECT_EQ(s.num_words(), 11u);
   s.set(3);
   EXPECT_EQ(s.count(), 2u);
 }
 
-TEST(NodeSet, UnionAndIntersection) {
-  NodeSet a(256);
+TEST(NodeSet, UnionAndIntersectionCount) {
+  NodeSet a;
   a.set(3);
   a.set(70);
   a.set(200);
-  NodeSet b(256);
+  NodeSet b;
   b.set(70);
   b.set(100);
   b.set(200);
-  const auto u = a | b;
-  EXPECT_EQ(u.count(), 4u);
-  const auto i = a & b;
-  EXPECT_EQ(i.count(), 2u);
-  EXPECT_TRUE(i.test(70));
-  EXPECT_TRUE(i.test(200));
   EXPECT_EQ(a.intersect_count(b), 2u);
+  a |= b;
+  EXPECT_EQ(a.count(), 4u);
+  EXPECT_TRUE(a.test(100));
   NodeSet c;
   c.set(5);
   EXPECT_EQ(a.intersect_count(c), 0u);
 }
 
-TEST(NodeSet, EqualityAndHashIgnoreCapacity) {
-  NodeSet a(64);
-  a.set(5);
-  a.set(99);
-  NodeSet b(4096);
-  b.set(99);
-  b.set(5);
-  // Same members, very different backing storage: equal, equal hashes.
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(NodeSetHash{}(a), NodeSetHash{}(b));
-  b.set(1);
-  EXPECT_NE(a, b);
-}
-
-TEST(NodeSet, HashSpreadsOverBuckets) {
-  std::set<std::size_t> hashes;
-  for (std::uint32_t b = 0; b < 2048; ++b)
-    hashes.insert(NodeSetHash{}(NodeSet::single(b)));
-  EXPECT_EQ(hashes.size(), 2048u);
-}
-
-TEST(NodeSet, CopyAndMoveSemantics) {
-  NodeSet big(1024);
-  big.set(7);
-  big.set(900);
-  NodeSet copy = big;
-  EXPECT_EQ(copy, big);
-  copy.set(11);
-  EXPECT_FALSE(big.test(11));  // deep copy
-
-  NodeSet moved = std::move(copy);
-  EXPECT_TRUE(moved.test(900));
-  EXPECT_TRUE(moved.test(11));
-  // Moved-from set is valid and empty.
-  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
-  copy.set(2);
-  EXPECT_EQ(copy.count(), 1u);
-}
-
 // The load-bearing property test: NodeSet against a std::set<NodeId>
-// reference model across word boundaries — set/reset/test, or/and, count,
-// and ascending iteration must all agree under random op sequences.
+// reference model across word boundaries. Every operation the set has
+// (set, reset, test, count, word, for_each, |=, intersect_count, clear)
+// must agree with the model under random op sequences, with |= and
+// intersect_count taking operands of different widths both ways round.
 TEST(NodeSet, MatchesReferenceModelUnderRandomOps) {
+  const auto members = [](const NodeSet& s) {
+    std::vector<std::uint32_t> out;
+    s.for_each([&](std::uint32_t b) { out.push_back(b); });
+    return out;
+  };
+  const auto listed = [](const std::set<std::uint32_t>& ref) {
+    return std::vector<std::uint32_t>(ref.begin(), ref.end());
+  };
+  const auto word_of = [](const std::set<std::uint32_t>& ref,
+                          std::uint32_t w) {
+    std::uint64_t word = 0;
+    for (const std::uint32_t b : ref)
+      if (b >> 6 == w) word |= std::uint64_t{1} << (b & 63);
+    return word;
+  };
   Rng rng(0xDECADE);
   for (const std::uint32_t capacity :
        {30u, 63u, 64u, 65u, 127u, 128u, 129u, 192u, 320u, 1000u, 2048u}) {
-    NodeSet s(capacity);
+    // Odd capacities pre-size the words; even ones grow on demand.
+    NodeSet s;
+    if (capacity % 2 == 1) s.ensure_capacity(capacity);
     std::set<std::uint32_t> ref;
     for (int op = 0; op < 3000; ++op) {
       const auto bit = static_cast<std::uint32_t>(rng.uniform_index(capacity));
@@ -237,20 +209,19 @@ TEST(NodeSet, MatchesReferenceModelUnderRandomOps) {
       }
       if (op % 500 == 0) {
         ASSERT_EQ(s.count(), ref.size()) << "capacity=" << capacity;
-        ASSERT_EQ(s.empty(), ref.empty());
       }
     }
-    // Full-membership check and ascending iteration.
+    // Full-membership check, ascending iteration and the word view
+    // (including words past the storage, which read as zero).
     ASSERT_EQ(s.count(), ref.size()) << "capacity=" << capacity;
-    std::vector<std::uint32_t> iterated;
-    s.for_each([&](std::uint32_t b) { iterated.push_back(b); });
-    ASSERT_EQ(iterated, std::vector<std::uint32_t>(ref.begin(), ref.end()))
-        << "capacity=" << capacity;
+    ASSERT_EQ(members(s), listed(ref)) << "capacity=" << capacity;
+    for (std::uint32_t w = 0; w < s.num_words() + 2; ++w)
+      ASSERT_EQ(s.word(w), word_of(ref, w)) << "capacity=" << capacity;
 
-    // Union / intersection against the model, with a second random set of
-    // a *different* capacity so mixed-width operands are exercised.
+    // Union and intersection count against the model, with a second
+    // random set of a *different* width.
     const std::uint32_t other_capacity = capacity / 2 + 17;
-    NodeSet t(other_capacity);
+    NodeSet t;
     std::set<std::uint32_t> tref;
     for (int i = 0; i < 200; ++i) {
       const auto bit =
@@ -264,33 +235,31 @@ TEST(NodeSet, MatchesReferenceModelUnderRandomOps) {
     std::set<std::uint32_t> iref;
     std::set_intersection(ref.begin(), ref.end(), tref.begin(), tref.end(),
                           std::inserter(iref, iref.begin()));
-    const NodeSet u = s | t;
-    const NodeSet i = s & t;
-    ASSERT_EQ(u.count(), uref.size()) << "capacity=" << capacity;
-    ASSERT_EQ(i.count(), iref.size()) << "capacity=" << capacity;
-    ASSERT_EQ(s.intersect_count(t), iref.size());
-    std::vector<std::uint32_t> umembers;
-    u.for_each([&](std::uint32_t b) { umembers.push_back(b); });
-    ASSERT_EQ(umembers, std::vector<std::uint32_t>(uref.begin(), uref.end()));
-    std::vector<std::uint32_t> imembers;
-    i.for_each([&](std::uint32_t b) { imembers.push_back(b); });
-    ASSERT_EQ(imembers, std::vector<std::uint32_t>(iref.begin(), iref.end()));
+    ASSERT_EQ(s.intersect_count(t), iref.size()) << "capacity=" << capacity;
+    ASSERT_EQ(t.intersect_count(s), iref.size()) << "capacity=" << capacity;
+    NodeSet wide = s;
+    wide |= t;
+    ASSERT_EQ(members(wide), listed(uref)) << "capacity=" << capacity;
+    NodeSet narrow = t;
+    narrow |= s;
+    ASSERT_EQ(members(narrow), listed(uref)) << "capacity=" << capacity;
+    ASSERT_EQ(narrow.count(), uref.size()) << "capacity=" << capacity;
 
-    // In-place variants agree with the functional ones.
-    NodeSet su = s;
-    su |= t;
-    EXPECT_EQ(su, u);
-    NodeSet si = s;
-    si &= t;
-    EXPECT_EQ(si, i);
+    // clear() empties the set and keeps its words.
+    const std::uint32_t words = wide.num_words();
+    wide.clear();
+    EXPECT_EQ(wide.count(), 0u);
+    EXPECT_EQ(wide.num_words(), words);
+    EXPECT_TRUE(members(wide).empty());
+    for (const std::uint32_t b : uref) ASSERT_FALSE(wide.test(b));
   }
 }
 
 TEST(NodeSet, WordOpsMatchPerBitOracle) {
   // The scalar flood kernel reads sets through word / count /
   // intersect_count. Drive them with random word images across
-  // capacities straddling the inline-2-word boundary and check every one
-  // against per-bit arithmetic.
+  // capacities straddling word boundaries and check every one against
+  // per-bit arithmetic.
   Rng rng(2026);
   for (const std::uint32_t capacity : {64u, 127u, 128u, 129u, 192u, 1024u}) {
     const std::uint32_t words = (capacity + 63) / 64;
@@ -306,7 +275,9 @@ TEST(NodeSet, WordOpsMatchPerBitOracle) {
       aw[words - 1] &= last_mask;
       bw[words - 1] &= last_mask;
 
-      NodeSet a(capacity), b(capacity);
+      NodeSet a, b;
+      a.ensure_capacity(capacity);
+      b.ensure_capacity(capacity);
       for (std::uint32_t bit = 0; bit < capacity; ++bit) {
         if ((aw[bit >> 6] >> (bit & 63)) & 1U) a.set(bit);
         if ((bw[bit >> 6] >> (bit & 63)) & 1U) b.set(bit);
@@ -335,39 +306,39 @@ TEST(NodeSet, WordOpsMatchPerBitOracle) {
   }
 }
 
-TEST(NodeSet, InlineHeapBoundaryAt128Bits) {
-  // Bit 127 is the last inline bit; bit 128 forces the heap spill.
-  // Holder sets and path memberships rely on the spill preserving
-  // content, and on equality and hashing ignoring backing capacity.
-  NodeSet s(128);
-  EXPECT_EQ(s.num_words(), NodeSet::kInlineWords);
-  s.set(0);
-  s.set(127);
-  EXPECT_EQ(s.num_words(), NodeSet::kInlineWords);
-
-  NodeSet grown = s;
-  grown.set(128);
-  EXPECT_GT(grown.num_words(), NodeSet::kInlineWords);
-  EXPECT_TRUE(grown.test(0));
-  EXPECT_TRUE(grown.test(127));
-  EXPECT_TRUE(grown.test(128));
-
-  grown.reset(128);
-  EXPECT_EQ(grown, s);  // capacity is not part of the value.
-  EXPECT_EQ(NodeSetHash{}(grown), NodeSetHash{}(s));
-  EXPECT_EQ(grown.word(2), 0u);
-  EXPECT_EQ(s.word(2), 0u);  // reads beyond storage are zero, not UB.
-
-  // ensure_capacity pre-sizing (the flood kernels' no-realloc
-  // guarantee): growing first, then setting bits up to the capacity,
-  // keeps the storage stable.
-  NodeSet pre(64);
+TEST(NodeSet, EnsureCapacityKeepsStorageStable) {
+  // The flood kernels pre-size holder sets and component masks so that no
+  // write mid-flood reallocates: after ensure_capacity(n), setting bits
+  // below n, a union with a set of no greater capacity, a smaller
+  // ensure_capacity and clear() all keep the word count.
+  NodeSet pre;
   pre.ensure_capacity(1024);
-  const std::uint32_t sized = pre.num_words();
-  EXPECT_GE(sized, 16u);
-  for (std::uint32_t w = 0; w < 16; ++w) pre.set(w * 64);
-  EXPECT_EQ(pre.num_words(), sized);
+  ASSERT_EQ(pre.num_words(), 16u);
+  for (std::uint32_t w = 0; w < 16; ++w) pre.set(w * 64 + 63);
+  EXPECT_EQ(pre.num_words(), 16u);
   EXPECT_EQ(pre.count(), 16u);
+  NodeSet other;
+  other.ensure_capacity(1024);
+  other.set(1023);
+  other.set(0);
+  pre |= other;
+  pre.ensure_capacity(128);
+  EXPECT_EQ(pre.num_words(), 16u);
+  EXPECT_EQ(pre.count(), 17u);
+  pre.clear();
+  EXPECT_EQ(pre.num_words(), 16u);
+  EXPECT_EQ(pre.count(), 0u);
+  EXPECT_EQ(pre.word(16), 0u);  // reads beyond the words are zero.
+
+  // A union grows only as far as the other set's highest nonzero word.
+  NodeSet narrow;
+  narrow.set(3);
+  NodeSet wide;
+  wide.ensure_capacity(1024);
+  wide.set(70);
+  narrow |= wide;
+  EXPECT_EQ(narrow.num_words(), 2u);
+  EXPECT_TRUE(narrow.test(70));
 }
 
 }  // namespace
