@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "psn/stats/table.hpp"
@@ -29,9 +30,16 @@ int usage() {
   return 2;
 }
 
-psn::trace::ContactTrace generate(const std::string& kind,
-                                  std::uint64_t seed) {
+/// A trace of `kind`, or nothing when no generator has that name.
+std::optional<psn::trace::ContactTrace> generate(const std::string& kind,
+                                                 std::uint64_t seed) {
   using namespace psn::synth;
+  if (kind == "conference") {
+    ConferenceConfig config;
+    config.seed = seed;
+    config.modulation = default_conference_modulation(config.t_max);
+    return generate_conference(config).trace;
+  }
   if (kind == "homogeneous") {
     HomogeneousConfig config;
     config.seed = seed;
@@ -42,10 +50,7 @@ psn::trace::ContactTrace generate(const std::string& kind,
     config.seed = seed;
     return generate_random_waypoint(config);
   }
-  ConferenceConfig config;
-  config.seed = seed;
-  config.modulation = default_conference_modulation(config.t_max);
-  return generate_conference(config).trace;
+  return std::nullopt;
 }
 
 void inspect(const psn::trace::ContactTrace& trace) {
@@ -75,8 +80,12 @@ int main(int argc, char** argv) {
       const std::uint64_t seed =
           argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
       const auto trace = generate(kind, seed);
-      psn::trace::write_trace_file(argv[2], trace);
-      std::cout << "wrote " << trace.summary() << " to " << argv[2] << "\n";
+      if (!trace) {
+        std::cerr << "unknown trace kind '" << kind << "'\n";
+        return usage();
+      }
+      psn::trace::write_trace_file(argv[2], *trace);
+      std::cout << "wrote " << trace->summary() << " to " << argv[2] << "\n";
       return 0;
     }
     if (command == "inspect") {

@@ -1,5 +1,7 @@
 #include "psn/engine/run_spec.hpp"
 
+#include <utility>
+
 namespace psn::engine {
 
 namespace {
@@ -37,27 +39,7 @@ std::uint64_t sim_stream_seed(std::uint64_t master_seed,
 SweepPlan make_plan(std::vector<Scenario> scenarios,
                     std::vector<std::string> algorithms,
                     const PlanConfig& config) {
-  SweepPlan plan;
-  plan.scenarios = std::move(scenarios);
-  plan.algorithms = std::move(algorithms);
-  plan.config = config;
-  plan.runs.reserve(plan.scenarios.size() * plan.algorithms.size() *
-                    config.runs);
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-    for (std::size_t a = 0; a < plan.algorithms.size(); ++a) {
-      for (std::size_t r = 0; r < config.runs; ++r) {
-        RunSpec spec;
-        spec.scenario = s;
-        spec.algorithm = a;
-        spec.run = r;
-        spec.workload_seed = workload_stream_seed(config.master_seed, r);
-        spec.sim_seed = sim_stream_seed(config.master_seed, r);
-        spec.message_rate = config.message_rate;
-        plan.runs.push_back(spec);
-      }
-    }
-  }
-  return plan;
+  return {std::move(scenarios), std::move(algorithms), config};
 }
 
 }  // namespace psn::engine

@@ -1,12 +1,15 @@
-// Run specifications: the unit of work of the sweep engine.
+// Sweep plans: the unit of work of the sweep engine.
 //
 // A sweep executes the cross product {scenario} x {algorithm} x {run}
 // where a scenario is a named dataset (real or synthetic trace) with a
 // discretization delta, an algorithm is a registry name, and a run is one
-// repetition with its own workload. Every RunSpec carries concrete,
-// precomputed seeds so a run is fully determined by its spec alone —
-// per-run RNG streams never touch shared state, which is what makes the
-// sweep's results independent of thread count and scheduling.
+// repetition with its own workload. A plan holds only the axes and the
+// config: run_sweep decodes (scenario, algorithm, run) from each result
+// slot and derives the run's seeds from the master seed and the run index
+// (workload_stream_seed, sim_stream_seed). A run is thus fully determined
+// by its slot, and per-run RNG streams never touch shared state, which is
+// what makes the sweep's results independent of thread count and
+// scheduling.
 
 #pragma once
 
@@ -44,20 +47,6 @@ struct Scenario {
 Scenario make_scenario(core::Dataset&& dataset,
                        trace::Seconds delta = 10.0) = delete;
 
-/// One run: indices into the plan's scenario/algorithm lists plus the
-/// repetition index and the concrete seeds of its isolated RNG streams.
-struct RunSpec {
-  std::size_t scenario = 0;
-  std::size_t algorithm = 0;
-  std::size_t run = 0;
-  /// Workload stream. Shared across algorithms of the same (scenario, run)
-  /// so comparisons are paired: every algorithm sees the same messages.
-  std::uint64_t workload_seed = 1;
-  /// Simulator tie-break stream (per-step edge shuffle).
-  std::uint64_t sim_seed = 1;
-  double message_rate = 0.25;
-};
-
 struct PlanConfig {
   std::size_t runs = 10;          ///< repetitions per (scenario, algorithm).
   std::uint64_t master_seed = 7;  ///< root of all derived streams.
@@ -70,17 +59,15 @@ struct PlanConfig {
   trace::Seconds message_ttl = forward::kNoTtl;
 };
 
-/// A fully expanded sweep: the axes plus the linearized cross product.
-/// runs[] is ordered scenario-major, then algorithm, then repetition; the
-/// position of a spec in this vector is its result slot in run_sweep.
+/// A fully specified sweep: scenarios x algorithms x config.runs. Result
+/// slots run scenario-major, then algorithm, then repetition (slot()).
 struct SweepPlan {
   std::vector<Scenario> scenarios;
   std::vector<std::string> algorithms;  ///< forward registry names.
-  std::vector<RunSpec> runs;
   PlanConfig config;
 
   [[nodiscard]] std::size_t total_runs() const noexcept {
-    return runs.size();
+    return scenarios.size() * algorithms.size() * config.runs;
   }
   /// Linear result slot of (scenario, algorithm, run).
   [[nodiscard]] std::size_t slot(std::size_t scenario, std::size_t algorithm,
@@ -89,10 +76,11 @@ struct SweepPlan {
   }
 };
 
-/// Seed of the workload stream of repetition `run`. Every scenario of a
-/// plan replays the same stream, as the pre-engine studies did (each
-/// dataset was studied with the same config seed), so single-scenario
-/// plans reproduce pre-engine results bit for bit.
+/// Seed of the workload stream of repetition `run`. Every algorithm of a
+/// (scenario, run) sees its one workload, so comparisons are paired; every
+/// scenario of a plan replays the same stream, as the pre-engine studies
+/// did (each dataset was studied with the same config seed), so
+/// single-scenario plans reproduce pre-engine results bit for bit.
 [[nodiscard]] std::uint64_t workload_stream_seed(std::uint64_t master_seed,
                                                  std::size_t run) noexcept;
 
@@ -100,7 +88,7 @@ struct SweepPlan {
 [[nodiscard]] std::uint64_t sim_stream_seed(std::uint64_t master_seed,
                                             std::size_t run) noexcept;
 
-/// Expands the cross product into a SweepPlan.
+/// The plan of the cross product of `scenarios` and `algorithms`.
 [[nodiscard]] SweepPlan make_plan(std::vector<Scenario> scenarios,
                                   std::vector<std::string> algorithms,
                                   const PlanConfig& config);

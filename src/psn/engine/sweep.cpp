@@ -30,32 +30,31 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
                                          ? parallel_for(*options.pool)
                                          : util::serial_parallel_for();
   const std::size_t num_scenarios = plan.scenarios.size();
+  const std::size_t num_algorithms = plan.algorithms.size();
+  const std::size_t runs = plan.config.runs;
+  const std::uint64_t master_seed = plan.config.master_seed;
 
   // Phase 1: shared read-only inputs, built in parallel — one immutable
   // ScenarioContext (dataset + space-time graph) per scenario from the
   // process-wide cache (built exactly once per cell; reused outright when
   // a caller already holds the scenario's context), and one workload per
   // (scenario, run). Both share one index space, so the context builds
-  // overlap the workload draws. Workloads are algorithm-independent by
-  // construction (make_plan gives every algorithm of a (scenario, run)
-  // the same stream: paired comparisons), so generating them here does
-  // the work once instead of once per algorithm; runs copy them.
+  // overlap the workload draws. Every algorithm of a (scenario, run) sees
+  // the same workload (paired comparisons), so it is drawn here once and
+  // read in place by all of them.
   std::vector<std::shared_ptr<const ScenarioContext>> contexts(num_scenarios);
-  std::vector<std::vector<forward::Message>> workloads(num_scenarios *
-                                                     plan.config.runs);
+  std::vector<std::vector<forward::Message>> workloads(num_scenarios * runs);
   parallel(num_scenarios + workloads.size(), [&](std::size_t i) {
     if (i < num_scenarios) {
       contexts[i] = ScenarioContextCache::instance().acquire(plan.scenarios[i]);
       return;
     }
     const std::size_t w = i - num_scenarios;  // s * runs + r.
-    const std::size_t s = w / plan.config.runs;
-    const Scenario& scenario = plan.scenarios[s];
-    const RunSpec& spec = plan.runs[plan.slot(s, 0, w % plan.config.runs)];
+    const Scenario& scenario = plan.scenarios[w / runs];
     core::WorkloadConfig wc;
-    wc.message_rate = spec.message_rate;
+    wc.message_rate = plan.config.message_rate;
     wc.horizon = scenario.dataset->message_horizon;
-    wc.seed = spec.workload_seed;
+    wc.seed = workload_stream_seed(master_seed, w % runs);
     wc.size_bytes = plan.config.message_size_bytes;
     wc.ttl = plan.config.message_ttl;
     workloads[w] =
@@ -105,31 +104,28 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       snapshot_wall_seconds = seconds_since(snapshot_start);
   }
 
-  // Phase 2: the run matrix, one shard per plan slot. Each shard is
-  // self-contained — it takes its workload and algorithm instance from
-  // its spec and writes only its own slot, so nothing here depends on
+  // Phase 2: the run matrix, one shard per plan slot. Each shard decodes
+  // its (scenario, algorithm, run) from the slot, reads its workload in
+  // place and writes only its own slot, so nothing here depends on
   // scheduling order.
-  std::vector<forward::Run> run_results(plan.total_runs());
+  std::vector<forward::SimulationResult> run_results(plan.total_runs());
   std::vector<double> run_walls(plan.total_runs(), 0.0);
   parallel(plan.total_runs(), [&](std::size_t slot) {
-    const RunSpec& spec = plan.runs[slot];
+    const std::size_t r = slot % runs;
+    const std::size_t a = slot / runs % num_algorithms;
+    const std::size_t s = slot / runs / num_algorithms;
     const auto run_start = Clock::now();
-    forward::Run& run = run_results[slot];
-    run.messages = workloads[spec.scenario * plan.config.runs + spec.run];
-
-    const auto algorithm =
-        forward::make_algorithm(plan.algorithms[spec.algorithm]);
-    const ScenarioContext& context = *contexts[spec.scenario];
-    if (const std::size_t j = snapshot_job[spec.algorithm]; j != kNoSnapshot)
-      algorithm->adopt_shared_snapshot(
-          snapshots[spec.scenario * snapshot_jobs.size() + j]);
+    const auto algorithm = forward::make_algorithm(plan.algorithms[a]);
+    const ScenarioContext& context = *contexts[s];
+    if (const std::size_t j = snapshot_job[a]; j != kNoSnapshot)
+      algorithm->adopt_shared_snapshot(snapshots[s * snapshot_jobs.size() + j]);
     forward::SimulationRequest request;
     request.algorithm = algorithm.get();
     request.graph = context.graph.get();
     request.trace = &context.dataset->trace;
-    request.messages = &run.messages;
+    request.messages = &workloads[s * runs + r];
     request.traffic = plan.config.traffic;
-    request.seed = spec.sim_seed;
+    request.seed = sim_stream_seed(master_seed, r);
     request.replay = options.replay;
     request.flood_kernel = options.flood_kernel;
     request.contact_scan = options.contact_scan;
@@ -138,49 +134,47 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     // heap allocation. Workspaces never influence results (asserted
     // by forward_test's workspace-reuse equivalence).
     thread_local forward::SimulatorWorkspace workspace;
-    run.result = forward::simulate(request, workspace);
+    run_results[slot] = forward::simulate(request, workspace);
     run_walls[slot] = seconds_since(run_start);
   });
 
-  // Phase 3: aggregation, single-threaded in plan order.
+  // Phase 3: aggregation, single-threaded in plan order. Each cell's runs
+  // fold into its numbers in one pass, in (run, message) order.
   SweepResult result;
-  result.num_scenarios = plan.scenarios.size();
-  result.num_algorithms = plan.algorithms.size();
+  result.num_scenarios = num_scenarios;
+  result.num_algorithms = num_algorithms;
   result.total_runs = plan.total_runs();
-  result.cells.reserve(result.num_scenarios * result.num_algorithms);
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-    for (std::size_t a = 0; a < plan.algorithms.size(); ++a) {
+  result.cells.reserve(num_scenarios * num_algorithms);
+  for (std::size_t s = 0; s < num_scenarios; ++s) {
+    for (std::size_t a = 0; a < num_algorithms; ++a) {
       CellSummary cell;
       cell.scenario = plan.scenarios[s].name;
       cell.algorithm = plan.algorithms[a];
-
-      std::vector<forward::Run> runs;
-      runs.reserve(plan.config.runs);
+      forward::PerformancePool pooled(cell.algorithm,
+                                      plan.scenarios[s].dataset->rates);
       std::uint64_t transmissions = 0;
-      std::size_t messages = 0;
-      for (std::size_t r = 0; r < plan.config.runs; ++r) {
+      for (std::size_t r = 0; r < runs; ++r) {
         const std::size_t slot = plan.slot(s, a, r);
-        forward::Run& run = run_results[slot];
+        const forward::SimulationResult& run = run_results[slot];
+        const std::vector<forward::Message>& messages = workloads[s * runs + r];
+        pooled.add_run(messages, run.outcomes,
+                       options.keep_delays ? &cell.delays : nullptr);
         cell.run_walls.push_back(run_walls[slot]);
-        cell.truncated_relay_steps += run.result.truncated_relay_steps;
-        cell.expirations += run.result.expirations;
-        cell.evictions += run.result.evictions;
-        cell.drops += run.result.drops;
-        cell.budget_blocked += run.result.budget_blocked;
-        cell.buffer_rejections += run.result.buffer_rejections;
-        cell.effort += run.result.effort;
-        transmissions += run.result.transmissions;
-        messages += run.messages.size();
-        runs.push_back(std::move(run));
+        cell.truncated_relay_steps += run.truncated_relay_steps;
+        cell.expirations += run.expirations;
+        cell.evictions += run.evictions;
+        cell.drops += run.drops;
+        cell.budget_blocked += run.budget_blocked;
+        cell.buffer_rejections += run.buffer_rejections;
+        cell.effort += run.effort;
+        transmissions += run.transmissions;
+        cell.messages_offered += messages.size();
       }
-      cell.overall = forward::aggregate_performance(cell.algorithm, runs);
-      cell.by_pair_type = forward::split_by_pair_type(
-          cell.algorithm, runs, plan.scenarios[s].dataset->rates);
-      if (options.keep_delays) cell.delays = forward::pooled_delays(runs);
-      cell.messages_offered = messages;
-      if (messages > 0)
+      cell.overall = pooled.overall();
+      cell.by_pair_type = pooled.by_pair_type();
+      if (cell.messages_offered > 0)
         cell.cost_per_message = static_cast<double>(transmissions) /
-                                static_cast<double>(messages);
+                                static_cast<double>(cell.messages_offered);
       result.cells.push_back(std::move(cell));
     }
   }

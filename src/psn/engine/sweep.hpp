@@ -6,7 +6,7 @@
 //
 // Determinism guarantee: for a fixed plan, run_sweep produces bit-identical
 // CellSummary metrics at any thread count, serial (no pool) included.
-// Each run draws from its own precomputed RNG streams (run_spec.hpp),
+// Each run draws from RNG streams seeded from its slot (run_spec.hpp),
 // every phase is one fan-out whose shards write pre-sized slots addressed
 // by plan index, and aggregation walks slots in plan order. Only the
 // wall-clock telemetry fields vary between executions.

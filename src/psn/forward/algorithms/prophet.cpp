@@ -23,8 +23,8 @@ const ProphetParams& validated(const ProphetParams& params) {
   };
   require(params.p_init >= 0.0 && params.p_init <= 1.0,
           "p_init must be in [0, 1]");
-  require(params.beta >= 0.0 && std::isfinite(params.beta),
-          "beta must be finite and >= 0");
+  require(params.beta >= 0.0 && params.beta <= 1.0,
+          "beta must be in [0, 1]");
   require(params.gamma >= 0.0 && params.gamma <= 1.0,
           "gamma must be in [0, 1]");
   require(params.aging_unit > 0, "aging_unit must be >= 1");
@@ -120,21 +120,6 @@ void ProphetTable::observe(NodeId a, NodeId b, Step s,
   const double old_ba = aged(find(b, a));
   const double p_ba = old_ba + (1.0 - old_ba) * params_.p_init;
 
-  // The peers to visit. A candidate for c is P(a,b) or P(b,a) times the
-  // other side's P(., c) times beta; with the first factor at most 1 it
-  // cannot exceed that cell's value times beta, so only a strong cell, or
-  // one the a-side just wrote, can seed a write. A predictability above 1
-  // (beta > 1 allows it) voids that bound, and the walk then takes both
-  // rows' peers whole.
-  const std::vector<NodeId>* visit[2] = {&strong_[a], &strong_[b]};
-  if (p_ab > 1.0 || p_ba > 1.0) {
-    for (int side = 0; side < 2; ++side) {
-      peers_[side].clear();
-      for (const Cell& cell : rows_[x[side]]) peers_[side].push_back(cell.c);
-      visit[side] = &peers_[side];
-    }
-  }
-
   NodeId c = 0;
   const auto write = [&](int side, Cell* cell, double v) {
     if (cell != nullptr)
@@ -147,12 +132,16 @@ void ProphetTable::observe(NodeId a, NodeId b, Step s,
     inserts_[side].clear();
     kept_[side].clear();
   }
-  // One walk over both lists in peer order, b and a joining as the keys
-  // of the two direct cells. A peer in neither list has no strong cell
-  // on either side, so no candidate for it can pass the floor.
+  // One walk over both strong lists in peer order, b and a joining as the
+  // keys of the two direct cells. A candidate for c is P(a,b) or P(b,a)
+  // times the other side's P(., c) times beta; with the first factor at
+  // most 1 it cannot exceed that cell's value times beta, so only a strong
+  // cell, or one the a-side just wrote, can seed a write. A peer in
+  // neither list has no strong cell on either side, so no candidate for
+  // it can pass the floor.
   constexpr NodeId kEnd = std::numeric_limits<NodeId>::max();
-  const std::vector<NodeId>& la = *visit[0];
-  const std::vector<NodeId>& lb = *visit[1];
+  const std::vector<NodeId>& la = strong_[a];
+  const std::vector<NodeId>& lb = strong_[b];
   const NodeId direct[2] = {std::min(a, b), std::max(a, b)};
   std::size_t i = 0;
   std::size_t j = 0;

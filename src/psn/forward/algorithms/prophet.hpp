@@ -24,8 +24,8 @@
 // the sequencing of the eager per-peer formulation: the candidates for c
 // read only P(a,b) and P(b,a), fixed once the direct updates are done,
 // and the two cells of c itself. (With beta and the predictabilities in
-// [0, 1], at most one side can write per peer, so the order shows only out
-// of range; forward_test pins it with beta = 4.)
+// [0, 1], at most one side can write per peer: both would need
+// P(a,b)·P(b,a)·beta^2 > 1.)
 //
 // The walk visits only the peers that can produce a write. A cell is
 // *strong* while its aged value times beta is at least transitive_floor.
@@ -35,12 +35,12 @@
 // until written. So each row keeps a peer-sorted list holding every strong
 // cell's peer, rebuilt from what the walk leaves, and the walk merges the
 // two lists with a and b: ~116 visits per contact at city_2048, out of
-// ~2,344 cells in the two rows. A predictability above 1 (beta > 1 allows
-// it) voids the bound, and that contact walks both rows' peers whole.
-// Cells are found in O(1) through a presence bitmap per row and the count
-// of cells before each 64-peer block; a contact's new cells merge into
-// each row in one pass, into an exact-size array, so capacities track row
-// sizes.
+// ~2,344 cells in the two rows. With p_init, gamma and beta in [0, 1] no
+// predictability exceeds 1 (again by monotone rounding), so the bound
+// always holds. Cells are found in O(1) through a presence bitmap per row
+// and the count of cells before each 64-peer block; a contact's new cells
+// merge into each row in one pass, into an exact-size array, so
+// capacities track row sizes.
 //
 // The same ProphetTable drives both the per-run algorithm and the
 // ProphetSnapshot builder. The builder hands observe() one flat log per
@@ -74,9 +74,9 @@
 
 namespace psn::forward {
 
-/// PRoPHET's parameters. Their domain, which the table's update and its
-/// visit rule rely on: p_init and gamma in [0, 1], beta finite and >= 0
-/// (above 1 is legal), aging_unit >= 1 and transitive_floor not NaN. The
+/// PRoPHET's parameters. Their domain, the published one, which the
+/// table's update and its visit rule rely on: p_init, beta and gamma in
+/// [0, 1], aging_unit >= 1 and transitive_floor not NaN. The
 /// ProphetForwarding and ProphetSnapshot constructors throw
 /// std::invalid_argument outside it.
 struct ProphetParams {
@@ -146,11 +146,10 @@ class ProphetTable {
   /// is deterministic whatever the read order, so lazy growth is safe in
   /// the single-threaded per-run table).
   mutable std::vector<double> decay_;
-  // observe() scratch, per side (a, b): the new cells, the strong list
-  // being rebuilt, and the whole row's peers when the bound fails.
+  // observe() scratch, per side (a, b): the new cells and the strong list
+  // being rebuilt.
   std::vector<Cell> inserts_[2];
   std::vector<NodeId> kept_[2];
-  std::vector<NodeId> peers_[2];
   ProphetParams params_;
 };
 

@@ -1,6 +1,7 @@
 #include "psn/paths/enumerator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <span>
 #include <stdexcept>
 
@@ -258,10 +259,10 @@ struct EnumerationRun {
   void offer(const std::uint64_t* set, std::uint16_t prefix_hops,
              const Path* repr, std::uint64_t mult, NodeId v) {
     if (has(set, v)) return;  // loop avoidance
-    if (v == destination) {
-      record_delivery(prefix_hops, repr, mult);
-      return;
-    }
+    // Contact is symmetric, and no node that meets the destination holds
+    // entries (phase 1 hands them over) or is queued (below), so no
+    // sender has the destination for a neighbor.
+    assert(v != destination);
     const auto hops = static_cast<std::uint16_t>(prefix_hops + 1);
     if (meets_dst(v)) {
       // v would hand the message straight to the destination (minimal

@@ -57,21 +57,6 @@ stats::EmpiricalCdf contact_count_cdf(const ContactTrace& trace) {
   return stats::EmpiricalCdf(std::move(sample));
 }
 
-std::vector<Seconds> all_inter_contact_times(const ContactTrace& trace) {
-  // One pass: remember the last contact end per pair.
-  std::map<std::pair<NodeId, NodeId>, Seconds> last_end;
-  std::vector<Seconds> gaps;
-  for (const Contact& c : trace.contacts()) {
-    const auto key = std::make_pair(c.a, c.b);
-    const auto it = last_end.find(key);
-    if (it != last_end.end() && c.start > it->second)
-      gaps.push_back(c.start - it->second);
-    Seconds& slot = last_end[key];
-    slot = std::max(slot, c.end);
-  }
-  return gaps;
-}
-
 std::vector<double> mean_intercontact_matrix(const ContactTrace& trace) {
   const NodeId n = trace.num_nodes();
   constexpr double inf = std::numeric_limits<double>::infinity();

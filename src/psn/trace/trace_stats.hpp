@@ -64,12 +64,6 @@ struct RateClassification {
 /// CDF of per-node total contact counts; Fig. 7's series.
 [[nodiscard]] stats::EmpiricalCdf contact_count_cdf(const ContactTrace& trace);
 
-/// Inter-contact times aggregated over every pair with >= 2 contacts: the
-/// gaps between the end of one contact and the start of the next between
-/// the same two nodes.
-[[nodiscard]] std::vector<Seconds> all_inter_contact_times(
-    const ContactTrace& trace);
-
 /// Mean inter-contact time matrix (num_nodes x num_nodes, row-major).
 /// Pairs that never meet get +infinity; pairs meeting once get the window
 /// length t_max (an optimistic stand-in for the gap they never showed, as

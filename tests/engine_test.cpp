@@ -1,5 +1,5 @@
 // Tests for psn::engine: the thread pool and parallel_for's contract,
-// plan expansion / seed streams, sweeps entered from a task of their own
+// plan slots / seed streams, sweeps entered from a task of their own
 // pool, and — the load-bearing property — determinism of the sweep under
 // parallelism: the same plan must produce bit-identical aggregated
 // metrics serially (no pool) and at 1, 2, and 8 pool threads.
@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -102,25 +103,27 @@ TEST(ParallelFor, OutsideCallerRunsEveryShardOnceOnThePool) {
   }
 }
 
-TEST(RunSpec, PlanExpandsFullCrossProduct) {
+TEST(SweepPlan, SlotsCoverTheCrossProductInOrder) {
   const auto ds = small_dataset(11);
   PlanConfig config;
   config.runs = 3;
-  const auto plan = make_plan({make_scenario(ds), make_scenario(ds)},
-                              {"Epidemic", "FRESH", "Greedy"}, config);
+  auto plan = make_plan({make_scenario(ds), make_scenario(ds)},
+                        {"Epidemic", "FRESH", "Greedy"}, config);
   EXPECT_EQ(plan.total_runs(), 2u * 3u * 3u);
-  // Linearization: scenario-major, then algorithm, then repetition.
+  // Linearization: scenario-major, then algorithm, then repetition, each
+  // slot once.
+  std::size_t next = 0;
   for (std::size_t s = 0; s < 2; ++s)
     for (std::size_t a = 0; a < 3; ++a)
-      for (std::size_t r = 0; r < 3; ++r) {
-        const RunSpec& spec = plan.runs[plan.slot(s, a, r)];
-        EXPECT_EQ(spec.scenario, s);
-        EXPECT_EQ(spec.algorithm, a);
-        EXPECT_EQ(spec.run, r);
-      }
+      for (std::size_t r = 0; r < 3; ++r) EXPECT_EQ(plan.slot(s, a, r), next++);
+  EXPECT_EQ(next, plan.total_runs());
+  // Both read the config's run count.
+  plan.config.runs = 5;
+  EXPECT_EQ(plan.total_runs(), 2u * 3u * 5u);
+  EXPECT_EQ(plan.slot(1, 2, 4), plan.total_runs() - 1);
 }
 
-TEST(RunSpec, SharedModeReproducesLegacyStudyStreams) {
+TEST(SweepPlan, EveryScenarioReplaysTheLegacyStudyStreams) {
   // The pre-engine forwarding study used seed + r*1000003 (workload) and
   // seed + r*7919 (simulator); the engine must preserve both so old
   // results stay reproducible.
@@ -129,17 +132,23 @@ TEST(RunSpec, SharedModeReproducesLegacyStudyStreams) {
     EXPECT_EQ(workload_stream_seed(master, r), master + r * 1000003ULL);
     EXPECT_EQ(sim_stream_seed(master, r), master + r * 7919ULL);
   }
-  // And every scenario of a plan replays the same streams.
+  // The seeds follow the run index alone, so two scenarios of one dataset
+  // report the same cell.
+  const auto ds = small_dataset(11);
   PlanConfig config;
   config.runs = 3;
   config.master_seed = master;
-  const auto plan = make_plan({Scenario{}, Scenario{}}, {"Epidemic"}, config);
-  for (std::size_t r = 0; r < config.runs; ++r) {
-    EXPECT_EQ(plan.runs[plan.slot(1, 0, r)].workload_seed,
-              workload_stream_seed(master, r));
-    EXPECT_EQ(plan.runs[plan.slot(1, 0, r)].sim_seed,
-              sim_stream_seed(master, r));
-  }
+  config.message_rate = 0.02;
+  const auto result = run_sweep(
+      make_plan({make_scenario(ds), make_scenario(ds)}, {"FRESH"}, config));
+  const CellSummary& lhs = result.cell(0, 0);
+  const CellSummary& rhs = result.cell(1, 0);
+  EXPECT_GT(lhs.overall.delivered, 0u);
+  EXPECT_EQ(lhs.overall.delivered, rhs.overall.delivered);
+  EXPECT_EQ(lhs.overall.average_delay, rhs.overall.average_delay);
+  EXPECT_EQ(lhs.delays, rhs.delays);
+  EXPECT_EQ(lhs.cost_per_message, rhs.cost_per_message);
+  EXPECT_EQ(lhs.effort.decisions, rhs.effort.decisions);
 }
 
 TEST(Sweep, UnknownAlgorithmPropagatesError) {
@@ -227,6 +236,104 @@ TEST(Sweep, MultiScenarioDeterministicAcrossThreadCounts) {
   }
   // cell(s, a) indexing agrees with the flat layout.
   EXPECT_EQ(&lhs.cell(1, 1), &lhs.cells[3]);
+}
+
+/// FNV-1a over every deterministic CellSummary field, cell by cell: the
+/// names, each Performance (overall, then the four pair types), the
+/// pooled delays, the cost, the event counters and the effort counters.
+/// Doubles enter as their bits; only the run walls are left out.
+std::uint64_t cell_digest(const SweepResult& result) {
+  std::uint64_t h = kFnv1aBasis;
+  const auto mix = [&h](std::uint64_t v) { fnv1a_mix(h, v); };
+  const auto bits = [&mix](double x) {
+    mix(std::bit_cast<std::uint64_t>(x));
+  };
+  const auto text = [&mix](const std::string& s) {
+    mix(s.size());
+    for (const char ch : s) mix(static_cast<unsigned char>(ch));
+  };
+  const auto performance = [&](const forward::Performance& p) {
+    text(p.algorithm);
+    bits(p.success_rate);
+    bits(p.average_delay);
+    bits(p.average_hops);
+    mix(p.messages);
+    mix(p.delivered);
+  };
+  for (const CellSummary& cell : result.cells) {
+    text(cell.scenario);
+    text(cell.algorithm);
+    performance(cell.overall);
+    for (const forward::Performance& p : cell.by_pair_type.per_type)
+      performance(p);
+    mix(cell.delays.size());
+    for (const double d : cell.delays) bits(d);
+    bits(cell.cost_per_message);
+    for (const std::uint64_t count :
+         {cell.truncated_relay_steps, cell.expirations, cell.evictions,
+          cell.drops, cell.budget_blocked, cell.buffer_rejections})
+      mix(count);
+    mix(cell.messages_offered);
+    const forward::SimulationEffort& e = cell.effort;
+    for (const std::uint64_t count :
+         {e.active_steps, e.filter_edge_visits, e.worklist_edges,
+          e.spliced_edges, e.complete_steps, e.relay_passes, e.relay_calls,
+          e.decisions, e.transfers, e.flood_components})
+      mix(count);
+  }
+  return h;
+}
+
+// Every deterministic CellSummary field of two seeded plans, pinned: two
+// paper windows x the ten extended algorithms x 3 runs, one plan
+// unconstrained and one with finite buffers and budgets, 2-byte messages
+// and a TTL. The digests were measured before the sweep pooled each
+// cell's runs in one pass; how a sweep pools its runs may change, the
+// bits it reports may not. Functions of the generators, the simulator
+// and the seeds alone, so they hold on any machine and thread count.
+TEST(Sweep, CellSummariesArePinned) {
+  const core::Dataset windows[] = {core::DatasetFactory::paper_dataset(0),
+                                   core::DatasetFactory::paper_dataset(1)};
+  PlanConfig unconstrained;
+  unconstrained.runs = 3;
+  unconstrained.master_seed = 41;
+  unconstrained.message_rate = 0.05;
+  PlanConfig constrained = unconstrained;
+  constrained.traffic.contact_budget_bytes = 6;
+  constrained.traffic.buffer_capacity_bytes = 8;
+  constrained.message_size_bytes = 2;
+  constrained.message_ttl = 1800.0;
+  struct Pin {
+    const char* name;
+    const PlanConfig* config;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"unconstrained", &unconstrained, 0x49327f72f7050c5aull},
+      {"constrained", &constrained, 0x988c6d0e889716c0ull},
+  };
+  ThreadPool pool(4);
+  SweepOptions options;
+  options.pool = &pool;
+  for (const Pin& pin : pins) {
+    const auto plan =
+        make_plan({make_scenario(windows[0]), make_scenario(windows[1])},
+                  forward::extended_algorithm_names(), *pin.config);
+    const auto result = run_sweep(plan, options);
+    ASSERT_EQ(result.cells.size(), 20u) << pin.name;
+    std::uint64_t delivered = 0;
+    std::uint64_t traffic_events = 0;
+    for (const CellSummary& cell : result.cells) {
+      delivered += cell.overall.delivered;
+      traffic_events += cell.evictions + cell.budget_blocked +
+                        cell.expirations + cell.buffer_rejections;
+    }
+    // Neither plan is vacuous, and only the constrained one contends.
+    EXPECT_GT(delivered, 0u) << pin.name;
+    EXPECT_EQ(traffic_events > 0, pin.config == &constrained) << pin.name;
+    EXPECT_EQ(cell_digest(result), pin.digest)
+        << pin.name << ": 0x" << std::hex << cell_digest(result);
+  }
 }
 
 TEST(ScenarioRegistry, UnknownNameErrorListsRegisteredScenarios) {

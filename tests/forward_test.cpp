@@ -589,18 +589,11 @@ TEST(Prophet, SnapshotAndPerRunMatchIndependentReference) {
   unit_aging.aging_unit = 1;
   ProphetParams fast_decay;
   fast_decay.gamma = 0.5;
-  // With beta <= 1 at most one side of a peer can pass its test (both
-  // would need P(a,b) * P(b,a) * beta^2 > 1), so the a-side-then-b-side
-  // order is unobservable there; beta = 4 lets both sides write, and pins
-  // that the b-side reads the value the a-side left.
-  ProphetParams both_sides;
-  both_sides.beta = 4.0;
   const std::pair<const char*, ProphetParams> param_sets[] = {
       {"default", ProphetParams{}},
       {"transitive_floor=0", no_floor},
       {"aging_unit=1", unit_aging},
       {"gamma=0.5", fast_decay},
-      {"beta=4", both_sides},
   };
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     std::mt19937_64 rng(seed);
@@ -632,9 +625,9 @@ TEST(Prophet, SnapshotAndPerRunMatchIndependentReference) {
 
 // --- The table's visit rule at its boundaries. ---
 // ProphetTable::observe visits only the peers of each endpoint's strong
-// cells (aged value * beta >= transitive_floor), unless P(a,b) or P(b,a)
-// exceeds 1. The random traces above seldom sit on those lines; each
-// fixture below does, and checks that it does on the reference's values.
+// cells (aged value * beta >= transitive_floor). The random traces above
+// seldom sit on that line; each fixture below does, and checks that it
+// does on the reference's values.
 
 /// A new contact between a < b at step s, over by the next step.
 struct Encounter {
@@ -659,23 +652,6 @@ ReferenceProphet expect_encounters_match_reference(
   const Fixture f(std::move(contacts), n, (encounters.back().s + 2) * 10.0);
   expect_prophet_matches_reference(f, params, label);
   return reference;
-}
-
-TEST(ProphetVisitRule, PredictabilityAboveOneVisitsWholeRows) {
-  // beta = 4: at step 3, node 2 learns P(2,1) = 0.9 * 0.9 * 4 = 3.24
-  // through node 0, so the contact (1,2) has P(2,1) = 1.224. P(1,3) has
-  // decayed to 0.1125, under the line (* 4 = 0.45 < 0.5), yet
-  // P(2,1) * P(1,3) * 4 = 0.55 passes the floor and writes P(2,3).
-  const ProphetParams params{.p_init = 0.9,
-                             .beta = 4.0,
-                             .gamma = 0.5,
-                             .aging_unit = 1,
-                             .transitive_floor = 0.5};
-  const auto reference = expect_encounters_match_reference(
-      {{0, 1, 3}, {3, 0, 1}, {3, 0, 2}, {3, 1, 2}}, 4, params, "p > 1");
-  EXPECT_GT(reference.read(2, 1, 3), 1.0);
-  EXPECT_LT(reference.read(1, 3, 3) * params.beta, params.transitive_floor);
-  EXPECT_GT(reference.read(2, 3, 3), 0.0);
 }
 
 TEST(ProphetVisitRule, CellOnTheStrengthLineStaysListed) {
@@ -729,6 +705,7 @@ TEST(Prophet, RejectsParametersOutsideTheirDomain) {
   const std::pair<const char*, ProphetParams> out_of_domain[] = {
       {"p_init", ProphetParams{.p_init = 1.5}},
       {"beta", ProphetParams{.beta = -0.25}},
+      {"beta", ProphetParams{.beta = 4.0}},
       {"gamma", ProphetParams{.gamma = 1.01}},
       {"aging_unit", ProphetParams{.aging_unit = 0}},
       {"transitive_floor",
@@ -740,8 +717,9 @@ TEST(Prophet, RejectsParametersOutsideTheirDomain) {
     EXPECT_THROW((ProphetSnapshot{f.graph, params}), std::invalid_argument)
         << field;
   }
-  // beta > 1 lets predictabilities pass 1; it stays legal.
-  EXPECT_NO_THROW(ProphetForwarding{ProphetParams{.beta = 4.0}});
+  // The domain is closed: beta = 1 stays legal.
+  EXPECT_NO_THROW(ProphetForwarding{ProphetParams{.beta = 1.0}});
+  EXPECT_NO_THROW((ProphetSnapshot{f.graph, ProphetParams{.beta = 1.0}}));
 }
 
 TEST(Randomized, DeterministicInSeedAndResets) {

@@ -15,7 +15,7 @@
 #include "psn/synth/homogeneous.hpp"
 #include "psn/synth/metropolis.hpp"
 #include "psn/synth/random_waypoint.hpp"
-#include "psn/trace/trace_stats.hpp"
+#include "psn/trace/contact_trace.hpp"
 #include "psn/util/rng.hpp"
 
 namespace psn::synth {
@@ -129,7 +129,15 @@ TEST(Conference, ParetoGapsHaveHeavierTailThanExponential) {
   const auto par_trace = generate_conference(config).trace;
 
   const auto tail_fraction = [](const trace::ContactTrace& t) {
-    const auto gaps = trace::all_inter_contact_times(t);
+    // The pair's gaps: from the latest contact end to the next start
+    // after it (an overlapping contact leaves none).
+    std::vector<double> gaps;
+    const auto contacts = t.contacts();
+    for (std::size_t i = 1, last = 0; i < contacts.size(); ++i) {
+      if (contacts[i].start > contacts[last].end)
+        gaps.push_back(contacts[i].start - contacts[last].end);
+      if (contacts[i].end > contacts[last].end) last = i;
+    }
     if (gaps.empty()) return 0.0;
     double mean = 0.0;
     for (const double g : gaps) mean += g;

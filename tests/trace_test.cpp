@@ -246,40 +246,6 @@ TEST(TraceStats, ContactCountCdf) {
   EXPECT_DOUBLE_EQ(cdf.at(1.0), 1.0);
 }
 
-TEST(TraceStats, InterContactTimes) {
-  std::vector<Contact> cs{
-      Contact::make(0, 1, 0.0, 10.0),
-      Contact::make(0, 1, 30.0, 35.0),
-      Contact::make(0, 1, 100.0, 110.0),
-  };
-  const ContactTrace trace(cs, 2, 200.0);
-  const auto gaps = all_inter_contact_times(trace);
-  ASSERT_EQ(gaps.size(), 2u);
-  EXPECT_DOUBLE_EQ(gaps[0], 20.0);
-  EXPECT_DOUBLE_EQ(gaps[1], 65.0);
-}
-
-TEST(TraceStats, OverlappingContactsYieldNoGap) {
-  std::vector<Contact> cs{
-      Contact::make(0, 1, 0.0, 10.0),
-      Contact::make(0, 1, 5.0, 20.0),
-  };
-  const ContactTrace trace(cs, 2, 100.0);
-  EXPECT_TRUE(all_inter_contact_times(trace).empty());
-}
-
-TEST(TraceStats, AllInterContactTimesAggregates) {
-  std::vector<Contact> cs{
-      Contact::make(0, 1, 0.0, 1.0),
-      Contact::make(0, 1, 11.0, 12.0),
-      Contact::make(2, 3, 0.0, 1.0),
-      Contact::make(2, 3, 21.0, 22.0),
-  };
-  const ContactTrace trace(cs, 4, 100.0);
-  const auto gaps = all_inter_contact_times(trace);
-  ASSERT_EQ(gaps.size(), 2u);
-}
-
 TEST(TraceStats, MeanIntercontactMatrix) {
   std::vector<Contact> cs{
       Contact::make(0, 1, 0.0, 1.0),
